@@ -269,9 +269,20 @@ def cmd_bench(args) -> int:
         if not 1 <= rho <= localsearch.MAX_RHO:
             print(f"rho {rho} out of range", file=sys.stderr)
             return EXIT_USAGE
+    cpus = os.cpu_count() or 1
+    threads = os.environ.get("DUO_THREADS", str(cpus))
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"DUO_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
+        return EXIT_USAGE
     tasks = [(path, args.format, rho, args.with_exact) for path in files for rho in rhos]
-    workers = int(os.environ.get("DUO_THREADS", os.cpu_count() or 1))
-    if workers > 1 and len(tasks) > 1:
+    # the pool forks all its workers at once, so never ask for more than
+    # there are tasks or cores
+    workers = min(workers, len(tasks), cpus)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_task, tasks))
     else:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class DuoError(Exception):
@@ -152,15 +153,31 @@ def parse_instance(text: str) -> StringInstance:
     return StringInstance(rows[0], rows[1])
 
 
+class ConflictIndex(NamedTuple):
+    """Bitmask view of a :class:`DuoGraph`.
+
+    Bit k of a mask stands for ``g.edges[k]``.  ``conf[k]`` has bit l set iff
+    edges k and l conflict (never bit k itself); ``par[k]`` has the bits of
+    the parallel neighbours (i-1, j-1) and (i+1, j+1) present in the graph.
+    """
+
+    pos: dict[Edge, int]
+    conf: tuple[int, ...]
+    par: tuple[int, ...]
+
+
 class DuoGraph:
     """Bipartite conflict-annotated graph on duo positions 1..m per side.
 
     Immutable after construction.  ``edges`` is lexicographically sorted and
     duplicate-free; per-position indices make :meth:`conflict_set` run in
-    time proportional to the local neighborhood rather than |E|.
+    time proportional to the local neighborhood rather than |E|.  The
+    :attr:`index` of conflict and parallel-neighbour bitmasks, which the
+    local search runs on, is built from those buckets on first use and kept
+    for the graph's lifetime.
     """
 
-    __slots__ = ("m", "edges", "edge_set", "_by_i", "_by_j")
+    __slots__ = ("m", "edges", "edge_set", "_by_i", "_by_j", "_index")
 
     def __init__(self, m: int, edges=()) -> None:
         if m < 1:
@@ -179,6 +196,7 @@ class DuoGraph:
             by_j.setdefault(e.j, []).append(e)
         self._by_i = by_i
         self._by_j = by_j
+        self._index: ConflictIndex | None = None
 
     @classmethod
     def from_strings(cls, inst: StringInstance) -> "DuoGraph":
@@ -186,13 +204,34 @@ class DuoGraph:
         equals duo j of B as an ordered symbol pair."""
         a, b = inst.a, inst.b
         m = inst.n - 1
+        duo_positions: dict[tuple[str, str], list[int]] = {}
+        for j in range(1, m + 1):
+            duo_positions.setdefault((b[j - 1], b[j]), []).append(j)
         edges = [
             Edge(i, j)
             for i in range(1, m + 1)
-            for j in range(1, m + 1)
-            if a[i - 1] == b[j - 1] and a[i] == b[j]
+            for j in duo_positions.get((a[i - 1], a[i]), ())
         ]
         return cls(m, edges)
+
+    @property
+    def index(self) -> ConflictIndex:
+        """The graph's :class:`ConflictIndex`, built on first access."""
+        if self._index is None:
+            pos = {e: k for k, e in enumerate(self.edges)}
+            conf = tuple(
+                sum(1 << pos[f] for f in self.conflict_set(e)) for e in self.edges
+            )
+            par = tuple(
+                sum(
+                    1 << pos[f]
+                    for f in (Edge(e.i - 1, e.j - 1), Edge(e.i + 1, e.j + 1))
+                    if f in pos
+                )
+                for e in self.edges
+            )
+            self._index = ConflictIndex(pos, conf, par)
+        return self._index
 
     def __contains__(self, e: Edge) -> bool:
         return e in self.edge_set

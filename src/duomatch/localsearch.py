@@ -15,6 +15,15 @@ cap.  With identical configuration and input the whole run is deterministic:
 subsets are scanned in lexicographic order over the ordered matching,
 replacements take the first improvement found, and the incoming edge set is
 the lexicographically first one the backtracking reaches.
+
+All moves run as integer bitmask operations over the graph's shared
+:class:`~duomatch.core.ConflictIndex`, and replace and reduce share one swap
+enumerator.  For a rho-subset X of the matching, the entrants are the
+non-matching edges whose conflicts with the matching are non-empty and lie
+inside X; a subset with too few entrants to make the move is skipped
+without a search.  The scan order is the one stated above, so every trace
+is the same as that of a plain scan that tests each graph edge against
+each kept edge.
 """
 
 from __future__ import annotations
@@ -25,14 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import (
-    DuoError,
-    DuoGraph,
-    Edge,
-    Matching,
-    compatible,
-    singleton_partition,
-)
+from .core import DuoError, DuoGraph, Edge, EdgeNotInGraphError, Matching
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -136,12 +138,35 @@ class LocalOptCertificate:
     reduce_subsets_scanned: int
 
 
-def _ordered(edges, scan_order: str) -> list[Edge]:
-    return sorted(edges, reverse=(scan_order == SCAN_REVERSE_LEX))
+def _ordered(items, scan_order: str) -> list:
+    return sorted(items, reverse=(scan_order == SCAN_REVERSE_LEX))
 
 
-def _singleton_count(edges) -> int:
-    return len(singleton_partition(edges)[0])
+def _mask(g: DuoGraph, edges) -> int:
+    """Bitmask of ``edges`` over ``g.edges`` positions."""
+    pos = g.index.pos
+    try:
+        return sum(1 << pos[e] for e in edges)
+    except KeyError as exc:
+        raise EdgeNotInGraphError(f"edge {exc.args[0]} not in graph") from None
+
+
+def _positions(mask: int):
+    """Set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _singletons(g: DuoGraph, mask: int) -> int:
+    """Number of edges in ``mask`` with no parallel neighbour in ``mask``."""
+    par = g.index.par
+    return sum(1 for k in _positions(mask) if not par[k] & mask)
+
+
+def _matching_of(g: DuoGraph, mask: int) -> Matching:
+    return Matching(g.edges[k] for k in _positions(mask))
 
 
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
@@ -149,62 +174,107 @@ def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
     """Extend ``matching`` to a maximal one, adding edges in scan order.
 
     With a seeded config the scan order is a reproducible shuffle instead.
-    Idempotent once the matching is maximal.
+    Idempotent once the matching is maximal.  Every edge of ``matching``
+    must belong to ``g`` (EdgeNotInGraphError otherwise).
     """
-    current: list[Edge] = list(matching.edges) if matching is not None else []
+    conf = g.index.conf
+    taken = _mask(g, matching.edges) if matching is not None else 0
     if config.seed is not None:
-        order = list(g.edges)
+        order = list(range(len(g.edges)))
         random.Random(config.seed).shuffle(order)
     else:
-        order = _ordered(g.edges, config.scan_order)
-    for e in order:
-        if e not in current and all(compatible(e, f) for f in current):
-            current.append(e)
-    return Matching(current)
+        order = _ordered(range(len(g.edges)), config.scan_order)
+    for k in order:
+        bit = 1 << k
+        if not (conf[k] | bit) & taken:
+            taken |= bit
+    return _matching_of(g, taken)
 
 
-def _iter_compatible_subsets(cands: list[Edge], k: int):
-    """Yield all pairwise-compatible k-subsets of ``cands`` as tuples, in
-    lexicographic order over the candidate sequence, with standard
-    feasibility pruning."""
-    n = len(cands)
-    chosen: list[Edge] = []
+def _first_subset(pool: int, conf, width: int, base: int, accept,
+                  reverse: bool) -> int | None:
+    """First pairwise-compatible ``width``-subset of the edges in ``pool``
+    whose union with ``base`` passes ``accept``; returns that union.
 
-    def rec(start: int):
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for idx in range(start, n):
-            if n - idx < k - len(chosen):
-                break
-            e = cands[idx]
-            if all(compatible(e, c) for c in chosen):
-                chosen.append(e)
-                yield from rec(idx + 1)
-                chosen.pop()
+    Subsets come in lexicographic order over the pool in scan order (lowest
+    position first, or highest with ``reverse``).  ``avail`` holds the pool
+    edges after the last pick that are compatible with every pick, so a
+    branch ends as soon as too few of them remain.
+    """
 
-    if k == 0:
-        yield ()
-    else:
-        yield from rec(0)
+    def rec(avail: int, need: int, chosen: int) -> int | None:
+        while avail.bit_count() >= need:
+            k = avail.bit_length() - 1 if reverse else (avail & -avail).bit_length() - 1
+            bit = 1 << k
+            avail ^= bit
+            if need == 1:
+                if accept(base | chosen | bit):
+                    return base | chosen | bit
+            else:
+                found = rec(avail & ~conf[k], need - 1, chosen | bit)
+                if found is not None:
+                    return found
+        return None
+
+    return rec(pool, width, 0)
 
 
-def _swap_candidates(g: DuoGraph, removed, kept, scan_order: str) -> list[Edge]:
-    """Edges eligible to enter after dropping ``removed`` from the matching:
-    conflict with at least one dropped edge, compatible with every kept one.
-    For a maximal matching this loses no candidates, because an edge outside
-    the matching compatible with all kept edges must conflict with a dropped
-    one."""
-    removed_set = set(removed)
-    kept_set = set(kept)
-    out: list[Edge] = []
-    for e in _ordered(g.edges, scan_order):
-        if e in removed_set or e in kept_set:
+def _first_swap(g: DuoGraph, matching: Matching, rho: int, scan_order: str,
+                size: int, accept) -> tuple[Matching | None, int]:
+    """The swap enumerator behind replace and reduce.
+
+    Returns the first matching of ``size`` edges within swap distance rho of
+    ``matching`` that passes ``accept`` (a test on its mask), together with
+    the number of rho-subsets of the matching visited.  When the matching
+    has at most rho edges every compatible ``size``-subset of the graph is a
+    candidate and the count is 0.  Otherwise each rho-subset X is visited in
+    scan order; its entrants are the non-matching edges whose conflicts
+    with the matching are non-empty and lie inside X (for a maximal
+    matching no other edge can enter).  Every entrant displaces at least one
+    edge of X, so a subset with no entrant (reduce) or fewer than two
+    (replace) is skipped without a search; else the pool X plus entrants is
+    searched in scan order for the incoming edges.
+    """
+    conf = g.index.conf
+    reverse = scan_order == SCAN_REVERSE_LEX
+    if len(matching) <= rho:
+        found = _first_subset((1 << len(g.edges)) - 1, conf, size, 0, accept, reverse)
+        return (None if found is None else _matching_of(g, found)), 0
+    m_mask = _mask(g, matching.edges)
+    entrants = []
+    for k, c in enumerate(conf):
+        inside = c & m_mask
+        if inside and not m_mask >> k & 1 and inside.bit_count() <= rho:
+            entrants.append((1 << k, inside))
+    if not entrants:
+        return None, comb(len(matching), rho)
+    m_pos = _ordered(_positions(m_mask), scan_order)
+    width = size - len(matching) + rho
+    scanned = 0
+    for removed in combinations([1 << k for k in m_pos], rho):
+        scanned += 1
+        x = sum(removed)
+        entering = sum(bit for bit, inside in entrants if not inside & ~x)
+        # a net gain of width - rho edges needs more than width - rho entrants
+        if entering.bit_count() <= width - rho:
             continue
-        if any(not compatible(e, x) for x in removed) and \
-                all(compatible(e, f) for f in kept):
-            out.append(e)
-    return out
+        found = _first_subset(x | entering, conf, width, m_mask & ~x, accept, reverse)
+        if found is not None:
+            return _matching_of(g, found), scanned
+    return None, scanned
+
+
+def _grows(mask: int) -> bool:
+    return True
+
+
+def _lowers_singletons(g: DuoGraph, matching: Matching):
+    """Acceptance test of the reduce move, or None when the matching has
+    no singleton to lose."""
+    base = _singletons(g, _mask(g, matching.edges))
+    if base == 0:
+        return None
+    return lambda mask: _singletons(g, mask) < base
 
 
 def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
@@ -219,24 +289,7 @@ def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
     the replacement realizes every narrower swap, so widths below rho need
     no separate pass.
     """
-    m_edges = _ordered(matching.edges, scan_order)
-    if len(m_edges) <= rho:
-        found = next(
-            _iter_compatible_subsets(_ordered(g.edges, scan_order), len(m_edges) + 1),
-            None,
-        )
-        return Matching(found) if found is not None else None
-    for removed in combinations(m_edges, rho):
-        removed_set = set(removed)
-        kept = [e for e in m_edges if e not in removed_set]
-        pool = _ordered(
-            list(removed) + _swap_candidates(g, removed, kept, scan_order),
-            scan_order,
-        )
-        incoming = next(_iter_compatible_subsets(pool, rho + 1), None)
-        if incoming is not None:
-            return Matching(kept + list(incoming))
-    return None
+    return _first_swap(g, matching, rho, scan_order, len(matching) + 1, _grows)[0]
 
 
 def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
@@ -247,27 +300,10 @@ def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
     matching has at most rho edges, otherwise rho-for-rho swaps drawn from
     each dropped subset's entrant pool.
     """
-    base = _singleton_count(matching.edges)
-    if base == 0:
+    accept = _lowers_singletons(g, matching)
+    if accept is None:
         return None
-    m_edges = _ordered(matching.edges, scan_order)
-    if len(m_edges) <= rho:
-        for cand in _iter_compatible_subsets(_ordered(g.edges, scan_order), len(m_edges)):
-            if _singleton_count(cand) < base:
-                return Matching(cand)
-        return None
-    for removed in combinations(m_edges, rho):
-        removed_set = set(removed)
-        kept = [e for e in m_edges if e not in removed_set]
-        pool = _ordered(
-            list(removed) + _swap_candidates(g, removed, kept, scan_order),
-            scan_order,
-        )
-        for incoming in _iter_compatible_subsets(pool, rho):
-            candidate = kept + list(incoming)
-            if _singleton_count(candidate) < base:
-                return Matching(candidate)
-    return None
+    return _first_swap(g, matching, rho, scan_order, len(matching), accept)[0]
 
 
 def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Matching, SearchTrace]:
@@ -291,8 +327,8 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
                 phase=phase,
                 size_before=len(before),
                 size_after=len(after),
-                singletons_before=_singleton_count(before.edges),
-                singletons_after=_singleton_count(after.edges),
+                singletons_before=_singletons(g, _mask(g, before.edges)),
+                singletons_after=_singletons(g, _mask(g, after.edges)),
                 removed=tuple(sorted(before_set - after_set)),
                 added=tuple(sorted(after_set - before_set)),
             )
@@ -328,29 +364,24 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
 
     Raises NotMaximalError if some graph edge extends the matching, since
     the moves are only meaningful on maximal matchings.  The certificate
-    reports how many subsets each scan covered (0 with the exhaustive
-    whole-graph branch, flagged separately).
+    reports how many rho-subsets each scan visited before it found a move
+    or ran out: 0 with the exhaustive whole-graph branch (flagged
+    separately), and 0 for reduce when it was not run or the matching has
+    no singletons.
     """
-    m_set = set(matching.edges)
-    for e in g.edges:
-        if e not in m_set and all(compatible(e, f) for f in matching.edges):
+    conf = g.index.conf
+    m_mask = _mask(g, matching.edges)
+    for k, e in enumerate(g.edges):
+        if not (conf[k] | 1 << k) & m_mask:
             raise NotMaximalError(f"edge {e} extends the matching")
-    exhaustive = len(matching) <= config.rho
-    subsets = 0 if exhaustive else comb(len(matching), config.rho)
-    if replace_step(g, matching, config.rho, config.scan_order) is not None:
-        return False, LocalOptCertificate(
-            config.rho, config.use_reduce, len(matching),
-            _singleton_count(matching.edges), exhaustive, subsets, 0,
-        )
+    rho, order = config.rho, config.scan_order
+    swapped, replace_scanned = _first_swap(g, matching, rho, order, len(matching) + 1, _grows)
     reduce_scanned = 0
-    if config.use_reduce:
-        reduce_scanned = subsets
-        if reduce_step(g, matching, config.rho, config.scan_order) is not None:
-            return False, LocalOptCertificate(
-                config.rho, config.use_reduce, len(matching),
-                _singleton_count(matching.edges), exhaustive, subsets, reduce_scanned,
-            )
-    return True, LocalOptCertificate(
-        config.rho, config.use_reduce, len(matching),
-        _singleton_count(matching.edges), exhaustive, subsets, reduce_scanned,
+    if swapped is None and config.use_reduce:
+        accept = _lowers_singletons(g, matching)
+        if accept is not None:
+            swapped, reduce_scanned = _first_swap(g, matching, rho, order, len(matching), accept)
+    return swapped is None, LocalOptCertificate(
+        rho, config.use_reduce, len(matching), _singletons(g, m_mask),
+        len(matching) <= rho, replace_scanned, reduce_scanned,
     )

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from duomatch import cli
 from duomatch.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -239,6 +240,56 @@ def test_bench_parallel_matches_serial(capsys, tmp_path, monkeypatch):
         results[workers] = strip_ms(out)
     assert results["1"] == results["3"]
     assert len(results["1"]) == 4
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count asked
+    for and runs the tasks in this process."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, expected", [
+    ("500", 64, [4]),   # capped by the 2 files x 2 widths
+    ("500", 3, [3]),    # capped by the cores
+    ("2", 64, [2]),
+    ("1", 64, []),      # serial, no pool
+])
+def test_bench_bounds_worker_count(capsys, tmp_path, demo_file, monkeypatch,
+                                   threads, cpus, expected):
+    other = tmp_path / "other.duo"
+    other.write_text(DEMO_TEXT + "\n")
+    monkeypatch.setattr(RecordingPool, "asked", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("DUO_THREADS", threads)
+    code, out, _ = run(capsys, "bench", demo_file, str(other), "--rho", "1,2")
+    assert code == EXIT_OK
+    assert RecordingPool.asked == expected
+    assert len(strip_ms(out)) == 5
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two", "1.5", ""])
+def test_bench_rejects_bad_thread_count(capsys, demo_file, monkeypatch, threads):
+    monkeypatch.setattr(RecordingPool, "asked", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("DUO_THREADS", threads)
+    code, out, err = run(capsys, "bench", demo_file)
+    assert code == EXIT_USAGE and out == ""
+    assert "DUO_THREADS" in err
+    assert RecordingPool.asked == []
 
 
 def test_bench_rejects_bad_rho(capsys, demo_file):

@@ -171,6 +171,23 @@ def test_conflict_set_matches_full_scan(g):
         assert g.conflict_set(e) == expected
 
 
+@given(graphs())
+def test_index_masks_match_full_scan(g):
+    idx = g.index
+    assert idx.pos == {e: k for k, e in enumerate(g.edges)}
+    for e, conf, par in zip(g.edges, idx.conf, idx.par):
+        for k, f in enumerate(g.edges):
+            assert (conf >> k & 1) == (not compatible(e, f))
+            parallel = (f.i - e.i, f.j - e.j) in ((1, 1), (-1, -1))
+            assert (par >> k & 1) == parallel
+        assert conf >> len(g.edges) == 0 and par >> len(g.edges) == 0
+
+
+def test_index_built_on_first_use(demo_graph):
+    assert demo_graph._index is None
+    assert demo_graph.index is demo_graph.index
+
+
 def max_compatible_subset_size(cands: list[Edge]) -> int:
     best = 0
     def rec(idx, chosen):

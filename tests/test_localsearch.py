@@ -1,17 +1,24 @@
 import itertools
 import json
+import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duomatch.core import DuoGraph, Edge, Matching, compatible, singleton_partition
+import reference_localsearch as ref
+from duomatch import localsearch
+from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, singleton_partition
 from duomatch.exact import exact_max_matching
+from duomatch.instances import string_gap_fixture
 from duomatch.localsearch import (
     PHASE_GREEDY,
     PHASE_REDUCE,
     PHASE_REPLACE,
     PHASE_TERMINATE,
+    SCAN_LEX,
+    SCAN_REVERSE_LEX,
     IterationCapError,
     NotMaximalError,
     SolverConfig,
@@ -24,6 +31,8 @@ from duomatch.localsearch import (
 
 from conftest import DEMO_OPT, edges
 from test_core import graphs
+
+scan_orders = st.sampled_from([SCAN_LEX, SCAN_REVERSE_LEX])
 
 singles_count = lambda es: len(singleton_partition(es)[0])
 
@@ -235,6 +244,59 @@ def test_certificate_fields(demo_graph):
     assert ok
     assert cert.rho == 5 and cert.size == 3
     assert cert.exhaustive  # 3 <= rho, whole-graph branch
+    assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == 0
+
+
+def test_certificate_counts_full_scan():
+    inst, m = string_gap_fixture()
+    ok, cert = is_local_optimum(DuoGraph.from_strings(inst), m)
+    assert ok and not cert.exhaustive
+    assert cert.replace_subsets_scanned == comb(6, 5)
+    # every edge of the planted matching is parallel, so reduce never scans
+    assert cert.singletons == 0 and cert.reduce_subsets_scanned == 0
+
+
+def test_certificate_counts_stop_at_first_hit(demo_graph):
+    m = greedy_maximal(demo_graph)
+    ok, cert = is_local_optimum(demo_graph, m, SolverConfig(rho=1))
+    assert not ok
+    # dropping (1, 5), the first 1-subset, lets (2, 1) and (5, 5) in
+    assert cert.replace_subsets_scanned == 1 < comb(len(m), 1)
+    assert cert.reduce_subsets_scanned == 0
+
+
+def reference_scan_count(g: DuoGraph, m: Matching, rho: int, scan_order: str,
+                         grow: bool) -> int:
+    """rho-subsets the reference scan of one move visits on ``m``, up to and
+    including the one that yields the move."""
+    m_edges = ref._ordered(m.edges, scan_order)
+    base = ref._singleton_count(m.edges)
+    for count, removed in enumerate(itertools.combinations(m_edges, rho), 1):
+        kept = [e for e in m_edges if e not in removed]
+        pool = ref._ordered(
+            list(removed) + ref._swap_candidates(g, removed, kept, scan_order), scan_order)
+        for incoming in ref._iter_compatible_subsets(pool, rho + grow):
+            if grow or ref._singleton_count(kept + list(incoming)) < base:
+                return count
+    return comb(len(m), rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_m=8), st.integers(1, 5), scan_orders, st.booleans())
+def test_local_optimum_matches_reference_scan(g, rho, scan_order, use_reduce):
+    cfg = SolverConfig(rho=rho, scan_order=scan_order, use_reduce=use_reduce)
+    m = greedy_maximal(g, config=cfg)
+    ok, cert = is_local_optimum(g, m, cfg)
+    replace_hit = ref.replace_step(g, m, rho, scan_order) is not None
+    reduce_ran = use_reduce and not replace_hit and cert.singletons > 0
+    reduce_hit = reduce_ran and ref.reduce_step(g, m, rho, scan_order) is not None
+    assert ok == (not replace_hit and not reduce_hit)
+    if cert.exhaustive:
+        assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == 0
+        return
+    assert cert.replace_subsets_scanned == reference_scan_count(g, m, rho, scan_order, True)
+    expected = reference_scan_count(g, m, rho, scan_order, False) if reduce_ran else 0
+    assert cert.reduce_subsets_scanned == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,3 +321,47 @@ def test_config_validation():
         SolverConfig(scan_order="random")
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
+
+
+# ---------------------------------------------------------------- reference
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_m=8), st.integers(1, 5), scan_orders, st.integers(0, 3),
+       st.none() | st.integers(0, 2**16))
+def test_moves_match_reference(g, rho, scan_order, cut, seed):
+    """The moves return the very matching the plain scans return, on
+    maximal matchings and on prefixes of them."""
+    cfg = SolverConfig(rho=rho, scan_order=scan_order, seed=seed)
+    full = greedy_maximal(g, config=cfg)
+    assert full == ref.greedy_maximal(g, config=cfg)
+    for m in (full, Matching(full.edges[:cut])):
+        assert greedy_maximal(g, m, cfg) == ref.greedy_maximal(g, m, cfg)
+        assert replace_step(g, m, rho, scan_order) == ref.replace_step(g, m, rho, scan_order)
+        assert reduce_step(g, m, rho, scan_order) == ref.reduce_step(g, m, rho, scan_order)
+
+
+def seeded_string_pairs(count: int):
+    rng = random.Random(20170206)
+    for _ in range(count):
+        n, alphabet = rng.randint(14, 18), "abcd"[:rng.randint(3, 4)]
+        a = [rng.choice(alphabet) for _ in range(n)]
+        b = a.copy()
+        rng.shuffle(b)
+        yield DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
+
+
+def test_traces_match_reference(monkeypatch):
+    configs = [
+        SolverConfig(rho=rho, scan_order=order, use_reduce=use_reduce)
+        for rho in (1, 3, 5)
+        for order in (SCAN_LEX, SCAN_REVERSE_LEX)
+        for use_reduce in (True, False)
+    ] + [SolverConfig(seed=11)]
+    graphs_ = list(seeded_string_pairs(8))
+    ours = [local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
+    monkeypatch.setattr(localsearch, "greedy_maximal", ref.greedy_maximal)
+    monkeypatch.setattr(localsearch, "replace_step", ref.replace_step)
+    monkeypatch.setattr(localsearch, "reduce_step", ref.reduce_step)
+    theirs = [local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
+    assert ours == theirs
+    assert any(PHASE_REDUCE in t for t in ours) and any(PHASE_REPLACE in t for t in ours)
