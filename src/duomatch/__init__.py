@@ -9,6 +9,7 @@ from .core import (
     EmptyInstanceError,
     IncompatibleEdgesError,
     InconsistentMapError,
+    InvariantError,
     LengthMismatchError,
     Matching,
     NotPermutationError,

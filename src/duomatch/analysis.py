@@ -16,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DuoGraph, Edge, Matching, compatible, singleton_partition
+from .core import (
+    DuoGraph,
+    Edge,
+    InvariantError,
+    Matching,
+    compatible,
+    singleton_partition,
+)
 from .localsearch import NotMaximalError
 
 #: Largest token total any single matching edge can end up with at a
@@ -110,7 +117,10 @@ def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenRep
     }
     per_sol = {e: sum(vals, Fraction(0)) for e, vals in shares.items()}
     total = sum(per_sol.values(), Fraction(0))
-    assert total == len(optimum), "token conservation violated"
+    if total != len(optimum):
+        raise InvariantError(
+            f"token conservation violated: totals sum to {total}, |M*| = {len(optimum)}"
+        )
     return TokenReport(per_opt, per_sol, shares, total)
 
 

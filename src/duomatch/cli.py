@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -314,7 +315,10 @@ def _add_common_solver_args(p: argparse.ArgumentParser) -> None:
                    help="randomize the greedy extension order")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and then reused: it
+    costs more than a small ``solve``, and parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="duomatch",
         description="Heuristic and exact solvers for duo-preservation string mapping",

@@ -14,7 +14,6 @@ All indices are 1-based on both sides.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +41,14 @@ class EmptyInstanceError(ParseError):
 
 class EdgeNotInGraphError(DuoError):
     """An operation referenced an edge absent from the graph."""
+
+
+class InvariantError(DuoError):
+    """A result broke an invariant its construction guarantees.
+
+    Signals a defect in this package, never bad input.  Raised explicitly
+    rather than by ``assert``, which ``python -O`` strips.
+    """
 
 
 class IncompatibleEdgesError(DuoError):
@@ -255,20 +262,48 @@ class DuoGraph:
         return tuple(sorted(f for f in seen if not compatible(e, f)))
 
 
+def _first_conflict(es: list[Edge]) -> tuple[Edge, Edge] | None:
+    """First conflicting pair (a, b), a < b, of the sorted duplicate-free
+    ``es`` in :func:`itertools.combinations` order, or None.
+
+    An edge conflicting with a sits within distance 1 of one of a's
+    endpoints, so only those buckets are scanned.  Before the first conflict
+    each bucket holds at most one edge besides a, so a compatible set costs
+    O(k) tests.
+    """
+    by_i: dict[int, list[Edge]] = {}
+    by_j: dict[int, list[Edge]] = {}
+    for e in es:
+        by_i.setdefault(e.i, []).append(e)
+        by_j.setdefault(e.j, []).append(e)
+    for a in es:
+        near = [
+            b
+            for side, p in ((by_i, a.i), (by_j, a.j))
+            for q in (p - 1, p, p + 1)
+            for b in side.get(q, ())
+            if b > a and not compatible(a, b)
+        ]
+        if near:
+            return a, min(near)
+    return None
+
+
 class Matching:
     """A validated pairwise-compatible edge set, stored in lex order.
 
-    Construction costs O(k^2) compatibility tests and raises
-    :class:`IncompatibleEdgesError` naming the first offending pair.
+    Construction costs O(k) compatibility tests for a compatible set and
+    raises :class:`IncompatibleEdgesError` naming the first offending pair
+    in lex order.
     """
 
     __slots__ = ("edges",)
 
     def __init__(self, edges=()) -> None:
         es = sorted(set(Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges))
-        for a, b in itertools.combinations(es, 2):
-            if not compatible(a, b):
-                raise IncompatibleEdgesError(a, b)
+        pair = _first_conflict(es)
+        if pair is not None:
+            raise IncompatibleEdgesError(*pair)
         self.edges: tuple[Edge, ...] = tuple(es)
 
     def __len__(self) -> int:
@@ -293,10 +328,10 @@ class Matching:
 
 def is_compatible_matching(g: DuoGraph, edges) -> bool:
     """True iff every edge belongs to ``g`` and all pairs are compatible."""
-    es = [Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges]
+    es = {Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges}
     if any(e not in g.edge_set for e in es):
         return False
-    return all(compatible(a, b) for a, b in itertools.combinations(es, 2))
+    return _first_conflict(sorted(es)) is None
 
 
 def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:

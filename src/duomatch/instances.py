@@ -25,6 +25,7 @@ from .core import (
     DuoError,
     DuoGraph,
     Edge,
+    InvariantError,
     Matching,
     StringInstance,
     compatible,
@@ -89,7 +90,10 @@ def gen_random_kduo(spec: GeneratorSpec) -> StringInstance:
     shuffled = symbols.copy()
     rng.shuffle(shuffled)
     inst = StringInstance(tuple(symbols), tuple(shuffled))
-    assert inst.occurrence_cap() <= spec.k
+    if inst.occurrence_cap() > spec.k:
+        raise InvariantError(
+            f"generated pair repeats a symbol {inst.occurrence_cap()} times, cap {spec.k}"
+        )
     return inst
 
 
@@ -105,7 +109,8 @@ def string_gap_fixture() -> tuple[StringInstance, Matching]:
     matching = Matching(
         [Edge(2, 7), Edge(7, 2), Edge(3, 8), Edge(8, 3), Edge(4, 9), Edge(9, 4)]
     )
-    assert not singletons_of(matching), "fixture matching must be all parallel"
+    if singletons_of(matching):
+        raise InvariantError("string gap fixture matching must be all parallel")
     return inst, matching
 
 
@@ -356,7 +361,8 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         matching = Matching(edges)
         graph = DuoGraph(m, list(optimum.edges) + edges)
         report = swap_resistance_checklist(graph, matching, optimum, spec.caps)
-        assert report.passed, "fast cap test disagrees with the checklist"
+        if not report.passed:
+            raise InvariantError("fast cap test disagrees with the checklist")
         return GapInstance(graph, matching, optimum, report)
 
     def rec(chosen: list[_Run], count: int, cover: int,

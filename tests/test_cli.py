@@ -1,9 +1,10 @@
 import csv
 import json
+import time
 
 import pytest
 
-from duomatch import cli
+from duomatch import analysis, cli
 from duomatch.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -11,6 +12,7 @@ from duomatch.cli import (
     EXIT_USAGE,
     main,
 )
+from duomatch.core import StringInstance
 
 from conftest import DEMO_TEXT, FIXTURES_DIR
 
@@ -88,6 +90,39 @@ def test_exact_budget_exhausted(capsys, demo_file):
     code, out, _ = run(capsys, "exact", demo_file, "--budget", "1")
     assert code == EXIT_BUDGET
     assert out.startswith("budget-exceeded lower-bound ")
+
+
+@pytest.fixture
+def identity_2000(tmp_path):
+    """A == B over 2000 distinct symbols: 1999 pairwise compatible edges,
+    one level of search per edge."""
+    path = tmp_path / "identity_n2000.duo"
+    line = " ".join(f"x{t}" for t in range(2000))
+    path.write_text(f"{line}\n{line}\n")
+    return str(path)
+
+
+def test_exact_large_identity(capsys, identity_2000):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "exact", identity_2000)
+    assert time.perf_counter() - t0 < 20.0
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "value 1999"
+    assert lines[1:] == [f"{i} {i}" for i in range(1, 2000)]
+
+
+def test_bench_large_identity(capsys, tmp_path, identity_2000, monkeypatch):
+    monkeypatch.setenv("DUO_THREADS", "1")
+    csv_path = tmp_path / "out.csv"
+    t0 = time.perf_counter()
+    code, _, _ = run(capsys, "bench", identity_2000, "--rho", "1", "--with-exact",
+                     "--csv", str(csv_path))
+    assert time.perf_counter() - t0 < 20.0
+    assert code == EXIT_OK
+    assert strip_ms(csv_path.read_text())[1:] == [
+        ["identity_n2000", "2000", "1", "1999", "1", "1999", "1999", "1/1", "1"],
+    ]
 
 
 # ---------------------------------------------------------------- verify
@@ -330,3 +365,41 @@ def test_solve_rejects_bad_rho(capsys, demo_file):
     code, _, err = run(capsys, "solve", demo_file, "--rho", "0")
     assert code == EXIT_USAGE
     assert "rho" in err
+
+
+def test_parser_reused_across_calls(capsys, demo_file):
+    """The parser is built once per process; successive calls with other
+    subcommands and a usage error in between see no state from each other."""
+    first = [run(capsys, "solve", demo_file), run(capsys, "exact", demo_file)]
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", demo_file, "--budget", "lots"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    assert run(capsys, "exact", demo_file, "--budget", "1")[0] == EXIT_BUDGET
+    again = [run(capsys, "solve", demo_file), run(capsys, "exact", demo_file)]
+    assert again == first
+    assert first[0][0] == first[1][0] == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_token_conservation_failure_exits_1(capsys, tmp_path, demo_file, monkeypatch):
+    class Overcounted(list):
+        def __len__(self):
+            return super().__len__() + 1
+
+    receivers = analysis._receivers
+    monkeypatch.setattr(analysis, "_receivers", lambda *a: Overcounted(receivers(*a)))
+    opt = tmp_path / "opt.txt"
+    opt.write_text("2 1\n3 2\n5 5\n")
+    code, out, err = run(capsys, "tokens", demo_file, str(opt), str(opt))
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err.startswith("error: token conservation violated")
+
+
+def test_generator_cap_failure_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(StringInstance, "occurrence_cap", lambda self: 99)
+    code, _, err = run(capsys, "gen", "--n", "6", "--k", "2", "--alphabet", "3",
+                       "--out", str(tmp_path / "out"))
+    assert code == EXIT_CHECK_FAILED
+    assert err.startswith("error: generated pair repeats a symbol 99 times")

@@ -230,6 +230,25 @@ def test_matching_rejects_conflicts():
     assert exc.value.pair == (Edge(2, 1), Edge(6, 1))
 
 
+@given(st.lists(edge_st, max_size=12))
+def test_matching_reports_first_conflict_in_lex_order(es):
+    """The bucket scan names the same pair as a scan of all lex-ordered
+    pairs, and accepts exactly the pairwise compatible sets."""
+    ordered = sorted(set(es))
+    first = next(
+        ((a, b) for a, b in itertools.combinations(ordered, 2) if not compatible(a, b)),
+        None,
+    )
+    g = DuoGraph(9, es)
+    assert is_compatible_matching(g, es) == (first is None)
+    if first is None:
+        assert Matching(es).edges == tuple(ordered)
+        return
+    with pytest.raises(IncompatibleEdgesError) as exc:
+        Matching(es)
+    assert exc.value.pair == first
+
+
 def test_is_compatible_matching_checks_membership(demo_graph):
     assert is_compatible_matching(demo_graph, edges(DEMO_OPT))
     assert not is_compatible_matching(demo_graph, [Edge(4, 4)])

@@ -11,6 +11,7 @@ from duomatch.exact import (
     exact_min_partition_size,
 )
 
+import reference_exact as ref
 from conftest import DEMO_OPT, edges
 from test_core import graphs, string_pairs
 
@@ -54,6 +55,52 @@ def test_matches_subset_enumeration(g):
     res = exact_max_matching(g)
     assert res.value == value
     assert res.witness.edges == tuple(lex_least)
+
+
+def assert_same_as_reference(g):
+    res, want = exact_max_matching(g), ref.exact_max_matching(g)
+    assert res.value == want.value
+    assert res.witness == want.witness
+    assert res.nodes_explored <= want.nodes_explored
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_m=9, max_edges=30))
+def test_graph_matches_reference(g):
+    assert_same_as_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(string_pairs(max_n=12))
+def test_string_pair_matches_reference(inst):
+    assert_same_as_reference(DuoGraph.from_strings(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_m=8, max_edges=24), st.data())
+def test_budget_transparent_or_valid_incumbent(g, data):
+    full = exact_max_matching(g)
+    budget = data.draw(st.integers(0, full.nodes_explored + 3))
+    if budget >= full.nodes_explored:
+        assert exact_max_matching(g, budget=budget) == full
+        return
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_max_matching(g, budget=budget)
+    best = exc.value.best
+    assert exc.value.budget == budget
+    assert best.nodes_explored == budget + 1
+    assert best.value == len(best.witness) <= full.value
+    assert all(e in g for e in best.witness)
+
+
+def test_clique_bound_cuts_conflict_clique():
+    """Edges sharing one A-position pairwise conflict, so one clique covers
+    them: after the first leaf no sibling can beat 1."""
+    g = DuoGraph(6, [Edge(1, j) for j in range(1, 7)])
+    res = exact_max_matching(g)
+    assert res.value == 1 and res.witness == Matching([Edge(1, 1)])
+    assert res.nodes_explored == 2
+    assert ref.exact_max_matching(g).nodes_explored == 6
 
 
 def test_budget_exhaustion(demo_graph):

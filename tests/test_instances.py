@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from duomatch.core import DuoGraph, Edge, Matching, parse_instance
+from duomatch import instances
+from duomatch.core import DuoGraph, Edge, InvariantError, Matching, parse_instance
 from duomatch.exact import exact_max_matching
 from duomatch.fileio import parse_graph, parse_matching_edges
 from duomatch.instances import (
@@ -135,6 +137,27 @@ def test_search_tiny_family():
     assert [(e.i, e.j) for e in found.optimum.edges] == [(i, i) for i in range(1, 8)]
     assert found.checklist.passed
     assert len(found.graph.edges) == 9
+
+
+def test_search_rejects_checklist_disagreement(monkeypatch):
+    real = instances.swap_resistance_checklist
+
+    def failing(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return instances.ChecklistReport(
+            tuple(replace(item, passed=False) for item in report.items)
+        )
+
+    monkeypatch.setattr(instances, "swap_resistance_checklist", failing)
+    spec = GapSearchSpec(m=7, matching_size=2, anchors=(), caps=(1,))
+    with pytest.raises(InvariantError, match="disagrees with the checklist"):
+        search_gap_instance(spec)
+
+
+def test_string_gap_fixture_rejects_singletons(monkeypatch):
+    monkeypatch.setattr(instances, "singletons_of", lambda m: frozenset(m.edges[:1]))
+    with pytest.raises(InvariantError, match="all parallel"):
+        string_gap_fixture()
 
 
 def test_search_infeasible_returns_none():
