@@ -8,7 +8,8 @@ All arithmetic is exact via fractions.Fraction.
 
 The check_* functions verify structural facts that hold at every terminal
 matching of the width-5 search with reduce enabled; on other matchings they
-can and should fail, which makes them useful smoke detectors.
+can and should fail, which makes them useful smoke detectors.  Each builds
+its own token report unless one is passed as ``report=``.
 """
 
 from __future__ import annotations
@@ -130,10 +131,12 @@ def _opt_conflicts(g: DuoGraph, optimum: Matching, e: Edge) -> list[Edge]:
 
 
 def check_full_token_uniqueness(g: DuoGraph, matching: Matching,
-                                optimum: Matching) -> CheckResult:
+                                optimum: Matching, *,
+                                report: TokenReport | None = None) -> CheckResult:
     """No matching edge collects two whole tokens: among the optimum edges
     conflicting with it, at most one has conflict count exactly 1."""
-    report = token_report(g, matching, optimum)
+    if report is None:
+        report = token_report(g, matching, optimum)
     m_set = frozenset(matching.edges)
     violations = []
     for e in matching.edges:
@@ -147,10 +150,12 @@ def check_full_token_uniqueness(g: DuoGraph, matching: Matching,
 
 
 def check_parallel_pair_conflict_gap(g: DuoGraph, matching: Matching,
-                                     optimum: Matching) -> CheckResult:
+                                     optimum: Matching, *,
+                                     report: TokenReport | None = None) -> CheckResult:
     """Consecutive optimum edges charged against the same matching edge have
     conflict counts within 2 of each other."""
-    report = token_report(g, matching, optimum)
+    if report is None:
+        report = token_report(g, matching, optimum)
     m_set = frozenset(matching.edges)
     violations = []
     for e in matching.edges:
@@ -166,9 +171,11 @@ def check_parallel_pair_conflict_gap(g: DuoGraph, matching: Matching,
 
 
 def check_parallel_token_bound(g: DuoGraph, matching: Matching,
-                               optimum: Matching) -> CheckResult:
+                               optimum: Matching, *,
+                               report: TokenReport | None = None) -> CheckResult:
     """Parallel matching edges stay strictly below a token total of 3."""
-    report = token_report(g, matching, optimum)
+    if report is None:
+        report = token_report(g, matching, optimum)
     _, parallels = singleton_partition(matching.edges)
     violations = tuple(
         (e, report.per_sol_edge[e])
@@ -179,11 +186,13 @@ def check_parallel_token_bound(g: DuoGraph, matching: Matching,
 
 
 def check_heavy_singleton_parallel_support(g: DuoGraph, matching: Matching,
-                                           optimum: Matching) -> CheckResult:
+                                           optimum: Matching, *,
+                                           report: TokenReport | None = None) -> CheckResult:
     """Every singleton with token total >= 3 has a parallel matching edge
     within two conflict hops: some matching edge that conflicts with one of
     the optimum edges charged against the singleton."""
-    report = token_report(g, matching, optimum)
+    if report is None:
+        report = token_report(g, matching, optimum)
     singletons, parallels = singleton_partition(matching.edges)
     m_set = frozenset(matching.edges)
     violations = []

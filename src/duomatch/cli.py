@@ -157,7 +157,7 @@ def cmd_tokens(args) -> int:
         analysis.check_parallel_token_bound,
         analysis.check_heavy_singleton_parallel_support,
     ):
-        result = fn(g, matching, optimum)
+        result = fn(g, matching, optimum, report=report)
         checks[result.name] = result.passed
     checks["max_total_bound"] = profile.max_ok
     checks["heavy_combination_profile"] = profile.combos_ok

@@ -142,15 +142,22 @@ class ChecklistReport:
         raise KeyError(name)
 
 
-def _entrants(optimum: Matching, kept: tuple[Edge, ...]) -> int:
-    kept_set = set(kept)
-    count = 0
-    for e in optimum.edges:
-        if e in kept_set:
-            continue
-        if all(compatible(e, f) for f in kept):
-            count += 1
-    return count
+def _entrants(blockers: list[int], kept: int) -> int:
+    """Optimum edges that fit alongside the ``kept`` matching edges: those
+    whose blocker mask (see :func:`swap_resistance_checklist`) misses
+    ``kept``."""
+    return [b & kept for b in blockers].count(0)
+
+
+def _shut_out(g: DuoGraph, f: Edge) -> int:
+    """Mask over ``g.edges`` of the edges a matching holding ``f`` cannot
+    take: f itself and the edges conflicting with it.  ``f`` need not
+    belong to g."""
+    index = g.index
+    k = index.pos.get(f)
+    if k is not None:
+        return index.conf[k] | 1 << k
+    return sum(1 << k for k, e in enumerate(g.edges) if not compatible(e, f))
 
 
 def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching,
@@ -162,14 +169,21 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     each removal width t the worst-case number of optimum edges compatible
     with the remainder stays within caps[t-1].  At most ``subset_budget``
     subsets are scanned in total, else SubsetBudgetError.
+
+    Both scans run on bitmasks.  The blocking edges are the graph edges
+    that are neither matching edges nor in a matching edge's conflict mask
+    of ``g.index``.  For the swap items each optimum edge gets, once per
+    call, a blocker mask: bit x stands for the x-th matching edge in lex
+    order and is set when that edge equals or conflicts with the optimum
+    edge.  After removing X, the optimum edge enters iff its blocker mask
+    lies inside X.  Matching and optimum edges need not belong to g.
     """
     items: list[ChecklistItem] = []
 
-    m_set = set(matching.edges)
-    blocking = tuple(
-        e for e in g.edges
-        if e not in m_set and all(compatible(e, f) for f in matching.edges)
-    )
+    taken = 0
+    for f in matching.edges:
+        taken |= _shut_out(g, f)
+    blocking = tuple(e for k, e in enumerate(g.edges) if not taken >> k & 1)
     items.append(ChecklistItem("maximal", not blocking, len(blocking), 0, blocking[:3]))
 
     singles = tuple(sorted(singletons_of(matching)))
@@ -181,17 +195,22 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
         raise SubsetBudgetError(
             f"{total_subsets} subsets exceed budget {subset_budget}"
         )
-    m_edges = sorted(matching.edges)
+    m_edges = matching.edges
+    full = (1 << len(m_edges)) - 1
+    blockers = [
+        sum(1 << x for x, f in enumerate(m_edges) if f == e or not compatible(e, f))
+        for e in optimum.edges
+    ]
+    bits = [1 << x for x in range(len(m_edges))]
     for t in widths:
         worst = -1
-        worst_removed: tuple[Edge, ...] = ()
-        for removed in combinations(m_edges, t):
-            removed_set = set(removed)
-            kept = tuple(e for e in m_edges if e not in removed_set)
-            count = _entrants(optimum, kept)
+        worst_picked: tuple[int, ...] = ()
+        for picked in combinations(bits, t):
+            count = _entrants(blockers, full ^ sum(picked))
             if count > worst:
                 worst = count
-                worst_removed = removed
+                worst_picked = picked
+        worst_removed = tuple(m_edges[b.bit_length() - 1] for b in worst_picked)
         items.append(
             ChecklistItem(f"swap-{t}", worst <= caps[t - 1], worst, caps[t - 1], worst_removed)
         )
@@ -272,6 +291,67 @@ def _anchor_runs(anchors: tuple[Edge, ...], m: int) -> list[_Run]:
     return runs
 
 
+def _candidate_runs(m: int, longest: int) -> list[_Run]:
+    """Every off-diagonal run of 2 to ``longest`` edges inside 1..m, in
+    lexicographic (i, j, length) order."""
+    runs: list[_Run] = []
+    for i in range(1, m):
+        for j in range(1, m):
+            if i == j:
+                continue
+            for ell in range(2, longest + 1):
+                if i + ell - 1 > m or j + ell - 1 > m:
+                    break
+                runs.append(_Run(i, j, ell, m))
+    return runs
+
+
+class _RunTable:
+    """Candidate runs numbered in list order, with compatibility rows.
+
+    ``row(k)`` is the mask of runs s with ``_runs_compatible(runs[k], s)``,
+    built on first use.  Two runs whose spans lie at least two positions
+    apart on both sides are always compatible (every cross pair has
+    |di|, |dj| >= 2), so a row calls :func:`_runs_compatible` only on the
+    runs that come within one position of the run on some side.
+    """
+
+    def __init__(self, runs: list[_Run], m: int):
+        self.runs = runs
+        self.all = (1 << len(runs)) - 1
+        by_i = [0] * (m + 2)
+        by_j = [0] * (m + 2)
+        for k, r in enumerate(runs):
+            for t in range(r.ell):
+                by_i[r.i + t] |= 1 << k
+                by_j[r.j + t] |= 1 << k
+        self._by_i = by_i
+        self._by_j = by_j
+        self._rows: list[int | None] = [None] * len(runs)
+
+    def compatible_mask(self, r: _Run) -> int:
+        """Mask of the table's runs compatible with ``r``, which need not be
+        one of them."""
+        near = 0
+        for p in range(r.i - 1, r.i + r.ell + 1):
+            near |= self._by_i[p]
+        for q in range(r.j - 1, r.j + r.ell + 1):
+            near |= self._by_j[q]
+        mask = self.all & ~near
+        while near:
+            low = near & -near
+            if _runs_compatible(r, self.runs[low.bit_length() - 1]):
+                mask |= low
+            near ^= low
+        return mask
+
+    def row(self, k: int) -> int:
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = self.compatible_mask(self.runs[k])
+        return row
+
+
 def _diag_caps_hold(m_edges: list[Edge], m: int, caps) -> bool:
     """Swap caps against the diagonal optimum, via coverage multiplicities.
 
@@ -279,7 +359,8 @@ def _diag_caps_hold(m_edges: list[Edge], m: int, caps) -> bool:
     when p lies in {a-1, a, a+1, b-1, b, b+1}, so after removing X the
     diagonal entrants are precisely the positions whose whole covering edge
     set sits inside X.  That turns each cap into bitmask counting, orders of
-    magnitude cheaper than the generic checklist scan.
+    magnitude cheaper than the generic checklist scan.  The verdict does not
+    depend on the order of ``m_edges``.
     """
     ne = len(m_edges)
     pos_cover = [0] * (m + 1)
@@ -288,20 +369,21 @@ def _diag_caps_hold(m_edges: list[Edge], m: int, caps) -> bool:
             if 1 <= p <= m:
                 pos_cover[p] |= 1 << idx
     covers = [c for c in pos_cover[1:] if c]
+    bits = [1 << idx for idx in range(ne)]
     for t in range(1, min(len(caps), ne) + 1):
         cap = caps[t - 1]
-        for picked in combinations(range(ne), t):
-            xmask = 0
-            for idx in picked:
-                xmask |= 1 << idx
+        # a cover inside a t-subset has at most t bits
+        small = [c for c in covers if c.bit_count() <= t]
+        if len(small) <= cap:
+            continue
+        for picked in combinations(bits, t):
+            rest = ~sum(picked)
             count = 0
-            for c in covers:
-                if not (c & ~xmask):
+            for c in small:
+                if not c & rest:
                     count += 1
                     if count > cap:
-                        break
-            if count > cap:
-                return False
+                        return False
     return True
 
 
@@ -317,6 +399,13 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     excluded deeper down, so each run set is visited once and the result is
     deterministic.  Returns None when the space is exhausted, raises
     SearchBudgetError when ``max_nodes`` runs out first.
+
+    The search runs on masks over the candidate runs, numbered in that lex
+    order: ``covering[p]`` holds the runs covering position p, ``allowed``
+    the runs compatible with every chosen run (the AND of their
+    :class:`_RunTable` rows) and ``excluded`` the lex-earlier alternatives.
+    A node's candidates are ``covering[p] & allowed & ~excluded`` among the
+    runs short enough to fit, taken lowest bit first.
     """
     m = spec.m
     optimum = Matching(Edge(i, i) for i in range(1, m + 1))
@@ -327,20 +416,16 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         if not (1 <= a.i <= m and 1 <= a.j <= m) or a.i == a.j:
             return None
 
-    all_runs: list[_Run] = []
-    for i in range(1, m):
-        for j in range(1, m):
-            if i == j:
-                continue
-            for ell in range(2, min(spec.max_run_length, target) + 1):
-                if i + ell - 1 > m or j + ell - 1 > m:
-                    break
-                all_runs.append(_Run(i, j, ell, m))
-    covering: dict[int, list[_Run]] = {p: [] for p in range(1, m + 1)}
-    for r in all_runs:
+    all_runs = _candidate_runs(m, min(spec.max_run_length, target))
+    table = _RunTable(all_runs, m)
+    covering = [0] * (m + 1)
+    fits = [0] * (target + 1)
+    for k, r in enumerate(all_runs):
         for p in range(1, m + 1):
             if r.cover_mask >> p & 1:
-                covering[p].append(r)
+                covering[p] |= 1 << k
+        for room in range(r.ell, target + 1):
+            fits[room] |= 1 << k
 
     seeds = _anchor_runs(spec.anchors, m)
     if any(r.ell < 2 for r in seeds):
@@ -355,7 +440,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     nodes = 0
 
     def verdict(chosen: list[_Run]) -> GapInstance | None:
-        edges = sorted(e for r in chosen for e in r.edges)
+        edges = [e for r in chosen for e in r.edges]
         if not _diag_caps_hold(edges, m, spec.caps):
             return None
         matching = Matching(edges)
@@ -366,7 +451,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         return GapInstance(graph, matching, optimum, report)
 
     def rec(chosen: list[_Run], count: int, cover: int,
-            excluded: frozenset[_Run]) -> GapInstance | None:
+            allowed: int, excluded: int) -> GapInstance | None:
         nonlocal nodes
         nodes += 1
         if nodes > spec.max_nodes:
@@ -379,27 +464,29 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         # a run of length ell >= 2 covers at most 2*ell + 4 <= 4*ell positions
         if uncovered.bit_count() > 4 * (target - count):
             return None
-        pool = covering[(uncovered & -uncovered).bit_length() - 1] if uncovered else all_runs
-        skipped: set[_Run] = set()
-        for r in pool:
-            if r in excluded or r in skipped:
-                continue
-            if count + r.ell > target:
-                continue
-            if not all(_runs_compatible(r, c) for c in chosen):
-                continue
+        pool = covering[(uncovered & -uncovered).bit_length() - 1] if uncovered else table.all
+        cands = pool & allowed & fits[target - count] & ~excluded
+        skipped = 0
+        while cands:
+            low = cands & -cands
+            k = low.bit_length() - 1
+            r = all_runs[k]
             found = rec(
                 chosen + [r],
                 count + r.ell,
                 cover | r.cover_mask,
-                excluded | frozenset(skipped),
+                allowed & table.row(k),
+                excluded | skipped,
             )
             if found is not None:
                 return found
-            skipped.add(r)
+            skipped |= low
+            cands ^= low
         return None
 
     cover = 0
+    allowed = table.all
     for r in seeds:
         cover |= r.cover_mask
-    return rec(list(seeds), seed_count, cover, frozenset())
+        allowed &= table.compatible_mask(r)
+    return rec(list(seeds), seed_count, cover, allowed, 0)

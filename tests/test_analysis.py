@@ -8,6 +8,7 @@ from duomatch.analysis import (
     GUARANTEE_RHO5,
     HEAVY_SHARE_COMBINATIONS,
     MAX_TOKEN_TOTAL,
+    TokenReport,
     check_full_token_uniqueness,
     check_heavy_singleton_parallel_support,
     check_parallel_pair_conflict_gap,
@@ -164,6 +165,33 @@ def test_checks_pass_on_width5_terminals(g):
     assert check_parallel_pair_conflict_gap(g, m, opt)
     assert check_parallel_token_bound(g, m, opt)
     assert check_heavy_singleton_parallel_support(g, m, opt)
+
+
+CHECKS = (check_full_token_uniqueness, check_parallel_pair_conflict_gap,
+          check_parallel_token_bound, check_heavy_singleton_parallel_support)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs())
+def test_checks_reuse_a_given_report(g):
+    m, _ = local_search(g, SolverConfig(rho=1, use_reduce=False))
+    opt = exact_max_matching(g).witness
+    report = token_report(g, m, opt)
+    for check in CHECKS:
+        assert check(g, m, opt, report=report) == check(g, m, opt)
+
+
+def test_checks_read_the_given_report():
+    # a report claiming the parallel pair got 3 tokens each trips the bound
+    # even though the real report would not
+    g = with_diagonal(7, [Edge(2, 5), Edge(3, 6)])
+    m = Matching([Edge(2, 5), Edge(3, 6)])
+    opt = Matching([Edge(1, 1)])
+    real = token_report(g, m, opt)
+    assert check_parallel_token_bound(g, m, opt, report=real)
+    doctored = TokenReport(real.per_opt_edge, {e: Fraction(3) for e in m.edges},
+                           real.shares, real.total)
+    assert not check_parallel_token_bound(g, m, opt, report=doctored)
 
 
 # ---------------------------------------------------------------- ratios

@@ -203,6 +203,28 @@ def test_tokens_on_gap_fixture(capsys, tmp_path):
     assert all(report["checks"].values())
 
 
+def test_tokens_builds_one_report(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = analysis.token_report
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "token_report", counting)
+    opt = tmp_path / "opt.txt"
+    opt.write_text("".join(f"{i} {i}\n" for i in range(1, 11)))
+    code, out, _ = run(
+        capsys,
+        "tokens",
+        str(FIXTURES_DIR / "string_gap.duo"),
+        str(FIXTURES_DIR / "string_gap.matching"),
+        str(opt),
+    )
+    assert code == EXIT_OK and json.loads(out)["passed"]
+    assert len(calls) == 1
+
+
 def test_tokens_rejects_conflicting_matching(capsys, tmp_path, demo_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n3 1\n")

@@ -1,10 +1,14 @@
 import json
 from dataclasses import replace
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duomatch import instances
-from duomatch.core import DuoGraph, Edge, InvariantError, Matching, parse_instance
+from duomatch.core import DuoGraph, Edge, InvariantError, Matching, compatible, parse_instance
 from duomatch.exact import exact_max_matching
 from duomatch.fileio import parse_graph, parse_matching_edges
 from duomatch.instances import (
@@ -22,6 +26,7 @@ from duomatch.instances import (
 )
 from duomatch.localsearch import is_local_optimum
 
+import reference_gap as ref
 from conftest import FIXTURES_DIR
 
 
@@ -198,3 +203,160 @@ def test_shipped_graph_fixture_certified():
     observed = tuple(report.item(f"swap-{t}").observed for t in range(1, 6))
     assert observed == GRAPH_GAP_CAPS
     assert cert["ratio"] == "13/6"
+
+
+# ---------------------------------------------------------------- against the reference
+
+@st.composite
+def checklist_cases(draw):
+    """A graph plus a matching and an optimum drawn from all m x m edges,
+    so either may hold edges outside the graph."""
+    m = draw(st.integers(2, 9))
+    pool = [Edge(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    g = DuoGraph(m, draw(st.lists(st.sampled_from(pool), max_size=20, unique=True)))
+
+    def matching():
+        chosen: list[Edge] = []
+        for e in draw(st.lists(st.sampled_from(list(g.edges) + pool), max_size=12, unique=True)):
+            if all(compatible(e, f) for f in chosen):
+                chosen.append(e)
+        return Matching(chosen)
+
+    caps = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=5)))
+    return g, matching(), matching(), caps
+
+
+@settings(max_examples=150, deadline=None)
+@given(checklist_cases())
+def test_checklist_matches_reference(case):
+    g, matching, optimum, caps = case
+    got = swap_resistance_checklist(g, matching, optimum, caps)
+    assert got == ref.swap_resistance_checklist(g, matching, optimum, caps)
+
+
+def test_checklist_matches_reference_on_fixtures():
+    inst, m = string_gap_fixture()
+    g = DuoGraph.from_strings(inst)
+    opt = exact_max_matching(g).witness
+    for matching in (m, Matching(m.edges[:-1]), opt):
+        got = swap_resistance_checklist(g, matching, opt, STRING_GAP_CAPS)
+        assert got == ref.swap_resistance_checklist(g, matching, opt, STRING_GAP_CAPS)
+
+
+def test_checklist_counts_one_entrant_scan_per_subset(monkeypatch):
+    calls = []
+    real = instances._entrants
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(instances, "_entrants", counting)
+    inst, m = string_gap_fixture()
+    g = DuoGraph.from_strings(inst)
+    swap_resistance_checklist(g, m, exact_max_matching(g).witness, STRING_GAP_CAPS)
+    assert len(calls) == sum(comb(len(m), t) for t in range(1, 6))
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_run_table_rows_match_runs_compatible(m):
+    runs = instances._candidate_runs(m, 3)
+    table = instances._RunTable(runs, m)
+    assert table.all == (1 << len(runs)) - 1
+    for k, r in enumerate(runs):
+        expected = sum(1 << x for x, s in enumerate(runs) if instances._runs_compatible(r, s))
+        assert table.row(k) == expected
+    # anchor runs of any length need not be in the table
+    for i, j in combinations(range(1, m + 1), 2):
+        for a, b in ((i, j), (j, i)):
+            for ell in (1, 4):
+                if max(a, b) + ell - 1 > m:
+                    continue
+                r = instances._Run(a, b, ell, m)
+                expected = sum(
+                    1 << x for x, s in enumerate(runs) if instances._runs_compatible(r, s)
+                )
+                assert table.compatible_mask(r) == expected
+
+
+def assert_search_matches_reference(spec):
+    """Same result, same leaf tests and the same node count as the search
+    as first written; node counts are compared through the budget."""
+    stats: dict = {}
+    expected = ref.search_gap_instance(spec, stats)
+    verdicts = []
+    real = instances._diag_caps_hold
+
+    def counting(*args):
+        verdicts.append(1)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instances, "_diag_caps_hold", counting)
+        got = search_gap_instance(spec)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.matching == expected.matching
+        assert got.optimum == expected.optimum
+        assert (got.graph.m, got.graph.edges) == (expected.graph.m, expected.graph.edges)
+        assert got.checklist == expected.checklist
+    assert len(verdicts) == stats["verdicts"]
+    nodes = stats["nodes"]
+    for budget in sorted({1, nodes // 3, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1, 0}):
+        budgeted = replace(spec, max_nodes=budget)
+        outcomes = []
+        for search in (search_gap_instance, ref.search_gap_instance):
+            try:
+                search(budgeted)
+                outcomes.append(False)
+            except SearchBudgetError:
+                outcomes.append(True)
+        assert outcomes == [budget < nodes] * 2
+
+
+GAP_CASES = [
+    GapSearchSpec(m=7, matching_size=2, anchors=(), caps=(1,)),
+    GapSearchSpec(m=10, matching_size=4, anchors=(), caps=(1, 2)),
+    GapSearchSpec(m=10, matching_size=6, anchors=(Edge(2, 5),), caps=(1, 2), max_run_length=3),
+    GapSearchSpec(m=12, matching_size=6, anchors=(Edge(2, 5), Edge(3, 6)), caps=(1, 2, 3)),
+    GapSearchSpec(m=12, matching_size=7, anchors=(), caps=(0, 2, 2), max_run_length=3),
+    GapSearchSpec(m=12, matching_size=6, anchors=(Edge(1, 5), Edge(2, 6), Edge(6, 1), Edge(7, 2)),
+                  caps=(1, 2)),
+    GapSearchSpec(m=14, matching_size=7, anchors=(Edge(2, 6), Edge(3, 7)), caps=(1, 2),
+                  max_run_length=3),
+    GapSearchSpec(m=14, matching_size=6, anchors=(Edge(2, 8), Edge(3, 9)), caps=(1, 2, 3)),
+    GapSearchSpec(m=14, matching_size=4, anchors=(Edge(2, 6), Edge(3, 7), Edge(6, 2), Edge(7, 3)),
+                  caps=(1, 2, 3)),
+    GapSearchSpec(m=9, matching_size=12, anchors=(), caps=(1,)),
+]
+
+
+@pytest.mark.parametrize("spec", GAP_CASES, ids=lambda s: f"m{s.m}-size{s.matching_size}-"
+                         f"a{len(s.anchors)}-L{s.max_run_length}")
+def test_gap_search_matches_reference(spec):
+    assert_search_matches_reference(spec)
+
+
+@st.composite
+def gap_specs(draw):
+    m = draw(st.integers(6, 12))
+    anchors: list[Edge] = []
+    # up to two anchor runs; a run of one edge makes the spec infeasible
+    for _ in range(draw(st.integers(0, 2))):
+        ell = draw(st.integers(1, 3))
+        i, j = draw(st.tuples(st.integers(1, m - ell + 1), st.integers(1, m - ell + 1)))
+        anchors += [Edge(i + t, j + t) for t in range(ell)]
+    return GapSearchSpec(
+        m=m,
+        # fewer than m/4 edges cannot cover the diagonal
+        matching_size=draw(st.integers((m + 3) // 4, 7)),
+        anchors=tuple(anchors),
+        caps=tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))),
+        max_run_length=draw(st.sampled_from((2, 3))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_specs())
+def test_gap_search_matches_reference_on_random_specs(spec):
+    assert_search_matches_reference(spec)
