@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Digest of every deterministic output of the solvers over a fixed corpus.
+
+Writes a seeded corpus of string pairs (dense small-alphabet pairs, sparse
+pairs, identity pairs) next to the files in ``fixtures/`` and prints one
+SHA-256 per input and flag set:
+
+* ``solve`` stdout plus its ``--trace`` file at rho 1, 3 and 5, and with
+  ``--scan-order reverse-lex --seed 3``;
+* the ``LocalOptCertificate`` of the greedy matching at rho 1 to 5;
+* the ``bench --rho 1..5 --with-exact`` CSV over the whole corpus, without
+  its wall-clock ``ms`` column.
+
+The last line is one SHA-256 over all the others.  Two checkouts whose
+outputs agree print the same lines, so comparing a change against its
+parent is
+
+    python3 scripts/output_digest.py > new.txt
+    python3 scripts/output_digest.py --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+Stdlib only; the corpus is drawn from ``random.Random(--seed)`` and never
+from the package, so a change to the program cannot change its inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+SOLVE_FLAGS = (
+    ("rho1", ["--rho", "1"]),
+    ("rho3", ["--rho", "3"]),
+    ("rho5", ["--rho", "5"]),
+    ("reverse-seed3", ["--scan-order", "reverse-lex", "--seed", "3"]),
+)
+
+
+def balanced_pair(rng: random.Random, n: int, alphabet: int) -> tuple[list[str], list[str]]:
+    a = [f"s{t % alphabet}" for t in range(n)]
+    rng.shuffle(a)
+    b = a.copy()
+    rng.shuffle(b)
+    return a, b
+
+
+def write_corpus(rng: random.Random, out: str) -> list[str]:
+    pairs = []
+    for t in range(60):
+        n = 12 + t % 9
+        pairs.append((f"dense_{t:02d}_n{n}", balanced_pair(rng, n, 3 + t % 2)))
+    for t in range(8):
+        n = 30 + 10 * t
+        pairs.append((f"sparse_{t:02d}_n{n}", balanced_pair(rng, n, n // 6)))
+    for n in (10, 20, 40):
+        a = [f"x{t}" for t in range(n)]
+        pairs.append((f"identity_n{n}", (a, a.copy())))
+    paths = []
+    for name, (a, b) in pairs:
+        path = os.path.join(out, name + ".duo")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(" ".join(a) + "\n" + " ".join(b) + "\n")
+        paths.append(path)
+    fixtures = os.path.join(ROOT, "fixtures")
+    paths += sorted(
+        os.path.join(fixtures, f) for f in os.listdir(fixtures) if f.endswith((".duo", ".mcbm"))
+    )
+    return paths
+
+
+def run_cli(main, argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(paths: list[str], work: str):
+    from duomatch import fileio, localsearch
+    from duomatch.cli import main
+
+    for path in paths:
+        name = os.path.basename(path)
+        for label, flags in SOLVE_FLAGS:
+            trace = os.path.join(work, "trace.jsonl")
+            out = run_cli(main, ["solve", path, "--trace", trace, *flags])
+            with open(trace, "rb") as fh:
+                out += fh.read()
+            os.remove(trace)
+            yield f"solve {label} {name}", sha(out)
+        g, _ = fileio.load_problem(path, None)
+        certs = []
+        for rho in range(1, 6):
+            cfg = localsearch.SolverConfig(rho=rho)
+            certs.append(repr(localsearch.is_local_optimum(g, localsearch.greedy_maximal(g), cfg)))
+        yield f"certificates {name}", sha("\n".join(certs).encode())
+    table = os.path.join(work, "bench.csv")
+    out = run_cli(main, ["bench", *paths, "--rho", "1..5", "--with-exact", "--csv", table])
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = [row[:-1] for row in csv.reader(fh)]
+    yield "bench rho1..5 with-exact", sha(out + "".join(",".join(r) + "\n" for r in rows).encode())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="source directory of the checkout to run (default: this one)")
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    os.environ["DUO_THREADS"] = "1"
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        paths = write_corpus(random.Random(args.seed), work)
+        for label, digest in digests(paths, work):
+            line = f"{digest}  {label}"
+            print(line, flush=True)
+            total.update(line.encode() + b"\n")
+    print(f"{total.hexdigest()}  all")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

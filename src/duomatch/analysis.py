@@ -20,12 +20,12 @@ from fractions import Fraction
 from .core import (
     DuoGraph,
     Edge,
+    EdgeNotInGraphError,
     InvariantError,
     Matching,
-    compatible,
     singleton_partition,
 )
-from .localsearch import NotMaximalError
+from .localsearch import NotMaximalError, _positions
 
 #: Largest token total any single matching edge can end up with at a
 #: width-5 terminal matching.
@@ -87,10 +87,25 @@ class CheckResult:
         return self.passed
 
 
-def _receivers(g: DuoGraph, m_set: frozenset[Edge], e_opt: Edge) -> list[Edge]:
+def _mask_of(g: DuoGraph, edges) -> int:
+    """Bitmask over ``g.edges`` of those ``edges`` that belong to ``g``."""
+    return sum(1 << k for k in map(g.index.pos.get, edges) if k is not None)
+
+
+def _conflicts_in(g: DuoGraph, e: Edge, mask: int) -> list[Edge]:
+    """The edges of ``mask`` conflicting with ``e``, in lexicographic order;
+    EdgeNotInGraphError when ``e`` is not a graph edge."""
+    index = g.index
+    k = index.pos.get(e)
+    if k is None:
+        raise EdgeNotInGraphError(f"edge {e} not in graph")
+    return [g.edges[f] for f in _positions(index.conf[k] & mask)]
+
+
+def _receivers(g: DuoGraph, m_set: frozenset[Edge], m_mask: int, e_opt: Edge) -> list[Edge]:
     if e_opt in m_set:
         return [e_opt]
-    return [f for f in g.conflict_set(e_opt) if f in m_set]
+    return _conflicts_in(g, e_opt, m_mask)
 
 
 def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenReport:
@@ -101,10 +116,11 @@ def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenRep
     to go, which is exactly a failure of maximality against that edge.
     """
     m_set = frozenset(matching.edges)
+    m_mask = _mask_of(g, matching.edges)
     per_opt: dict[Edge, int] = {}
     share_lists: dict[Edge, list[Fraction]] = {e: [] for e in matching.edges}
     for e_opt in optimum.edges:
-        recv = _receivers(g, m_set, e_opt)
+        recv = _receivers(g, m_set, m_mask, e_opt)
         if not recv:
             raise NotMaximalError(
                 f"optimum edge {e_opt} conflicts with no matching edge"
@@ -125,11 +141,6 @@ def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenRep
     return TokenReport(per_opt, per_sol, shares, total)
 
 
-def _opt_conflicts(g: DuoGraph, optimum: Matching, e: Edge) -> list[Edge]:
-    opt_set = set(optimum.edges)
-    return [f for f in g.conflict_set(e) if f in opt_set]
-
-
 def check_full_token_uniqueness(g: DuoGraph, matching: Matching,
                                 optimum: Matching, *,
                                 report: TokenReport | None = None) -> CheckResult:
@@ -138,10 +149,11 @@ def check_full_token_uniqueness(g: DuoGraph, matching: Matching,
     if report is None:
         report = token_report(g, matching, optimum)
     m_set = frozenset(matching.edges)
+    opt_mask = _mask_of(g, optimum.edges)
     violations = []
     for e in matching.edges:
         sole = [
-            f for f in _opt_conflicts(g, optimum, e)
+            f for f in _conflicts_in(g, e, opt_mask)
             if f not in m_set and report.per_opt_edge[f] == 1
         ]
         if len(sole) > 1:
@@ -157,9 +169,10 @@ def check_parallel_pair_conflict_gap(g: DuoGraph, matching: Matching,
     if report is None:
         report = token_report(g, matching, optimum)
     m_set = frozenset(matching.edges)
+    opt_mask = _mask_of(g, optimum.edges)
     violations = []
     for e in matching.edges:
-        against = [f for f in _opt_conflicts(g, optimum, e) if f not in m_set]
+        against = [f for f in _conflicts_in(g, e, opt_mask) if f not in m_set]
         against_set = set(against)
         for f in against:
             succ = Edge(f.i + 1, f.j + 1)
@@ -195,16 +208,18 @@ def check_heavy_singleton_parallel_support(g: DuoGraph, matching: Matching,
         report = token_report(g, matching, optimum)
     singletons, parallels = singleton_partition(matching.edges)
     m_set = frozenset(matching.edges)
+    m_mask, opt_mask = _mask_of(g, matching.edges), _mask_of(g, optimum.edges)
+    par_mask = _mask_of(g, parallels)
+    index = g.index
     violations = []
     for e in sorted(singletons):
         if report.per_sol_edge[e] < 3:
             continue
-        two_hop: set[Edge] = set()
-        for f in _opt_conflicts(g, optimum, e):
-            if f in m_set:
-                continue
-            two_hop.update(x for x in g.conflict_set(f) if x in m_set)
-        if not (two_hop & parallels):
+        two_hop = 0
+        for f in _conflicts_in(g, e, opt_mask):
+            if f not in m_set:
+                two_hop |= index.conf[index.pos[f]] & m_mask
+        if not two_hop & par_mask:
             violations.append((e, report.per_sol_edge[e]))
     return CheckResult(
         "heavy_singleton_parallel_support", not violations, tuple(violations)

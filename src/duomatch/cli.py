@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import analysis, fileio, instances, localsearch
@@ -302,6 +301,15 @@ def cmd_bench(args) -> int:
         if args.csv:
             out.close()
     return EXIT_OK
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool of ``bench``, imported on first use: multiprocessing
+    adds about 2 MB to every process that loads it, and only a parallel
+    ``bench`` needs it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _add_common_solver_args(p: argparse.ArgumentParser) -> None:

@@ -223,12 +223,20 @@ class DuoGraph:
 
     @property
     def index(self) -> ConflictIndex:
-        """The graph's :class:`ConflictIndex`, built on first access."""
+        """The graph's :class:`ConflictIndex`, built on first access.
+
+        By the rule in :func:`compatible`, the edges conflicting with (i, j)
+        are exactly those on A-positions i-1..i+1 or B-positions j-1..j+1,
+        less (i, j) itself and its two parallel neighbours, so each conflict
+        mask is an OR of six per-position bucket masks.
+        """
         if self._index is None:
             pos = {e: k for k, e in enumerate(self.edges)}
-            conf = tuple(
-                sum(1 << pos[f] for f in self.conflict_set(e)) for e in self.edges
-            )
+            on_i: dict[int, int] = {}
+            on_j: dict[int, int] = {}
+            for e, k in pos.items():
+                on_i[e.i] = on_i.get(e.i, 0) | 1 << k
+                on_j[e.j] = on_j.get(e.j, 0) | 1 << k
             par = tuple(
                 sum(
                     1 << pos[f]
@@ -236,6 +244,12 @@ class DuoGraph:
                     if f in pos
                 )
                 for e in self.edges
+            )
+            conf = tuple(
+                (on_i.get(e.i - 1, 0) | on_i[e.i] | on_i.get(e.i + 1, 0)
+                 | on_j.get(e.j - 1, 0) | on_j[e.j] | on_j.get(e.j + 1, 0))
+                & ~(1 << k | p)
+                for (e, k), p in zip(pos.items(), par)
             )
             self._index = ConflictIndex(pos, conf, par)
         return self._index

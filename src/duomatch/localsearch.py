@@ -20,10 +20,20 @@ All moves run as integer bitmask operations over the graph's shared
 :class:`~duomatch.core.ConflictIndex`, and replace and reduce share one swap
 enumerator.  For a rho-subset X of the matching, the entrants are the
 non-matching edges whose conflicts with the matching are non-empty and lie
-inside X; a subset with too few entrants to make the move is skipped
-without a search.  The scan order is the one stated above, so every trace
-is the same as that of a plain scan that tests each graph edge against
-each kept edge.
+inside X.  The enumerator does not visit the subsets one by one.  It grows
+*cores*, compatible sets Y of entrants whose conflicts C inside the
+matching number at most rho, and reads off which X admit a move: for
+replace every X containing C of a core with |Y| = |C| + 1 (Hurkens and
+Schrijver's t-improvement argument makes such minimal cores connected
+through shared conflicts), for reduce every X containing the dropped edges
+of an accepted equal-size swap.  The first such X in scan order is C plus
+the earliest other matching edges, minimised over the cores, and only that
+X is searched for the incoming edges.  The number of subsets a plain scan
+visits is that X's rank in the scan order plus one, from the combinatorial
+number system.  So every trace, and every count in a
+:class:`LocalOptCertificate`, is the same as that of a plain scan that
+visits each subset in order and tests each graph edge against each kept
+edge.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import DuoError, DuoGraph, Edge, EdgeNotInGraphError, Matching
+from .core import DuoError, DuoGraph, Edge, EdgeNotInGraphError, InvariantError, Matching
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -219,21 +229,169 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
     return rec(pool, width, 0)
 
 
+class _Surplus(Exception):
+    """An equal-size search met entrants that outnumber their conflicts."""
+
+
+def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], rho: int,
+             gain: int, accept, reverse: bool) -> int | None:
+    """Mask of the first rho-subset X of the matching, in scan order, that
+    admits a swap gaining ``gain`` edges (1 or 0) whose result passes
+    ``accept``; None when no X does.
+
+    A swap drops X_out from the matching and takes in Y, pairwise-compatible
+    entrants (``inside`` maps each to its conflicts in the matching) whose
+    conflicts C lie within X_out, with |Y| = |X_out| + gain.  X admits a move
+    iff it contains the X_out of an accepted swap, and the first X holding a
+    given X_out is X_out plus the rho - |X_out| earliest other matching
+    edges; the answer is the earliest of these over all swaps.
+
+    * Replace (gain 1, every result accepted): swaps with X_out = C and
+      |Y| = |C| + 1 suffice, since any Y with more edges than conflicts
+      holds one, and a minimal one is connected through shared conflicts.
+    * Reduce (gain 0, ``accept`` the singleton test): while no compatible Y
+      of at most rho entrants has more edges than conflicts, every swap has
+      X_out = C and splits into parts with no shared conflict, no parallel
+      pair and no common parallel neighbour in the matching.  Its singleton
+      change is the sum over the parts, so one part is an accepted swap by
+      itself, and cores connected through those links suffice.  Meeting a
+      Y with |Y| > |C|, which needs an improving replace, switches to
+      trying every compatible Y with X_out = C plus any |Y| - |C| other
+      matching edges.
+
+    Cores grow one entrant at a time, each set once, from its lowest entrant
+    through linked ones (Wernicke's ESU scheme).  A core whose C already
+    gives an X no earlier than the best so far is not grown, since more
+    entrants only enlarge C.
+    """
+    conf, par = g.index.conf, g.index.par
+    ent = sum(1 << k for k in inside)
+    best = None
+
+    def x_of(out: int) -> int:
+        rest = m_mask & ~out
+        for _ in range(rho - out.bit_count()):
+            low = 1 << (rest.bit_length() - 1) if reverse else rest & -rest
+            out |= low
+            rest ^= low
+        return out
+
+    def beats_best(x: int) -> bool:
+        d = x ^ best
+        return d > 0 and bool(x & (1 << (d.bit_length() - 1) if reverse else d & -d))
+
+    def conflict_links(k: int) -> int:
+        out = 0
+        for x in _positions(inside[k]):
+            out |= conf[x]
+        return out & ent
+
+    def near_links(k: int) -> int:
+        own = inside[k] | 1 << k
+        near = own
+        for u in _positions(own):
+            near |= par[u]
+        for u in _positions(near & m_mask & ~own):
+            near |= par[u]
+        out = near
+        for x in _positions(near & m_mask):
+            out |= conf[x]
+        return out & ent
+
+    def every_link(k: int) -> int:
+        return ent
+
+    def admits(y: int, c: int, ny: int) -> bool:
+        """Record the moves core (y, c) gives; True when it may grow."""
+        nonlocal best
+        extra = ny - c.bit_count() - gain
+        if extra < 0:
+            return True
+        if extra == 0:
+            if accept(m_mask & ~c | y):
+                best = x_of(c)
+                return False
+            return True
+        if ny - gain > rho:
+            return False
+        if link is not every_link:
+            raise _Surplus
+        for extras in combinations([1 << k for k in _positions(m_mask & ~c)], extra):
+            out = c | sum(extras)
+            x = x_of(out)
+            if (best is None or beats_best(x)) and accept(m_mask & ~out | y):
+                best = x
+        return True
+
+    def links(k: int) -> int:
+        found = cache.get(k)
+        if found is None:
+            found = cache[k] = link(k)
+        return found
+
+    def grow(y: int, c: int, ny: int, ext: int, ok: int, seen: int, above: int) -> None:
+        while ext:
+            w = ext & -ext
+            ext ^= w
+            k = w.bit_length() - 1
+            cw = c | inside[k]
+            if cw.bit_count() > rho or best is not None and not beats_best(x_of(cw)):
+                continue
+            if admits(y | w, cw, ny + 1):
+                lw = links(k)
+                okw = ok & ~conf[k]
+                grow(y | w, cw, ny + 1, (ext | lw & ~seen & above) & okw, okw, seen | lw, above)
+
+    def search() -> None:
+        for v in _positions(ent):
+            bit, c = 1 << v, inside[v]
+            if best is not None and not beats_best(x_of(c)) or not admits(bit, c, 1):
+                continue
+            lv = links(v)
+            above = ent & -(bit << 1)
+            grow(bit, c, 1, lv & above & ~conf[v], ~conf[v], lv | bit, above)
+
+    cache: dict[int, int] = {}
+    link = conflict_links if gain else near_links
+    try:
+        search()
+    except _Surplus:
+        link, cache = every_link, {}
+        search()
+    return best
+
+
+def _rank(m_mask: int, x: int, reverse: bool) -> int:
+    """Rank of the rho-subset ``x`` among all rho-subsets of the matching
+    in scan order (lexicographic over the ordered matching), from 0, by the
+    combinatorial number system."""
+    n, r = m_mask.bit_count(), x.bit_count()
+    idx = sorted(
+        (m_mask >> (k + 1)).bit_count() if reverse else (m_mask & ((1 << k) - 1)).bit_count()
+        for k in _positions(x)
+    )
+    return comb(n, r) - 1 - sum(comb(n - 1 - t, r - i) for i, t in enumerate(idx))
+
+
 def _first_swap(g: DuoGraph, matching: Matching, rho: int, scan_order: str,
                 size: int, accept) -> tuple[Matching | None, int]:
     """The swap enumerator behind replace and reduce.
 
     Returns the first matching of ``size`` edges within swap distance rho of
     ``matching`` that passes ``accept`` (a test on its mask), together with
-    the number of rho-subsets of the matching visited.  When the matching
-    has at most rho edges every compatible ``size``-subset of the graph is a
-    candidate and the count is 0.  Otherwise each rho-subset X is visited in
-    scan order; its entrants are the non-matching edges whose conflicts
-    with the matching are non-empty and lie inside X (for a maximal
-    matching no other edge can enter).  Every entrant displaces at least one
-    edge of X, so a subset with no entrant (reduce) or fewer than two
-    (replace) is skipped without a search; else the pool X plus entrants is
-    searched in scan order for the incoming edges.
+    the number of rho-subsets of the matching a plain scan visits to find
+    it.  When the matching has at most rho edges every compatible
+    ``size``-subset of the graph is a candidate and the count is 0.
+    Otherwise the rho-subsets X are ordered lexicographically over the
+    matching in scan order.  The entrants of X are the non-matching edges
+    whose conflicts with the matching are non-empty and lie inside X (for a
+    maximal matching no other edge can enter), and the pool X plus entrants
+    is searched in scan order for the incoming edges.  ``size`` is one more
+    than the matching (replace) or equal to it with ``accept`` the
+    singleton test (reduce).  :func:`_first_x` finds the first X that
+    admits a move straight from the cores of the matching, so only that X
+    is searched; the count is its rank plus 1, or C(|M|, rho) when no X
+    admits a move.
     """
     conf = g.index.conf
     reverse = scan_order == SCAN_REVERSE_LEX
@@ -241,27 +399,20 @@ def _first_swap(g: DuoGraph, matching: Matching, rho: int, scan_order: str,
         found = _first_subset((1 << len(g.edges)) - 1, conf, size, 0, accept, reverse)
         return (None if found is None else _matching_of(g, found)), 0
     m_mask = _mask(g, matching.edges)
-    entrants = []
+    inside = {}
     for k, c in enumerate(conf):
-        inside = c & m_mask
-        if inside and not m_mask >> k & 1 and inside.bit_count() <= rho:
-            entrants.append((1 << k, inside))
-    if not entrants:
+        c &= m_mask
+        if c and not m_mask >> k & 1 and c.bit_count() <= rho:
+            inside[k] = c
+    gain = size - len(matching)
+    x = _first_x(g, m_mask, inside, rho, gain, accept, reverse) if inside else None
+    if x is None:
         return None, comb(len(matching), rho)
-    m_pos = _ordered(_positions(m_mask), scan_order)
-    width = size - len(matching) + rho
-    scanned = 0
-    for removed in combinations([1 << k for k in m_pos], rho):
-        scanned += 1
-        x = sum(removed)
-        entering = sum(bit for bit, inside in entrants if not inside & ~x)
-        # a net gain of width - rho edges needs more than width - rho entrants
-        if entering.bit_count() <= width - rho:
-            continue
-        found = _first_subset(x | entering, conf, width, m_mask & ~x, accept, reverse)
-        if found is not None:
-            return _matching_of(g, found), scanned
-    return None, scanned
+    entering = sum(1 << k for k, c in inside.items() if not c & ~x)
+    found = _first_subset(x | entering, conf, rho + gain, m_mask & ~x, accept, reverse)
+    if found is None:
+        raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
+    return _matching_of(g, found), _rank(m_mask, x, reverse) + 1
 
 
 def _grows(mask: int) -> bool:
@@ -283,11 +434,11 @@ def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
     matching.
 
     When the matching has at most rho edges the whole graph is searched for
-    any matching one edge larger.  Otherwise every rho-subset X of the
-    matching is scanned in order and the pool X plus its eligible entrants
-    is searched for rho + 1 pairwise-compatible edges; keeping some of X in
-    the replacement realizes every narrower swap, so widths below rho need
-    no separate pass.
+    any matching one edge larger.  Otherwise the first rho-subset X of the
+    matching, in scan order, whose pool of X plus its eligible entrants
+    holds rho + 1 pairwise-compatible edges gives the swap; keeping some of
+    X in the replacement realizes every narrower swap, so widths below rho
+    need no separate pass.
     """
     return _first_swap(g, matching, rho, scan_order, len(matching) + 1, _grows)[0]
 
@@ -364,10 +515,10 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
 
     Raises NotMaximalError if some graph edge extends the matching, since
     the moves are only meaningful on maximal matchings.  The certificate
-    reports how many rho-subsets each scan visited before it found a move
-    or ran out: 0 with the exhaustive whole-graph branch (flagged
-    separately), and 0 for reduce when it was not run or the matching has
-    no singletons.
+    reports how many rho-subsets a scan in order visits up to the one that
+    yields a move, or C(|M|, rho) when none does: 0 with the exhaustive
+    whole-graph branch (flagged separately), and 0 for reduce when it was
+    not run or the matching has no singletons.
     """
     conf = g.index.conf
     m_mask = _mask(g, matching.edges)

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import reference_localsearch as ref
 from duomatch import localsearch
+from duomatch.cli import main as cli_main
 from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, singleton_partition
 from duomatch.exact import exact_max_matching
 from duomatch.instances import string_gap_fixture
@@ -365,3 +368,161 @@ def test_traces_match_reference(monkeypatch):
     theirs = [local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
     assert ours == theirs
     assert any(PHASE_REDUCE in t for t in ours) and any(PHASE_REPLACE in t for t in ours)
+
+
+# ---------------------------------------------------------------- first-X rule
+
+def drawn_pair(seed: int, n: int, alphabet: str) -> DuoGraph:
+    rng = random.Random(seed)
+    a = [rng.choice(alphabet) for _ in range(n)]
+    b = a.copy()
+    rng.shuffle(b)
+    return DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scan_order", [SCAN_LEX, SCAN_REVERSE_LEX])
+def test_rank_counts_subsets_in_scan_order(rho, scan_order):
+    """The visit count of a subset is its place in ``combinations`` order
+    over the matching in scan order."""
+    for n in range(rho, 9):
+        m_mask = sum(1 << k for k in range(1, 2 * n, 2))  # spread-out positions
+        ordered = localsearch._ordered(localsearch._positions(m_mask), scan_order)
+        reverse = scan_order == SCAN_REVERSE_LEX
+        for count, xs in enumerate(itertools.combinations(ordered, rho)):
+            assert localsearch._rank(m_mask, sum(1 << k for k in xs), reverse) == count
+
+
+@pytest.mark.parametrize("seed, n, alphabet, replace_count, reduce_count", [
+    (198, 24, "abcd", 1243, 0),     # the first improving replace is deep
+    (83, 30, "abcdef", 2002, 1515),  # no replace; the first reduce is deep
+])
+def test_deep_first_hit_counts_match_reference(seed, n, alphabet, replace_count, reduce_count):
+    g = drawn_pair(seed, n, alphabet)
+    m, _ = local_search(g, SolverConfig(rho=1))
+    assert len(m) == 14 and comb(14, 5) == 2002
+    ok, cert = is_local_optimum(g, m, SolverConfig(rho=5))
+    assert not ok
+    assert (cert.replace_subsets_scanned, cert.reduce_subsets_scanned) == (replace_count, reduce_count)
+    assert replace_count == reference_scan_count(g, m, 5, SCAN_LEX, True)
+    if reduce_count:
+        assert reduce_count == reference_scan_count(g, m, 5, SCAN_LEX, False)
+
+
+def test_reduce_beside_an_improving_replace_drops_more_than_the_conflicts():
+    """A standalone reduce on a matching that still admits a replace may
+    drop a matching edge that no incoming edge conflicts with."""
+    g = DuoGraph.from_strings(StringInstance(tuple("bacaddddbadadd"), tuple("dbdddacaaddbda")))
+    m = greedy_maximal(g)
+    assert m.edges == tuple(edges([(2, 6), (3, 7), (5, 3), (6, 4), (8, 1), (10, 9)]))
+    assert replace_step(g, m, rho=2) is not None
+    result = reduce_step(g, m, rho=2)
+    assert result == ref.reduce_step(g, m, 2)
+    assert result.edges == tuple(edges([(2, 6), (3, 7), (5, 3), (6, 4), (12, 9), (13, 10)]))
+    added = set(result.edges) - set(m.edges)
+    conflicts = {x for x in m.edges if any(not compatible(x, y) for y in added)}
+    assert conflicts == {Edge(10, 9)}
+    assert set(m.edges) - set(result.edges) == {Edge(8, 1), Edge(10, 9)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_m=10, max_edges=30), st.integers(1, 5), scan_orders)
+def test_reduce_where_no_replace_applies_matches_reference(g, rho, scan_order):
+    """Reduce on a matching that no replace improves, where the search
+    calls it and cores linked through parallel neighbours decide it."""
+    m = local_search(g, SolverConfig(rho=rho, scan_order=scan_order, use_reduce=False))[0]
+    assert reduce_step(g, m, rho, scan_order) == ref.reduce_step(g, m, rho, scan_order)
+
+
+@pytest.mark.parametrize("m, g_edges, matching, rho, result, count", [
+    # (2, 6) and (3, 7) are a parallel pair, each dropped for an edge that
+    # flanks the kept singleton (5, 4)
+    (8, [(2, 6), (3, 5), (3, 7), (4, 3), (5, 4), (6, 5)], [(2, 6), (3, 7), (5, 4)], 2,
+     [(4, 3), (5, 4), (6, 5)], 1),
+    # (5, 5) comes in next to the kept (6, 6), whose other neighbour (7, 7)
+    # is dropped for (10, 8) and (11, 9)
+    (11, [(1, 3), (2, 4), (4, 4), (5, 5), (6, 6), (7, 7), (9, 7), (10, 8), (11, 9), (11, 11)],
+     [(1, 3), (2, 4), (6, 6), (7, 7), (11, 11)], 4,
+     [(4, 4), (5, 5), (6, 6), (10, 8), (11, 9)], 3),
+])
+def test_reduce_cores_linked_through_parallel_neighbours(m, g_edges, matching, rho, result, count):
+    """Singleton counts do not add up over swaps that touch a common
+    parallel pair, so such swaps must be grown as one core."""
+    g, mat = DuoGraph(m, edges(g_edges)), Matching(edges(matching))
+    assert replace_step(g, mat, rho) is None
+    assert reduce_step(g, mat, rho) == ref.reduce_step(g, mat, rho) == Matching(edges(result))
+    assert is_local_optimum(g, mat, SolverConfig(rho=rho))[1].reduce_subsets_scanned == count
+
+
+@st.composite
+def long_string_pairs(draw, max_n=24):
+    """Pairs with a balanced composition over 4 or 5 symbols, which keeps
+    the reference scans of the matchings they give affordable."""
+    n, k = draw(st.integers(8, max_n)), draw(st.integers(4, 5))
+    a = draw(st.permutations(["abcde"[t % k] for t in range(n)]))
+    return DuoGraph.from_strings(StringInstance(tuple(a), tuple(draw(st.permutations(a)))))
+
+
+def reference_scan(g: DuoGraph, m: Matching, rho: int, scan_order: str,
+                   grow: bool) -> tuple[bool, int]:
+    """Whether the reference scan of one move finds it on ``m``, and how
+    many rho-subsets it visits, up to and including the one that yields it."""
+    m_edges = ref._ordered(m.edges, scan_order)
+    base = ref._singleton_count(m.edges)
+    for count, removed in enumerate(itertools.combinations(m_edges, rho), 1):
+        kept = [e for e in m_edges if e not in removed]
+        pool = ref._ordered(
+            list(removed) + ref._swap_candidates(g, removed, kept, scan_order), scan_order)
+        for incoming in ref._iter_compatible_subsets(pool, rho + grow):
+            if grow or ref._singleton_count(kept + list(incoming)) < base:
+                return True, count
+    return False, comb(len(m), rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_string_pairs(), st.integers(4, 5), scan_orders, st.integers(0, 3))
+def test_wide_certificates_match_reference(g, rho, scan_order, start_rho):
+    """Certificates at widths 4 and 5 on a greedy matching (``start_rho``
+    0) or on the terminal matching of a narrower search: the verdict and
+    both visit counts of the plain scans."""
+    cfg = SolverConfig(rho=rho, scan_order=scan_order)
+    if start_rho:
+        m = local_search(g, SolverConfig(rho=start_rho, scan_order=scan_order))[0]
+    else:
+        m = greedy_maximal(g, config=cfg)
+    ok, cert = is_local_optimum(g, m, cfg)
+    if cert.exhaustive:
+        return
+    replace_hit, replace_count = reference_scan(g, m, rho, scan_order, True)
+    reduce_hit, reduce_count = False, 0
+    if not replace_hit and cert.singletons > 0:
+        reduce_hit, reduce_count = reference_scan(g, m, rho, scan_order, False)
+    assert ok == (not replace_hit and not reduce_hit)
+    assert (cert.replace_subsets_scanned, cert.reduce_subsets_scanned) == (
+        replace_count, reduce_count)
+
+
+def sparse_pair_n312() -> tuple[list[str], list[str]]:
+    """The fourth of a seeded series of balanced pairs, n = 312 over 31
+    symbols: a width-4 search over C(65, 4) subsets per scan."""
+    rng = random.Random("solve-large:131")
+    for n in (300, 304, 308, 312):
+        a = [f"s{t % (n // 10)}" for t in range(n)]
+        rng.shuffle(a)
+        b = a.copy()
+        rng.shuffle(b)
+    return a, b
+
+
+def test_width_four_on_a_sparse_pair_of_312_symbols(tmp_path, capsys):
+    """A plain scan of every 4-subset takes over a minute on this pair; the
+    result and the trace are pinned from that scan."""
+    a, b = sparse_pair_n312()
+    src, trace = tmp_path / "pair.duo", tmp_path / "trace.jsonl"
+    src.write_text(" ".join(a) + "\n" + " ".join(b) + "\n")
+    t0 = time.perf_counter()
+    assert cli_main(["solve", str(src), "--rho", "4", "--trace", str(trace)]) == 0
+    assert time.perf_counter() - t0 < 20
+    assert "\npreserved 65\n" in capsys.readouterr().out
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "a16c815f568bb0f23530273364bdb87ff035a47e448f483bc06e7bee550e70fd")
