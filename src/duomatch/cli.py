@@ -23,7 +23,7 @@ from .core import (
     Edge,
     Matching,
     ParseError,
-    compatible,
+    _conflicting_pairs,
     is_compatible_matching,
     partition_from_matching,
 )
@@ -83,12 +83,7 @@ def cmd_verify(args) -> int:
     missing = sorted(e for e in edges if e not in g.edge_set)
     for e in missing:
         violations.append({"kind": "missing-edge", "edge": [e.i, e.j]})
-    conflicts = [
-        (a, b)
-        for idx, a in enumerate(edges)
-        for b in edges[idx + 1:]
-        if not compatible(a, b)
-    ]
+    conflicts = list(_conflicting_pairs(edges))
     for a, b in conflicts:
         violations.append({"kind": "conflict", "edges": [[a.i, a.j], [b.i, b.j]]})
 

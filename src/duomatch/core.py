@@ -67,12 +67,13 @@ class InconsistentMapError(DuoError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """Graph edge pairing duo ``i`` of A with duo ``j`` of B (1-based).
 
-    Ordering and equality are lexicographic on ``(i, j)``; this ordering is
-    the tie-break used throughout the solvers.
+    Ordering, equality and hashing are those of the tuple ``(i, j)``, so
+    they run in C: the order is lexicographic, the tie-break used throughout
+    the solvers, and a plain ``(i, j)`` tuple compares equal to its edge and
+    finds it in a set or a :class:`Matching`.
     """
 
     i: int
@@ -177,32 +178,24 @@ class DuoGraph:
     """Bipartite conflict-annotated graph on duo positions 1..m per side.
 
     Immutable after construction.  ``edges`` is lexicographically sorted and
-    duplicate-free; per-position indices make :meth:`conflict_set` run in
-    time proportional to the local neighborhood rather than |E|.  The
-    :attr:`index` of conflict and parallel-neighbour bitmasks, which the
-    local search runs on, is built from those buckets on first use and kept
-    for the graph's lifetime.
+    duplicate-free.  The :attr:`index` of conflict and parallel-neighbour
+    bitmasks, which the solvers and :meth:`conflict_set` run on, is built on
+    first use and kept for the graph's lifetime; bit k stands for
+    ``edges[k]``, so bit order is lex order.
     """
 
-    __slots__ = ("m", "edges", "edge_set", "_by_i", "_by_j", "_index")
+    __slots__ = ("m", "edges", "edge_set", "_index")
 
     def __init__(self, m: int, edges=()) -> None:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        es = sorted(set(Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges))
+        es = sorted(set(Edge(*e) for e in edges))
         for e in es:
             if not (1 <= e.i <= m and 1 <= e.j <= m):
                 raise ValueError(f"edge {e} outside position range 1..{m}")
         self.m = m
         self.edges: tuple[Edge, ...] = tuple(es)
         self.edge_set: frozenset[Edge] = frozenset(es)
-        by_i: dict[int, list[Edge]] = {}
-        by_j: dict[int, list[Edge]] = {}
-        for e in es:
-            by_i.setdefault(e.i, []).append(e)
-            by_j.setdefault(e.j, []).append(e)
-        self._by_i = by_i
-        self._by_j = by_j
         self._index: ConflictIndex | None = None
 
     @classmethod
@@ -261,46 +254,47 @@ class DuoGraph:
         return f"DuoGraph(m={self.m}, |E|={len(self.edges)})"
 
     def conflict_set(self, e: Edge) -> tuple[Edge, ...]:
-        """All graph edges conflicting with ``e``, in lexicographic order.
-
-        Conflicting edges must touch a position within distance 1 of one of
-        e's endpoints, so only those buckets are scanned.
-        """
-        if e not in self.edge_set:
+        """All graph edges conflicting with ``e``, in lexicographic order."""
+        index = self.index
+        k = index.pos.get(e)
+        if k is None:
             raise EdgeNotInGraphError(f"edge {e} not in graph")
-        seen: set[Edge] = set()
-        for idx in (e.i - 1, e.i, e.i + 1):
-            seen.update(self._by_i.get(idx, ()))
-        for idx in (e.j - 1, e.j, e.j + 1):
-            seen.update(self._by_j.get(idx, ()))
-        return tuple(sorted(f for f in seen if not compatible(e, f)))
+        edges, rest, out = self.edges, index.conf[k], []
+        while rest:
+            low = rest & -rest
+            out.append(edges[low.bit_length() - 1])
+            rest ^= low
+        return tuple(out)
 
 
-def _first_conflict(es: list[Edge]) -> tuple[Edge, Edge] | None:
-    """First conflicting pair (a, b), a < b, of the sorted duplicate-free
-    ``es`` in :func:`itertools.combinations` order, or None.
+def _conflicting_pairs(edges):
+    """Conflicting pairs (a, b) of the list ``edges``, a listed before b,
+    in order of a's index and then b's: the order of
+    :func:`itertools.combinations`.  Repeated entries are compatible.
 
     An edge conflicting with a sits within distance 1 of one of a's
-    endpoints, so only those buckets are scanned.  Before the first conflict
-    each bucket holds at most one edge besides a, so a compatible set costs
-    O(k) tests.
+    endpoints, so only those buckets of distinct edges are scanned.  Before
+    the first conflict each bucket holds at most one distinct edge besides
+    a, so a compatible list costs O(k) tests.
     """
+    at: dict[Edge, list[int]] = {}
+    for t, e in enumerate(edges):
+        at.setdefault(e, []).append(t)
     by_i: dict[int, list[Edge]] = {}
     by_j: dict[int, list[Edge]] = {}
-    for e in es:
+    for e in at:
         by_i.setdefault(e.i, []).append(e)
         by_j.setdefault(e.j, []).append(e)
-    for a in es:
-        near = [
+    for t, a in enumerate(edges):
+        near = {
             b
             for side, p in ((by_i, a.i), (by_j, a.j))
             for q in (p - 1, p, p + 1)
             for b in side.get(q, ())
-            if b > a and not compatible(a, b)
-        ]
-        if near:
-            return a, min(near)
-    return None
+            if not compatible(a, b)
+        }
+        for u in sorted(u for b in near for u in at[b] if u > t):
+            yield a, edges[u]
 
 
 class Matching:
@@ -308,17 +302,47 @@ class Matching:
 
     Construction costs O(k) compatibility tests for a compatible set and
     raises :class:`IncompatibleEdgesError` naming the first offending pair
-    in lex order.
+    in lex order.  A matching the solvers build from a bitmask over a
+    graph's edges (:meth:`_of_mask`) also keeps that graph and mask, so the
+    next search step reads the mask back instead of rebuilding it.
     """
 
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "_graph", "_mask")
 
     def __init__(self, edges=()) -> None:
-        es = sorted(set(Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges))
-        pair = _first_conflict(es)
+        es = sorted(set(Edge(*e) for e in edges))
+        pair = next(_conflicting_pairs(es), None)
         if pair is not None:
             raise IncompatibleEdgesError(*pair)
         self.edges: tuple[Edge, ...] = tuple(es)
+        self._graph: DuoGraph | None = None
+        self._mask = 0
+
+    @classmethod
+    def _of_mask(cls, g: DuoGraph, mask: int) -> "Matching":
+        """The matching of the edges ``g.edges[k]`` for the set bits k of
+        ``mask``, validated on ``g.index.conf``.
+
+        Bits are checked lowest first against the conflicts above them, so
+        an incompatible mask raises :class:`IncompatibleEdgesError` naming
+        the same first pair in lex order as the constructor.
+        """
+        conf, edges = g.index.conf, g.edges
+        es = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            hit = conf[k] & rest
+            if hit:
+                raise IncompatibleEdgesError(edges[k], edges[(hit & -hit).bit_length() - 1])
+            es.append(edges[k])
+            rest ^= low
+        out = cls.__new__(cls)
+        out.edges = tuple(es)
+        out._graph = g
+        out._mask = mask
+        return out
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -342,10 +366,10 @@ class Matching:
 
 def is_compatible_matching(g: DuoGraph, edges) -> bool:
     """True iff every edge belongs to ``g`` and all pairs are compatible."""
-    es = {Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges}
+    es = {Edge(*e) for e in edges}
     if any(e not in g.edge_set for e in es):
         return False
-    return _first_conflict(sorted(es)) is None
+    return next(_conflicting_pairs(list(es)), None) is None
 
 
 def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:
@@ -355,7 +379,7 @@ def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:
     (i+1, j+1), i.e. it extends a run of consecutive preserved duos; it is a
     *singleton* otherwise.
     """
-    es = frozenset(Edge(e.i, e.j) if isinstance(e, Edge) else Edge(*e) for e in edges)
+    es = frozenset(Edge(*e) for e in edges)
     parallels = frozenset(
         e for e in es
         if Edge(e.i - 1, e.j - 1) in es or Edge(e.i + 1, e.j + 1) in es
@@ -372,7 +396,7 @@ def induced_position_map(edges) -> dict[int, int]:
     """
     mapping: dict[int, int] = {}
     used: dict[int, int] = {}
-    for e in sorted(Edge(x.i, x.j) if isinstance(x, Edge) else Edge(*x) for x in edges):
+    for e in sorted(Edge(*x) for x in edges):
         for src, dst in ((e.i, e.j), (e.i + 1, e.j + 1)):
             if mapping.get(src, dst) != dst:
                 raise InconsistentMapError(

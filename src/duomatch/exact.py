@@ -58,15 +58,6 @@ def _cover_within(conf: tuple[int, ...], rest: int, slack: int) -> bool:
     return True
 
 
-def _witness(g: DuoGraph, mask: int) -> Matching:
-    edges = []
-    while mask:
-        low = mask & -mask
-        edges.append(g.edges[low.bit_length() - 1])
-        mask ^= low
-    return Matching(edges)
-
-
 def exact_max_matching(g: DuoGraph, budget: int | None = None) -> ExactResult:
     """Maximum pairwise-compatible edge set of ``g``.
 
@@ -93,14 +84,14 @@ def exact_max_matching(g: DuoGraph, budget: int | None = None) -> ExactResult:
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(
-                budget, ExactResult(best, _witness(g, best_mask), nodes)
+                budget, ExactResult(best, Matching._of_mask(g, best_mask), nodes)
             )
         chosen |= low
         size += 1
         if size > best:
             best_mask, best = chosen, size
         stack.append((chosen, size, rest & ~conf[low.bit_length() - 1]))
-    return ExactResult(best, _witness(g, best_mask), nodes)
+    return ExactResult(best, Matching._of_mask(g, best_mask), nodes)
 
 
 def exact_min_partition_size(inst: StringInstance, budget: int | None = None) -> int:

@@ -34,6 +34,12 @@ number system.  So every trace, and every count in a
 :class:`LocalOptCertificate`, is the same as that of a plain scan that
 visits each subset in order and tests each graph edge against each kept
 edge.
+
+Every matching a move returns is built from its mask by
+``Matching._of_mask``, which still checks it for conflicts and keeps the
+graph and mask, so the next move reads the mask back instead of rebuilding
+it from the edges.  Trace steps and singleton counts are computed on the
+masks too.
 """
 
 from __future__ import annotations
@@ -152,11 +158,14 @@ def _ordered(items, scan_order: str) -> list:
     return sorted(items, reverse=(scan_order == SCAN_REVERSE_LEX))
 
 
-def _mask(g: DuoGraph, edges) -> int:
-    """Bitmask of ``edges`` over ``g.edges`` positions."""
+def _mask(g: DuoGraph, matching: Matching) -> int:
+    """Bitmask of ``matching`` over ``g.edges`` positions: the mask the
+    matching was built from when it was built over ``g``."""
+    if matching._graph is g:
+        return matching._mask
     pos = g.index.pos
     try:
-        return sum(1 << pos[e] for e in edges)
+        return sum(1 << pos[e] for e in matching.edges)
     except KeyError as exc:
         raise EdgeNotInGraphError(f"edge {exc.args[0]} not in graph") from None
 
@@ -170,13 +179,19 @@ def _positions(mask: int):
 
 
 def _singletons(g: DuoGraph, mask: int) -> int:
-    """Number of edges in ``mask`` with no parallel neighbour in ``mask``."""
+    """Number of edges in ``mask`` with no parallel neighbour in ``mask``.
+
+    Parallel neighbourhood is symmetric, so the OR of the ``par`` masks of
+    the edges in ``mask`` is the set of edges with a neighbour in it.
+    """
     par = g.index.par
-    return sum(1 for k in _positions(mask) if not par[k] & mask)
-
-
-def _matching_of(g: DuoGraph, mask: int) -> Matching:
-    return Matching(g.edges[k] for k in _positions(mask))
+    near = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        near |= par[low.bit_length() - 1]
+        rest ^= low
+    return (mask & ~near).bit_count()
 
 
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
@@ -188,7 +203,7 @@ def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
     must belong to ``g`` (EdgeNotInGraphError otherwise).
     """
     conf = g.index.conf
-    taken = _mask(g, matching.edges) if matching is not None else 0
+    taken = _mask(g, matching) if matching is not None else 0
     if config.seed is not None:
         order = list(range(len(g.edges)))
         random.Random(config.seed).shuffle(order)
@@ -198,7 +213,7 @@ def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
         bit = 1 << k
         if not (conf[k] | bit) & taken:
             taken |= bit
-    return _matching_of(g, taken)
+    return Matching._of_mask(g, taken)
 
 
 def _first_subset(pool: int, conf, width: int, base: int, accept,
@@ -226,7 +241,11 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
                     return found
         return None
 
-    return rec(pool, width, 0)
+    found = rec(pool, width, 0)
+    # rec's closure holds rec itself; dropping it frees the search state
+    # now instead of leaving a cycle for the garbage collector
+    del rec
+    return found
 
 
 class _Surplus(Exception):
@@ -358,6 +377,9 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], rho: int,
     except _Surplus:
         link, cache = every_link, {}
         search()
+    # as in _first_subset: grow's closure holds grow, and through it the
+    # cores' masks, the acceptance test and the graph
+    del grow
     return best
 
 
@@ -397,8 +419,8 @@ def _first_swap(g: DuoGraph, matching: Matching, rho: int, scan_order: str,
     reverse = scan_order == SCAN_REVERSE_LEX
     if len(matching) <= rho:
         found = _first_subset((1 << len(g.edges)) - 1, conf, size, 0, accept, reverse)
-        return (None if found is None else _matching_of(g, found)), 0
-    m_mask = _mask(g, matching.edges)
+        return (None if found is None else Matching._of_mask(g, found)), 0
+    m_mask = _mask(g, matching)
     inside = {}
     for k, c in enumerate(conf):
         c &= m_mask
@@ -412,7 +434,7 @@ def _first_swap(g: DuoGraph, matching: Matching, rho: int, scan_order: str,
     found = _first_subset(x | entering, conf, rho + gain, m_mask & ~x, accept, reverse)
     if found is None:
         raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
-    return _matching_of(g, found), _rank(m_mask, x, reverse) + 1
+    return Matching._of_mask(g, found), _rank(m_mask, x, reverse) + 1
 
 
 def _grows(mask: int) -> bool:
@@ -422,7 +444,7 @@ def _grows(mask: int) -> bool:
 def _lowers_singletons(g: DuoGraph, matching: Matching):
     """Acceptance test of the reduce move, or None when the matching has
     no singleton to lose."""
-    base = _singletons(g, _mask(g, matching.edges))
+    base = _singletons(g, _mask(g, matching))
     if base == 0:
         return None
     return lambda mask: _singletons(g, mask) < base
@@ -467,21 +489,23 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
     is set and reached.
     """
     steps: list[TraceStep] = []
-    current = Matching()
+    current = Matching._of_mask(g, 0)
     iteration = 0
 
     def record(phase: str, before: Matching, after: Matching) -> None:
-        before_set, after_set = set(before.edges), set(after.edges)
+        b, a = _mask(g, before), _mask(g, after)
+        # tuples from lists: tuple() over a generator grows and then shrinks
+        # its result, and over many runs that fragments the heap measurably
         steps.append(
             TraceStep(
                 iteration=iteration,
                 phase=phase,
                 size_before=len(before),
                 size_after=len(after),
-                singletons_before=_singletons(g, _mask(g, before.edges)),
-                singletons_after=_singletons(g, _mask(g, after.edges)),
-                removed=tuple(sorted(before_set - after_set)),
-                added=tuple(sorted(after_set - before_set)),
+                singletons_before=_singletons(g, b),
+                singletons_after=_singletons(g, a),
+                removed=tuple([g.edges[k] for k in _positions(b & ~a)]),
+                added=tuple([g.edges[k] for k in _positions(a & ~b)]),
             )
         )
 
@@ -521,7 +545,7 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
     not run or the matching has no singletons.
     """
     conf = g.index.conf
-    m_mask = _mask(g, matching.edges)
+    m_mask = _mask(g, matching)
     for k, e in enumerate(g.edges):
         if not (conf[k] | 1 << k) & m_mask:
             raise NotMaximalError(f"edge {e} extends the matching")

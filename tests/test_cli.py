@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duomatch import analysis, cli
 from duomatch.cli import (
@@ -12,7 +18,7 @@ from duomatch.cli import (
     EXIT_USAGE,
     main,
 )
-from duomatch.core import StringInstance
+from duomatch.core import Edge, StringInstance, compatible
 
 from conftest import DEMO_TEXT, FIXTURES_DIR
 
@@ -170,6 +176,40 @@ def test_verify_improvable(capsys, tmp_path, demo_file):
     assert code == EXIT_CHECK_FAILED
     assert verdict["maximal"] and not verdict["local_optimum"]
     assert {"kind": "improvable"} in verdict["violations"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.builds(Edge, st.integers(1, 6), st.integers(1, 6)), max_size=10, unique=True),
+    st.lists(st.builds(Edge, st.integers(0, 7), st.integers(0, 7)), max_size=6),
+    st.data(),
+)
+def test_verify_lists_every_conflict_in_file_order(graph_edges, strays, data):
+    """verify reports the same conflicts, in the same order, as a scan of
+    every pair of matching lines, with repeated lines and lines naming
+    edges outside the graph."""
+    pool = graph_edges + strays
+    listed = data.draw(st.lists(st.sampled_from(pool), max_size=12) if pool else st.just([]))
+    with tempfile.TemporaryDirectory() as tmp:
+        gfile, mfile = os.path.join(tmp, "g.mcbm"), os.path.join(tmp, "m.txt")
+        with open(gfile, "w") as fh:
+            fh.write("6\n" + "".join(f"{e}\n" for e in graph_edges))
+        with open(mfile, "w") as fh:
+            fh.write("".join(f"{e}\n" for e in listed))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", gfile, mfile])
+    verdict = json.loads(out.getvalue())
+    expected = [
+        [[a.i, a.j], [b.i, b.j]]
+        for t, a in enumerate(listed)
+        for b in listed[t + 1:]
+        if not compatible(a, b)
+    ]
+    got = [v["edges"] for v in verdict["violations"] if v["kind"] == "conflict"]
+    assert got == expected
+    assert verdict["compatible"] == (not expected)
+    assert code == (EXIT_OK if verdict["in_graph"] and not expected else EXIT_CHECK_FAILED)
 
 
 # ---------------------------------------------------------------- tokens

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,42 @@ def test_graph_rejects_out_of_range():
         DuoGraph(0, [])
 
 
+# ---------------------------------------------------------------- edges
+
+@given(edge_st, edge_st)
+def test_edge_is_its_position_pair(e, f):
+    """Equality, hash and order are those of the tuple (i, j)."""
+    assert e == (e.i, e.j) and hash(e) == hash((e.i, e.j))
+    assert (e == f) == ((e.i, e.j) == (f.i, f.j))
+    assert (e < f) == ((e.i, e.j) < (f.i, f.j))
+
+
+def test_edge_sort_order():
+    es = [Edge(2, 1), Edge(1, 5), Edge(2, 0), Edge(10, 1), Edge(1, 4)]
+    assert sorted(es) == [Edge(1, 4), Edge(1, 5), Edge(2, 0), Edge(2, 1), Edge(10, 1)]
+
+
+def test_edge_text_forms():
+    assert str(Edge(3, 12)) == "3 12"
+    assert repr(Edge(1, 2)) == "Edge(i=1, j=2)"
+
+
+def test_edge_pickle_round_trip():
+    e = Edge(4, 7)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and type(back) is Edge and (back.i, back.j) == (4, 7)
+
+
+def test_raw_tuples_find_their_edges(demo_graph):
+    """A plain (i, j) tuple equals its edge, so graph and matching
+    membership accept it."""
+    assert (2, 1) in demo_graph.edge_set and (2, 1) in demo_graph
+    assert (4, 4) not in demo_graph.edge_set
+    m = Matching(edges(DEMO_OPT))
+    assert (3, 2) in m and (3, 3) not in m
+    assert Matching([(2, 1), Edge(3, 2)]).edges == (Edge(2, 1), Edge(3, 2))
+
+
 # ---------------------------------------------------------------- compatibility
 
 def test_compatible_frozen_cases():
@@ -247,6 +284,31 @@ def test_matching_reports_first_conflict_in_lex_order(es):
     with pytest.raises(IncompatibleEdgesError) as exc:
         Matching(es)
     assert exc.value.pair == first
+
+
+@st.composite
+def graph_masks(draw):
+    g = draw(graphs(max_m=8, max_edges=16))
+    return g, draw(st.integers(0, (1 << len(g.edges)) - 1))
+
+
+@given(graph_masks())
+def test_matching_of_mask_agrees_with_constructor(gm):
+    """The mask constructor builds the same matching, or names the same
+    first conflicting pair, as the constructor on the same edges."""
+    g, mask = gm
+    es = [e for k, e in enumerate(g.edges) if mask >> k & 1]
+    try:
+        expected = Matching(es)
+    except IncompatibleEdgesError as exc:
+        with pytest.raises(IncompatibleEdgesError) as got:
+            Matching._of_mask(g, mask)
+        assert got.value.pair == exc.pair
+        return
+    m = Matching._of_mask(g, mask)
+    assert m == expected and m.edges == expected.edges
+    assert m._graph is g and m._mask == mask
+    assert expected._graph is None and expected._mask == 0
 
 
 def test_is_compatible_matching_checks_membership(demo_graph):

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 import reference_localsearch as ref
 from duomatch import localsearch
 from duomatch.cli import main as cli_main
-from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, singleton_partition
+from duomatch.core import (
+    DuoGraph,
+    Edge,
+    IncompatibleEdgesError,
+    Matching,
+    StringInstance,
+    compatible,
+    singleton_partition,
+)
 from duomatch.exact import exact_max_matching
 from duomatch.instances import string_gap_fixture
 from duomatch.localsearch import (
@@ -368,6 +376,17 @@ def test_traces_match_reference(monkeypatch):
     theirs = [local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
     assert ours == theirs
     assert any(PHASE_REDUCE in t for t in ours) and any(PHASE_REPLACE in t for t in ours)
+
+
+@pytest.mark.parametrize("rho", [1, 5])
+def test_each_step_still_checks_compatibility(monkeypatch, demo_graph, rho):
+    """A swap search that returns a conflicting edge set makes the run
+    raise, through the whole-graph branch (rho 5, two-edge matching) and
+    through the connected-swap branch (rho 1)."""
+    everything = (1 << len(demo_graph.edges)) - 1
+    monkeypatch.setattr(localsearch, "_first_subset", lambda *args: everything)
+    with pytest.raises(IncompatibleEdgesError):
+        local_search(demo_graph, SolverConfig(rho=rho, max_iterations=5))
 
 
 # ---------------------------------------------------------------- first-X rule
