@@ -50,8 +50,7 @@ def sweep(args: argparse.Namespace) -> int:
         for row in csv.DictReader(fh):
             if row["ratio"] in ("", "inf"):
                 continue
-            p, q = row["ratio"].split("/")
-            ratio = Fraction(int(p), int(q))
+            ratio = Fraction(row["ratio"])
             if ratio > worst.get(row["rho"], Fraction(0)):
                 worst[row["rho"]] = ratio
     print(f"wrote {csv_path}")

@@ -8,6 +8,12 @@ SHA-256 per input and flag set:
 * ``solve`` stdout plus its ``--trace`` file at rho 1, 3 and 5, and with
   ``--scan-order reverse-lex --seed 3``;
 * the ``LocalOptCertificate`` of the greedy matching at rho 1 to 5;
+* ``exact`` stdout;
+* ``tokens`` exit code, stdout and stderr for the greedy matching against
+  the exact witness, and with the two roles swapped;
+* ``verify --local-opt`` JSON for the greedy matching;
+* the checklist report and the ``tokens`` output of each gap fixture's
+  matching against the exact witness;
 * the ``bench --rho 1..5 --with-exact`` CSV over the whole corpus, without
   its wall-clock ``ms`` column.
 
@@ -20,7 +26,10 @@ parent is
     diff old.txt new.txt
 
 Stdlib only; the corpus is drawn from ``random.Random(--seed)`` and never
-from the package, so a change to the program cannot change its inputs.
+from the package, so a change to the program cannot change its inputs.  The
+corpus and copies of the fixtures sit in one scratch directory, which is
+the working directory of the run, so outputs that echo file names (the
+``verify`` JSON) name them the same way on every run.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import hashlib
 import io
 import os
 import random
+import shutil
 import sys
 import tempfile
 
@@ -53,7 +63,9 @@ def balanced_pair(rng: random.Random, n: int, alphabet: int) -> tuple[list[str],
     return a, b
 
 
-def write_corpus(rng: random.Random, out: str) -> list[str]:
+def write_corpus(rng: random.Random) -> list[str]:
+    """Write the corpus and copy the fixture inputs into the working
+    directory; returns their file names."""
     pairs = []
     for t in range(60):
         n = 12 + t % 9
@@ -66,15 +78,22 @@ def write_corpus(rng: random.Random, out: str) -> list[str]:
         pairs.append((f"identity_n{n}", (a, a.copy())))
     paths = []
     for name, (a, b) in pairs:
-        path = os.path.join(out, name + ".duo")
+        path = name + ".duo"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(" ".join(a) + "\n" + " ".join(b) + "\n")
         paths.append(path)
     fixtures = os.path.join(ROOT, "fixtures")
-    paths += sorted(
-        os.path.join(fixtures, f) for f in os.listdir(fixtures) if f.endswith((".duo", ".mcbm"))
-    )
+    for name in sorted(os.listdir(fixtures)):
+        if name.endswith((".duo", ".mcbm", ".matching")):
+            shutil.copy(os.path.join(fixtures, name), name)
+            if not name.endswith(".matching"):
+                paths.append(name)
     return paths
+
+
+def write_edges(path: str, edges) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{e.i} {e.j}\n" for e in edges))
 
 
 def run_cli(main, argv: list[str]) -> bytes:
@@ -88,26 +107,43 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(paths: list[str], work: str):
-    from duomatch import fileio, localsearch
+def digests(paths: list[str]):
+    from duomatch import Matching, exact_max_matching, fileio, instances, localsearch
     from duomatch.cli import main
 
-    for path in paths:
-        name = os.path.basename(path)
+    for name in paths:
         for label, flags in SOLVE_FLAGS:
-            trace = os.path.join(work, "trace.jsonl")
-            out = run_cli(main, ["solve", path, "--trace", trace, *flags])
+            trace = "trace.jsonl"
+            out = run_cli(main, ["solve", name, "--trace", trace, *flags])
             with open(trace, "rb") as fh:
                 out += fh.read()
             os.remove(trace)
             yield f"solve {label} {name}", sha(out)
-        g, _ = fileio.load_problem(path, None)
+        g, _ = fileio.load_problem(name, None)
+        greedy = localsearch.greedy_maximal(g)
         certs = []
         for rho in range(1, 6):
             cfg = localsearch.SolverConfig(rho=rho)
-            certs.append(repr(localsearch.is_local_optimum(g, localsearch.greedy_maximal(g), cfg)))
+            certs.append(repr(localsearch.is_local_optimum(g, greedy, cfg)))
         yield f"certificates {name}", sha("\n".join(certs).encode())
-    table = os.path.join(work, "bench.csv")
+        yield f"exact {name}", sha(run_cli(main, ["exact", name]))
+        witness = exact_max_matching(g).witness
+        write_edges("greedy.txt", greedy.edges)
+        write_edges("exact.txt", witness.edges)
+        out = run_cli(main, ["tokens", name, "greedy.txt", "exact.txt"])
+        out += run_cli(main, ["tokens", name, "exact.txt", "greedy.txt"])
+        yield f"tokens {name}", sha(out)
+        out = run_cli(main, ["verify", name, "greedy.txt", "--local-opt"])
+        yield f"verify local-opt {name}", sha(out)
+        stem, _ = os.path.splitext(name)
+        if os.path.exists(stem + ".matching"):
+            matching = Matching(fileio.load_matching_edges(stem + ".matching"))
+            caps = instances.STRING_GAP_CAPS if name.endswith(".duo") else instances.GRAPH_GAP_CAPS
+            report = instances.swap_resistance_checklist(g, matching, witness, caps=caps)
+            yield f"checklist {name}", sha(repr(report).encode())
+            out = run_cli(main, ["tokens", name, stem + ".matching", "exact.txt"])
+            yield f"tokens fixture {name}", sha(out)
+    table = "bench.csv"
     out = run_cli(main, ["bench", *paths, "--rho", "1..5", "--with-exact", "--csv", table])
     with open(table, newline="", encoding="utf-8") as fh:
         rows = [row[:-1] for row in csv.reader(fh)]
@@ -123,12 +159,17 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ["DUO_THREADS"] = "1"
     total = hashlib.sha256()
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        paths = write_corpus(random.Random(args.seed), work)
-        for label, digest in digests(paths, work):
-            line = f"{digest}  {label}"
-            print(line, flush=True)
-            total.update(line.encode() + b"\n")
+        os.chdir(work)
+        try:
+            paths = write_corpus(random.Random(args.seed))
+            for label, digest in digests(paths):
+                line = f"{digest}  {label}"
+                print(line, flush=True)
+                total.update(line.encode() + b"\n")
+        finally:
+            os.chdir(home)
     print(f"{total.hexdigest()}  all")
     return 0
 

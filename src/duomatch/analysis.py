@@ -10,6 +10,11 @@ The check_* functions verify structural facts that hold at every terminal
 matching of the width-5 search with reduce enabled; on other matchings they
 can and should fail, which makes them useful smoke detectors.  Each builds
 its own token report unless one is passed as ``report=``.
+
+M and M* must be matchings of the graph (EdgeNotInGraphError otherwise); all
+work runs on their masks over its conflict index.  The optimum edges
+charged against a matching edge are its conflicts among the optimum edges
+outside the matching.
 """
 
 from __future__ import annotations
@@ -17,15 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    DuoGraph,
-    Edge,
-    EdgeNotInGraphError,
-    InvariantError,
-    Matching,
-    singleton_partition,
-)
-from .localsearch import NotMaximalError, _positions
+from .core import DuoGraph, Edge, InvariantError, Matching, _mask, _parallels, _positions
+from .localsearch import NotMaximalError
 
 #: Largest token total any single matching edge can end up with at a
 #: width-5 terminal matching.
@@ -87,25 +85,12 @@ class CheckResult:
         return self.passed
 
 
-def _mask_of(g: DuoGraph, edges) -> int:
-    """Bitmask over ``g.edges`` of those ``edges`` that belong to ``g``."""
-    return sum(1 << k for k in map(g.index.pos.get, edges) if k is not None)
-
-
-def _conflicts_in(g: DuoGraph, e: Edge, mask: int) -> list[Edge]:
-    """The edges of ``mask`` conflicting with ``e``, in lexicographic order;
-    EdgeNotInGraphError when ``e`` is not a graph edge."""
-    index = g.index
-    k = index.pos.get(e)
-    if k is None:
-        raise EdgeNotInGraphError(f"edge {e} not in graph")
-    return [g.edges[f] for f in _positions(index.conf[k] & mask)]
-
-
-def _receivers(g: DuoGraph, m_set: frozenset[Edge], m_mask: int, e_opt: Edge) -> list[Edge]:
-    if e_opt in m_set:
-        return [e_opt]
-    return _conflicts_in(g, e_opt, m_mask)
+def _receivers(g: DuoGraph, m_mask: int, k: int) -> tuple[Edge, ...]:
+    """The matching edges sharing the token of optimum edge ``g.edges[k]``:
+    itself when the matching holds it, else those it conflicts with."""
+    if m_mask >> k & 1:
+        return (g.edges[k],)
+    return g._conflicts(g.edges[k], m_mask)
 
 
 def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenReport:
@@ -115,12 +100,12 @@ def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenRep
     edge (and is not itself in the matching): its token would have nowhere
     to go, which is exactly a failure of maximality against that edge.
     """
-    m_set = frozenset(matching.edges)
-    m_mask = _mask_of(g, matching.edges)
+    m_mask = _mask(g, matching)
     per_opt: dict[Edge, int] = {}
     share_lists: dict[Edge, list[Fraction]] = {e: [] for e in matching.edges}
-    for e_opt in optimum.edges:
-        recv = _receivers(g, m_set, m_mask, e_opt)
+    for k in _positions(_mask(g, optimum)):
+        e_opt = g.edges[k]
+        recv = _receivers(g, m_mask, k)
         if not recv:
             raise NotMaximalError(
                 f"optimum edge {e_opt} conflicts with no matching edge"
@@ -141,21 +126,26 @@ def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenRep
     return TokenReport(per_opt, per_sol, shares, total)
 
 
+def _masks_and_report(g: DuoGraph, matching: Matching, optimum: Matching,
+                      report: TokenReport | None) -> tuple[int, int, TokenReport]:
+    """The masks of both matchings over ``g`` (EdgeNotInGraphError for an
+    edge outside g) and the given report, or a fresh one when none is."""
+    m_mask, opt_mask = _mask(g, matching), _mask(g, optimum)
+    if report is None:
+        report = token_report(g, matching, optimum)
+    return m_mask, opt_mask, report
+
+
 def check_full_token_uniqueness(g: DuoGraph, matching: Matching,
                                 optimum: Matching, *,
                                 report: TokenReport | None = None) -> CheckResult:
     """No matching edge collects two whole tokens: among the optimum edges
-    conflicting with it, at most one has conflict count exactly 1."""
-    if report is None:
-        report = token_report(g, matching, optimum)
-    m_set = frozenset(matching.edges)
-    opt_mask = _mask_of(g, optimum.edges)
+    charged against it, at most one has conflict count exactly 1."""
+    m_mask, opt_mask, report = _masks_and_report(g, matching, optimum, report)
+    charged = opt_mask & ~m_mask
     violations = []
     for e in matching.edges:
-        sole = [
-            f for f in _conflicts_in(g, e, opt_mask)
-            if f not in m_set and report.per_opt_edge[f] == 1
-        ]
+        sole = [f for f in g._conflicts(e, charged) if report.per_opt_edge[f] == 1]
         if len(sole) > 1:
             violations.append((e, tuple(sole)))
     return CheckResult("full_token_uniqueness", not violations, tuple(violations))
@@ -166,17 +156,14 @@ def check_parallel_pair_conflict_gap(g: DuoGraph, matching: Matching,
                                      report: TokenReport | None = None) -> CheckResult:
     """Consecutive optimum edges charged against the same matching edge have
     conflict counts within 2 of each other."""
-    if report is None:
-        report = token_report(g, matching, optimum)
-    m_set = frozenset(matching.edges)
-    opt_mask = _mask_of(g, optimum.edges)
+    m_mask, opt_mask, report = _masks_and_report(g, matching, optimum, report)
+    charged = opt_mask & ~m_mask
     violations = []
     for e in matching.edges:
-        against = [f for f in _conflicts_in(g, e, opt_mask) if f not in m_set]
-        against_set = set(against)
+        against = g._conflicts(e, charged)
         for f in against:
             succ = Edge(f.i + 1, f.j + 1)
-            if succ in against_set:
+            if succ in against:
                 gap = abs(report.per_opt_edge[f] - report.per_opt_edge[succ])
                 if gap > 2:
                     violations.append((e, f, succ, gap))
@@ -187,13 +174,10 @@ def check_parallel_token_bound(g: DuoGraph, matching: Matching,
                                optimum: Matching, *,
                                report: TokenReport | None = None) -> CheckResult:
     """Parallel matching edges stay strictly below a token total of 3."""
-    if report is None:
-        report = token_report(g, matching, optimum)
-    _, parallels = singleton_partition(matching.edges)
+    m_mask, _, report = _masks_and_report(g, matching, optimum, report)
+    parallels = [g.edges[k] for k in _positions(_parallels(g, m_mask))]
     violations = tuple(
-        (e, report.per_sol_edge[e])
-        for e in sorted(parallels)
-        if report.per_sol_edge[e] >= 3
+        (e, report.per_sol_edge[e]) for e in parallels if report.per_sol_edge[e] >= 3
     )
     return CheckResult("parallel_token_bound", not violations, violations)
 
@@ -204,21 +188,18 @@ def check_heavy_singleton_parallel_support(g: DuoGraph, matching: Matching,
     """Every singleton with token total >= 3 has a parallel matching edge
     within two conflict hops: some matching edge that conflicts with one of
     the optimum edges charged against the singleton."""
-    if report is None:
-        report = token_report(g, matching, optimum)
-    singletons, parallels = singleton_partition(matching.edges)
-    m_set = frozenset(matching.edges)
-    m_mask, opt_mask = _mask_of(g, matching.edges), _mask_of(g, optimum.edges)
-    par_mask = _mask_of(g, parallels)
-    index = g.index
+    m_mask, opt_mask, report = _masks_and_report(g, matching, optimum, report)
+    par_mask = _parallels(g, m_mask)
+    charged = opt_mask & ~m_mask
+    conf = g.index.conf
     violations = []
-    for e in sorted(singletons):
+    for k in _positions(m_mask & ~par_mask):
+        e = g.edges[k]
         if report.per_sol_edge[e] < 3:
             continue
         two_hop = 0
-        for f in _conflicts_in(g, e, opt_mask):
-            if f not in m_set:
-                two_hop |= index.conf[index.pos[f]] & m_mask
+        for f in _positions(conf[k] & charged):
+            two_hop |= conf[f]
         if not two_hop & par_mask:
             violations.append((e, report.per_sol_edge[e]))
     return CheckResult(

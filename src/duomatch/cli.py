@@ -15,12 +15,10 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import analysis, fileio, instances, localsearch
 from .core import (
     DuoError,
-    Edge,
     Matching,
     ParseError,
     _conflicting_pairs,
@@ -35,19 +33,21 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _config_from(args) -> localsearch.SolverConfig:
-    return localsearch.SolverConfig(
-        rho=args.rho,
-        use_reduce=not args.no_reduce,
-        scan_order=args.scan_order,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
+def _solver_config(**flags) -> localsearch.SolverConfig:
+    """The solver configuration the flags ask for; ParseError when they are
+    out of range."""
+    try:
+        return localsearch.SolverConfig(**flags)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
     g, inst = fileio.load_problem(args.input, args.format)
-    matching, trace = localsearch.local_search(g, _config_from(args))
+    config = _solver_config(rho=args.rho, use_reduce=not args.no_reduce,
+                            scan_order=args.scan_order, max_iterations=args.max_iterations,
+                            seed=args.seed)
+    matching, trace = localsearch.local_search(g, config)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_json_lines())
@@ -99,9 +99,7 @@ def cmd_verify(args) -> int:
         local_opt = False
         if not missing and not conflicts:
             matching = Matching(edges)
-            config = localsearch.SolverConfig(
-                rho=args.rho, use_reduce=not args.no_reduce
-            )
+            config = _solver_config(rho=args.rho, use_reduce=not args.no_reduce)
             try:
                 local_opt, cert = localsearch.is_local_optimum(g, matching, config)
                 verdict["maximal"] = True
@@ -120,10 +118,6 @@ def cmd_verify(args) -> int:
     verdict["passed"] = passed
     print(json.dumps(verdict, indent=2))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _edge_key(e: Edge) -> str:
-    return f"{e.i} {e.j}"
 
 
 def cmd_tokens(args) -> int:
@@ -162,9 +156,9 @@ def cmd_tokens(args) -> int:
         "total": analysis.format_rational(report.total),
         "conservation": report.total == len(optimum),
         "max_total": analysis.format_rational(profile.max_total),
-        "per_opt_edge": {_edge_key(e): report.per_opt_edge[e] for e in optimum},
+        "per_opt_edge": {str(e): report.per_opt_edge[e] for e in optimum},
         "per_sol_edge": {
-            _edge_key(e): analysis.format_rational(report.per_sol_edge[e])
+            str(e): analysis.format_rational(report.per_sol_edge[e])
             for e in matching
         },
         "checks": checks,
@@ -204,10 +198,13 @@ def cmd_gen(args) -> int:
 
 
 def _parse_rhos(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ParseError(f"--rho takes a width, list or range like 1..5, not {text!r}") from None
 
 
 def _bench_task(task: tuple[str, str | None, int, bool]) -> dict:
@@ -233,12 +230,10 @@ def _bench_task(task: tuple[str, str | None, int, bool]) -> dict:
     if with_exact:
         opt = exact_max_matching(g).value
         row["exact"] = opt
-        if opt == 0:
+        if opt == 0:  # an edgeless graph, which ratio_report rejects
             row["ratio"] = "1/1"
-        elif ls_value == 0:
-            row["ratio"] = "inf"
         else:
-            row["ratio"] = analysis.format_rational(Fraction(opt, ls_value))
+            row["ratio"] = analysis.format_rational(analysis.ratio_report(ls_value, opt).ratio)
     return row
 
 
@@ -383,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except instances.SearchBudgetError as exc:

@@ -141,6 +141,13 @@ class StringInstance:
         return max(Counter(self.a).values())
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of ``text``, less blank lines and ``#`` comments:
+    the line reader of every text format."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def parse_instance(text: str) -> StringInstance:
     """Parse the two-line string-pair format.
 
@@ -148,8 +155,7 @@ def parse_instance(text: str) -> StringInstance:
     line holds one string, symbols separated by whitespace.  A line without
     any whitespace is treated as compact single-character symbols.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if len(lines) != 2:
         raise ParseError(f"expected exactly 2 string lines, found {len(lines)}")
     rows: list[tuple[str, ...]] = []
@@ -255,16 +261,40 @@ class DuoGraph:
 
     def conflict_set(self, e: Edge) -> tuple[Edge, ...]:
         """All graph edges conflicting with ``e``, in lexicographic order."""
+        return self._conflicts(e, -1)
+
+    def _conflicts(self, e: Edge, mask: int) -> tuple[Edge, ...]:
+        """The edges of ``mask`` conflicting with ``e``, in lexicographic
+        order; EdgeNotInGraphError when ``e`` is not a graph edge."""
         index = self.index
         k = index.pos.get(e)
         if k is None:
             raise EdgeNotInGraphError(f"edge {e} not in graph")
-        edges, rest, out = self.edges, index.conf[k], []
-        while rest:
-            low = rest & -rest
-            out.append(edges[low.bit_length() - 1])
-            rest ^= low
-        return tuple(out)
+        edges = self.edges
+        return tuple([edges[f] for f in _positions(index.conf[k] & mask)])
+
+
+def _positions(mask: int):
+    """Set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _parallels(g: DuoGraph, mask: int) -> int:
+    """The edges of ``mask`` with a parallel neighbour in ``mask``: since
+    the relation is symmetric, those in the OR of their ``par`` masks."""
+    par = g.index.par
+    near = 0
+    rest = mask
+    # inline rather than _positions: reduce's acceptance test runs this per
+    # candidate, and the generator cost 2-4% of whole solves
+    while rest:
+        low = rest & -rest
+        near |= par[low.bit_length() - 1]
+        rest ^= low
+    return mask & near
 
 
 def _conflicting_pairs(edges):
@@ -362,6 +392,19 @@ class Matching:
     def __repr__(self) -> str:
         inner = ", ".join(f"({e.i},{e.j})" for e in self.edges)
         return f"Matching[{inner}]"
+
+
+def _mask(g: DuoGraph, matching: Matching) -> int:
+    """Bitmask of ``matching`` over ``g.edges`` positions, read back when
+    the matching was built over ``g``; EdgeNotInGraphError for an edge
+    outside g."""
+    if matching._graph is g:
+        return matching._mask
+    pos = g.index.pos
+    try:
+        return sum(1 << pos[e] for e in matching.edges)
+    except KeyError as exc:
+        raise EdgeNotInGraphError(f"edge {exc.args[0]} not in graph") from None
 
 
 def is_compatible_matching(g: DuoGraph, edges) -> bool:

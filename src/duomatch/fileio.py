@@ -1,23 +1,21 @@
 """Text formats for instances, graphs, and matchings.
 
-Three file kinds, all line-oriented with ``#`` comments and blank lines
-ignored:
+Three file kinds, all line-oriented and read by the one line reader of
+:mod:`duomatch.core`, which ignores ``#`` comments and blank lines:
 
 * ``.duo``    two symbol lines, one per string (see core.parse_instance)
 * ``.mcbm``   first line m, then one ``i j`` edge per line
 * matching    one ``i j`` edge per line, relative to some graph
+
+Files are read as UTF-8; any malformed input, undecodable bytes included,
+raises :class:`~duomatch.core.ParseError`.
 """
 
 from __future__ import annotations
 
 import os
 
-from .core import DuoGraph, Edge, ParseError, StringInstance, parse_instance
-
-
-def _content_lines(text: str) -> list[str]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+from .core import DuoGraph, Edge, ParseError, StringInstance, _content_lines, parse_instance
 
 
 def _parse_edge_line(ln: str) -> Edge:
@@ -59,19 +57,26 @@ def format_graph(g: DuoGraph) -> str:
 
 
 def format_matching(edges) -> str:
-    return "".join(f"{e.i} {e.j}\n" for e in sorted(edges))
+    return "".join(f"{e}\n" for e in sorted(edges))
 
 
 def format_instance(inst: StringInstance) -> str:
     return " ".join(inst.a) + "\n" + " ".join(inst.b) + "\n"
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_problem(path: str, fmt: str | None = None) -> tuple[DuoGraph, StringInstance | None]:
     """Load either input kind, returning the graph plus the string pair when
     one exists.  ``fmt`` forces 'duo' or 'mcbm'; default goes by extension,
     falling back to 'duo'."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(path)
     if fmt is None:
         ext = os.path.splitext(path)[1].lower()
         fmt = "mcbm" if ext == ".mcbm" else "duo"
@@ -84,5 +89,4 @@ def load_problem(path: str, fmt: str | None = None) -> tuple[DuoGraph, StringIns
 
 
 def load_matching_edges(path: str) -> list[Edge]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matching_edges(fh.read())
+    return parse_matching_edges(_read(path))

@@ -28,6 +28,7 @@ from .core import (
     InvariantError,
     Matching,
     StringInstance,
+    _positions,
     compatible,
     singleton_partition,
 )
@@ -338,11 +339,9 @@ class _RunTable:
         for q in range(r.j - 1, r.j + r.ell + 1):
             near |= self._by_j[q]
         mask = self.all & ~near
-        while near:
-            low = near & -near
-            if _runs_compatible(r, self.runs[low.bit_length() - 1]):
-                mask |= low
-            near ^= low
+        for k in _positions(near):
+            if _runs_compatible(r, self.runs[k]):
+                mask |= 1 << k
         return mask
 
     def row(self, k: int) -> int:

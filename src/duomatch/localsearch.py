@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import DuoError, DuoGraph, Edge, EdgeNotInGraphError, InvariantError, Matching
+from .core import DuoError, DuoGraph, Edge, InvariantError, Matching, _mask, _parallels, _positions
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -158,40 +158,9 @@ def _ordered(items, scan_order: str) -> list:
     return sorted(items, reverse=(scan_order == SCAN_REVERSE_LEX))
 
 
-def _mask(g: DuoGraph, matching: Matching) -> int:
-    """Bitmask of ``matching`` over ``g.edges`` positions: the mask the
-    matching was built from when it was built over ``g``."""
-    if matching._graph is g:
-        return matching._mask
-    pos = g.index.pos
-    try:
-        return sum(1 << pos[e] for e in matching.edges)
-    except KeyError as exc:
-        raise EdgeNotInGraphError(f"edge {exc.args[0]} not in graph") from None
-
-
-def _positions(mask: int):
-    """Set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _singletons(g: DuoGraph, mask: int) -> int:
-    """Number of edges in ``mask`` with no parallel neighbour in ``mask``.
-
-    Parallel neighbourhood is symmetric, so the OR of the ``par`` masks of
-    the edges in ``mask`` is the set of edges with a neighbour in it.
-    """
-    par = g.index.par
-    near = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        near |= par[low.bit_length() - 1]
-        rest ^= low
-    return (mask & ~near).bit_count()
+    """Number of edges in ``mask`` with no parallel neighbour in ``mask``."""
+    return (mask & ~_parallels(g, mask)).bit_count()
 
 
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,

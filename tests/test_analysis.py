@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_analysis
 
 from duomatch.analysis import (
     GUARANTEE_RHO1,
@@ -18,10 +21,10 @@ from duomatch.analysis import (
     token_profile,
     token_report,
 )
-from duomatch.core import DuoGraph, Edge, Matching
+from duomatch.core import DuoError, DuoGraph, Edge, EdgeNotInGraphError, Matching
 from duomatch.exact import exact_max_matching
 from duomatch.instances import string_gap_fixture
-from duomatch.localsearch import NotMaximalError, SolverConfig, local_search
+from duomatch.localsearch import NotMaximalError, SolverConfig, greedy_maximal, local_search
 
 from conftest import DEMO_OPT, edges
 from test_core import graphs
@@ -192,6 +195,76 @@ def test_checks_read_the_given_report():
     doctored = TokenReport(real.per_opt_edge, {e: Fraction(3) for e in m.edges},
                            real.shares, real.total)
     assert not check_parallel_token_bound(g, m, opt, report=doctored)
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and text of the package error it
+    raises."""
+    try:
+        return fn(*args, **kwargs)
+    except DuoError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def diagonal_graphs(draw):
+    """A diagonal optimum plus off-diagonal edges, where few matching edges
+    can collect many tokens."""
+    m = draw(st.integers(4, 10))
+    pool = [Edge(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    return with_diagonal(m, draw(st.lists(st.sampled_from(pool), max_size=12, unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(), diagonal_graphs()), st.integers(0, 1000))
+def test_analysis_matches_reference(g, seed):
+    """Reports, check results and errors equal those of the edge-set
+    reference, for rho 1 and rho 5 terminals, a seeded greedy matching and
+    a non-maximal one against the exact witness, in both role orders."""
+    witness = exact_max_matching(g).witness
+    greedy = greedy_maximal(g, config=SolverConfig(seed=seed))
+    rivals = [local_search(g, SolverConfig(rho=rho))[0] for rho in (1, 5)]
+    rivals += [greedy, Matching(greedy.edges[1:])]
+    for rival in rivals:
+        for m, opt in ((rival, witness), (witness, rival)):
+            assert outcome(token_report, g, m, opt) == outcome(
+                reference_analysis.token_report, g, m, opt)
+            for check, reference in zip(CHECKS, reference_analysis.CHECKS):
+                assert outcome(check, g, m, opt) == outcome(reference, g, m, opt)
+
+
+BOUNDARY_CASES = [
+    # a parallel pair at a token total of exactly 3
+    (with_diagonal(9, [Edge(2, 4), Edge(3, 5), Edge(3, 8), Edge(5, 9), Edge(8, 6), Edge(9, 8)]),
+     [(2, 4), (3, 5), (7, 7), (8, 8), (9, 9)], diagonal(9).edges),
+    (with_diagonal(6, [Edge(2, 5)]), [(2, 5)], diagonal(6).edges),
+    (with_diagonal(7, [Edge(2, 5), Edge(3, 6)]), [(2, 5), (3, 6)], diagonal(7).edges),
+    (DuoGraph(5, [Edge(3, 3), Edge(2, 4), Edge(4, 2)]), [(3, 3)], [(2, 4), (4, 2)]),
+]
+
+
+@pytest.mark.parametrize("g, m_edges, opt_edges", BOUNDARY_CASES)
+def test_analysis_matches_reference_on_hand_made_cases(g, m_edges, opt_edges):
+    m, opt = Matching(m_edges), Matching(opt_edges)
+    for a, b in ((m, opt), (opt, m)):
+        assert outcome(token_report, g, a, b) == outcome(reference_analysis.token_report, g, a, b)
+        for check, reference in zip(CHECKS, reference_analysis.CHECKS):
+            assert outcome(check, g, a, b) == outcome(reference, g, a, b)
+
+
+def test_edges_outside_the_graph_are_rejected():
+    g = DuoGraph(8, [Edge(1, 1), Edge(2, 2), Edge(3, 3)])
+    inside = Matching(g.edges)
+    outside = Matching([*g.edges, Edge(7, 7)])
+    report = token_report(g, inside, inside)
+    for m, opt in ((outside, inside), (inside, outside)):
+        with pytest.raises(EdgeNotInGraphError):
+            token_report(g, m, opt)
+        for check in CHECKS:
+            with pytest.raises(EdgeNotInGraphError):
+                check(g, m, opt)
+            with pytest.raises(EdgeNotInGraphError):
+                check(g, m, opt, report=report)
 
 
 # ---------------------------------------------------------------- ratios

@@ -18,7 +18,8 @@ from duomatch.cli import (
     EXIT_USAGE,
     main,
 )
-from duomatch.core import Edge, StringInstance, compatible
+from duomatch.core import Edge, Matching, StringInstance, compatible
+from duomatch.exact import ExactResult
 
 from conftest import DEMO_TEXT, FIXTURES_DIR
 
@@ -427,6 +428,34 @@ def test_solve_rejects_bad_rho(capsys, demo_file):
     code, _, err = run(capsys, "solve", demo_file, "--rho", "0")
     assert code == EXIT_USAGE
     assert "rho" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["bench", "{demo}", "--rho", "x"], "--rho takes"),
+    (["bench", "{demo}", "--rho", "1.."], "--rho takes"),
+    (["solve", "{demo}", "--max-iterations", "-1"], "max_iterations"),
+    (["verify", "{demo}", "{opt}", "--local-opt", "--rho", "9"], "rho must be in 1..5"),
+    (["solve", "{binary}"], "not UTF-8"),
+    (["verify", "{demo}", "{binary}"], "not UTF-8"),
+])
+def test_bad_flags_and_bytes_are_usage_errors(capsys, tmp_path, demo_file, argv, reason):
+    binary = tmp_path / "binary.duo"
+    binary.write_bytes(b"a b \xff\nb a\n")
+    opt = tmp_path / "opt.txt"
+    opt.write_text("2 1\n3 2\n5 5\n")
+    argv = [a.format(demo=demo_file, binary=binary, opt=opt) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:") and reason in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, demo_file, monkeypatch):
+    # an exact value below the search's is a defect, which ratio_report
+    # rejects with ValueError; it must not read as bad input
+    monkeypatch.setenv("DUO_THREADS", "1")
+    monkeypatch.setattr(cli, "exact_max_matching", lambda g: ExactResult(1, Matching(), 0))
+    with pytest.raises(ValueError, match="ls <= opt"):
+        main(["bench", demo_file, "--rho", "1", "--with-exact"])
 
 
 def test_parser_reused_across_calls(capsys, demo_file):

@@ -1,0 +1,101 @@
+"""Round trips and fuzzing of the three text formats, which share one line
+reader: comment lines, blank lines, CRLF line ends and padding whitespace
+never change what is read, and malformed text raises ParseError only."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duomatch.core import Edge, ParseError, StringInstance, parse_instance
+from duomatch.fileio import (
+    format_graph,
+    format_instance,
+    format_matching,
+    parse_graph,
+    parse_matching_edges,
+)
+
+from test_core import graphs
+
+# symbols never contain whitespace and never start with "#"
+symbol_st = st.text("abcxyz019_#", min_size=1, max_size=3).filter(lambda s: s[0] != "#")
+pad_st = st.text(" \t", max_size=3)
+
+
+@st.composite
+def instances(draw):
+    a = draw(st.lists(symbol_st, min_size=2, max_size=8))
+    return StringInstance(tuple(a), tuple(draw(st.permutations(a))))
+
+
+@st.composite
+def noisy(draw, text):
+    """``text`` with comment and blank lines inserted, every line padded
+    and the tokens of each line spread apart, and optionally CRLF ends."""
+    lines = []
+    for ln in text.splitlines():
+        while draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "#", "# note 1 2", "  # x y"])) + draw(pad_st))
+        gap = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lines.append(draw(pad_st) + gap.join(ln.split(" ")) + draw(pad_st))
+    lines.append(draw(pad_st))
+    return ("\r\n" if draw(st.booleans()) else "\n").join(lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_instance_round_trip(data):
+    inst = data.draw(instances())
+    text = data.draw(noisy(format_instance(inst)))
+    assert parse_instance(text) == inst
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_graph_round_trip(data):
+    g = data.draw(graphs())
+    parsed = parse_graph(data.draw(noisy(format_graph(g))))
+    assert (parsed.m, parsed.edges) == (g.m, g.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matching_round_trip(data):
+    es = data.draw(st.lists(st.builds(Edge, st.integers(1, 99), st.integers(1, 99))))
+    assert parse_matching_edges(data.draw(noisy(format_matching(es)))) == sorted(es)
+
+
+PARSERS = (parse_instance, parse_graph, parse_matching_edges)
+
+line_st = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["x", "1.5", "#", "a"])),
+             max_size=4).map(" ".join),
+)
+
+
+@pytest.mark.parametrize("parse", PARSERS)
+@settings(max_examples=150, deadline=None)
+@given(text=st.lists(line_st, max_size=5).map("\n".join))
+def test_malformed_text_raises_parse_error_only(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_instance, "a b\n"),
+    (parse_instance, "a b\nb c\n"),
+    (parse_graph, ""),
+    (parse_graph, "# only a comment\n"),
+    (parse_graph, "two\n1 1\n"),
+    (parse_graph, "0\n"),
+    (parse_graph, "3\n1 4\n"),
+    (parse_graph, "3\n1 2 3\n"),
+    (parse_matching_edges, "1 x\n"),
+    (parse_matching_edges, "1\n"),
+])
+def test_malformed_examples(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
