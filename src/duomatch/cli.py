@@ -2,8 +2,8 @@
 
 Subcommands: solve, exact, verify, tokens, gen, bench.  Exit codes: 0 on
 success, 1 when a requested check fails, 2 on usage or parse errors, 3 when
-a search budget runs out.  All output is deterministic for fixed inputs and
-flags; the only nondeterministic column is bench's wall-clock ms.
+a search budget or memory runs out, 130 on interrupt.  All output is
+deterministic for fixed inputs and flags, bar bench's wall-clock ms.
 """
 
 from __future__ import annotations
@@ -198,13 +198,14 @@ def cmd_gen(args) -> int:
 
 
 def _parse_rhos(text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",")]
+        rhos = list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
     except ValueError:
-        raise ParseError(f"--rho takes a width, list or range like 1..5, not {text!r}") from None
+        rhos = []
+    if not rhos:  # also an empty range such as 5..1
+        raise ParseError(f"--rho takes a width, list or range like 1..5, not {text!r}")
+    return rhos
 
 
 def _bench_task(task: tuple[str, str | None, int, bool]) -> dict:
@@ -381,12 +382,15 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except instances.SearchBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (instances.SearchBudgetError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except DuoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, what a shell reports for Ctrl-C
 
 
 if __name__ == "__main__":

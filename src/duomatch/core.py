@@ -7,7 +7,8 @@ of B.  A set of edges that is pairwise *compatible* (see :func:`compatible`)
 corresponds exactly to a common partition of the two strings in which every
 selected duo stays intact, so maximizing preserved duos is a maximum
 compatible edge set problem.  The graph form stands on its own: any bipartite
-graph on two sets of m positions can be solved without string backing.
+graph on two sets of m positions can be solved without string backing.  One
+conflict index (:func:`_index`) serves every edge list, in a graph or not.
 
 All indices are 1-based on both sides.
 """
@@ -168,11 +169,11 @@ def parse_instance(text: str) -> StringInstance:
 
 
 class ConflictIndex(NamedTuple):
-    """Bitmask view of a :class:`DuoGraph`.
+    """Bitmask view of a sorted, duplicate-free edge tuple, from :func:`_index`.
 
-    Bit k of a mask stands for ``g.edges[k]``.  ``conf[k]`` has bit l set iff
+    Bit k of a mask stands for ``edges[k]``.  ``conf[k]`` has bit l set iff
     edges k and l conflict (never bit k itself); ``par[k]`` has the bits of
-    the parallel neighbours (i-1, j-1) and (i+1, j+1) present in the graph.
+    the parallel neighbours (i-1, j-1) and (i+1, j+1) present in the tuple.
     """
 
     pos: dict[Edge, int]
@@ -180,13 +181,41 @@ class ConflictIndex(NamedTuple):
     par: tuple[int, ...]
 
 
+def _index(edges: tuple[Edge, ...]) -> ConflictIndex:
+    """The :class:`ConflictIndex` of ``edges``, sorted and duplicate-free
+    with any integer positions: by :func:`compatible`, which reads only
+    offsets, the edges conflicting with (i, j) are those on A-positions
+    i-1..i+1 or B-positions j-1..j+1, less (i, j) and its two parallel
+    neighbours, so each conflict mask is an OR of six bucket masks."""
+    pos = {e: k for k, e in enumerate(edges)}
+    on_i: dict[int, int] = {}
+    on_j: dict[int, int] = {}
+    for e, k in pos.items():
+        on_i[e.i] = on_i.get(e.i, 0) | 1 << k
+        on_j[e.j] = on_j.get(e.j, 0) | 1 << k
+    par = tuple(
+        sum(
+            1 << pos[f]
+            for f in (Edge(e.i - 1, e.j - 1), Edge(e.i + 1, e.j + 1))
+            if f in pos
+        )
+        for e in edges
+    )
+    conf = tuple(
+        (on_i.get(e.i - 1, 0) | on_i[e.i] | on_i.get(e.i + 1, 0)
+         | on_j.get(e.j - 1, 0) | on_j[e.j] | on_j.get(e.j + 1, 0))
+        & ~(1 << k | p)
+        for (e, k), p in zip(pos.items(), par)
+    )
+    return ConflictIndex(pos, conf, par)
+
+
 class DuoGraph:
     """Bipartite conflict-annotated graph on duo positions 1..m per side.
 
     Immutable after construction.  ``edges`` is lexicographically sorted and
-    duplicate-free.  The :attr:`index` of conflict and parallel-neighbour
-    bitmasks, which the solvers and :meth:`conflict_set` run on, is built on
-    first use and kept for the graph's lifetime; bit k stands for
+    duplicate-free.  The solvers and :meth:`conflict_set` run on its
+    :attr:`index`, kept for the graph's lifetime; bit k stands for
     ``edges[k]``, so bit order is lex order.
     """
 
@@ -222,35 +251,9 @@ class DuoGraph:
 
     @property
     def index(self) -> ConflictIndex:
-        """The graph's :class:`ConflictIndex`, built on first access.
-
-        By the rule in :func:`compatible`, the edges conflicting with (i, j)
-        are exactly those on A-positions i-1..i+1 or B-positions j-1..j+1,
-        less (i, j) itself and its two parallel neighbours, so each conflict
-        mask is an OR of six per-position bucket masks.
-        """
+        """The :func:`_index` of the graph's edges, built on first access."""
         if self._index is None:
-            pos = {e: k for k, e in enumerate(self.edges)}
-            on_i: dict[int, int] = {}
-            on_j: dict[int, int] = {}
-            for e, k in pos.items():
-                on_i[e.i] = on_i.get(e.i, 0) | 1 << k
-                on_j[e.j] = on_j.get(e.j, 0) | 1 << k
-            par = tuple(
-                sum(
-                    1 << pos[f]
-                    for f in (Edge(e.i - 1, e.j - 1), Edge(e.i + 1, e.j + 1))
-                    if f in pos
-                )
-                for e in self.edges
-            )
-            conf = tuple(
-                (on_i.get(e.i - 1, 0) | on_i[e.i] | on_i.get(e.i + 1, 0)
-                 | on_j.get(e.j - 1, 0) | on_j[e.j] | on_j.get(e.j + 1, 0))
-                & ~(1 << k | p)
-                for (e, k), p in zip(pos.items(), par)
-            )
-            self._index = ConflictIndex(pos, conf, par)
+            self._index = _index(self.edges)
         return self._index
 
     def __contains__(self, e: Edge) -> bool:
@@ -302,74 +305,61 @@ def _conflicting_pairs(edges):
     in order of a's index and then b's: the order of
     :func:`itertools.combinations`.  Repeated entries are compatible.
 
-    An edge conflicting with a sits within distance 1 of one of a's
-    endpoints, so only those buckets of distinct edges are scanned.  Before
-    the first conflict each bucket holds at most one distinct edge besides
-    a, so a compatible list costs O(k) tests.
+    Conflicts are read from the :func:`_index` of the distinct edges.
     """
-    at: dict[Edge, list[int]] = {}
+    index = _index(tuple(sorted(set(edges))))
+    at: list[list[int]] = [[] for _ in index.conf]
     for t, e in enumerate(edges):
-        at.setdefault(e, []).append(t)
-    by_i: dict[int, list[Edge]] = {}
-    by_j: dict[int, list[Edge]] = {}
-    for e in at:
-        by_i.setdefault(e.i, []).append(e)
-        by_j.setdefault(e.j, []).append(e)
+        at[index.pos[e]].append(t)
     for t, a in enumerate(edges):
-        near = {
-            b
-            for side, p in ((by_i, a.i), (by_j, a.j))
-            for q in (p - 1, p, p + 1)
-            for b in side.get(q, ())
-            if not compatible(a, b)
-        }
-        for u in sorted(u for b in near for u in at[b] if u > t):
+        near = _positions(index.conf[index.pos[a]])
+        for u in sorted(u for k in near for u in at[k] if u > t):
             yield a, edges[u]
+
+
+def _compatible_edges(edges: tuple[Edge, ...], conf: tuple[int, ...], mask: int) -> list[Edge]:
+    """The edges ``edges[k]`` for the set bits k of ``mask``, each checked
+    against the conflicts ``conf[k]`` above it, so IncompatibleEdgesError
+    names the first conflicting pair in lex order."""
+    es = []
+    rest = mask
+    while rest:  # inline, not _positions: that costs 2-4% of every solve
+        low = rest & -rest
+        k = low.bit_length() - 1
+        hit = conf[k] & rest
+        if hit:
+            raise IncompatibleEdgesError(edges[k], edges[(hit & -hit).bit_length() - 1])
+        es.append(edges[k])
+        rest ^= low
+    return es
 
 
 class Matching:
     """A validated pairwise-compatible edge set, stored in lex order.
 
-    Construction costs O(k) compatibility tests for a compatible set and
-    raises :class:`IncompatibleEdgesError` naming the first offending pair
-    in lex order.  A matching the solvers build from a bitmask over a
-    graph's edges (:meth:`_of_mask`) also keeps that graph and mask, so the
-    next search step reads the mask back instead of rebuilding it.
+    Construction checks the edges on their :func:`_index` and raises
+    :class:`IncompatibleEdgesError` naming the first offending pair in lex
+    order.  A matching the solvers build from a bitmask over a graph's edges
+    (:meth:`_of_mask`) also keeps that graph and mask, so the next search
+    step reads the mask back instead of rebuilding it.
     """
 
     __slots__ = ("edges", "_graph", "_mask")
 
     def __init__(self, edges=()) -> None:
-        es = sorted(set(Edge(*e) for e in edges))
-        pair = next(_conflicting_pairs(es), None)
-        if pair is not None:
-            raise IncompatibleEdgesError(*pair)
-        self.edges: tuple[Edge, ...] = tuple(es)
+        es = tuple(sorted(set(Edge(*e) for e in edges)))
+        _compatible_edges(es, _index(es).conf, (1 << len(es)) - 1)
+        self.edges: tuple[Edge, ...] = es
         self._graph: DuoGraph | None = None
         self._mask = 0
 
     @classmethod
     def _of_mask(cls, g: DuoGraph, mask: int) -> "Matching":
         """The matching of the edges ``g.edges[k]`` for the set bits k of
-        ``mask``, validated on ``g.index.conf``.
-
-        Bits are checked lowest first against the conflicts above them, so
-        an incompatible mask raises :class:`IncompatibleEdgesError` naming
-        the same first pair in lex order as the constructor.
-        """
-        conf, edges = g.index.conf, g.edges
-        es = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            hit = conf[k] & rest
-            if hit:
-                raise IncompatibleEdgesError(edges[k], edges[(hit & -hit).bit_length() - 1])
-            es.append(edges[k])
-            rest ^= low
+        ``mask``, validated on ``g.index``, so an incompatible mask names
+        the same first pair as the constructor."""
         out = cls.__new__(cls)
-        out.edges = tuple(es)
+        out.edges = tuple(_compatible_edges(g.edges, g.index.conf, mask))
         out._graph = g
         out._mask = mask
         return out
@@ -409,10 +399,12 @@ def _mask(g: DuoGraph, matching: Matching) -> int:
 
 def is_compatible_matching(g: DuoGraph, edges) -> bool:
     """True iff every edge belongs to ``g`` and all pairs are compatible."""
-    es = {Edge(*e) for e in edges}
-    if any(e not in g.edge_set for e in es):
+    pos = g.index.pos
+    try:
+        Matching._of_mask(g, sum(1 << k for k in {pos[Edge(*e)] for e in edges}))
+    except (KeyError, IncompatibleEdgesError):
         return False
-    return next(_conflicting_pairs(list(es)), None) is None
+    return True
 
 
 def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:

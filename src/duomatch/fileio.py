@@ -61,6 +61,12 @@ def format_matching(edges) -> str:
 
 
 def format_instance(inst: StringInstance) -> str:
+    """The ``.duo`` text of ``inst``; ValueError names a symbol it cannot
+    carry: empty, holding whitespace, or starting a line with ``#``."""
+    firsts = (inst.a[0], inst.b[0])
+    for sym in inst.a:
+        if not sym or any(c.isspace() for c in sym) or (sym[0] == "#" and sym in firsts):
+            raise ValueError(f"symbol {sym!r} cannot be written as .duo text")
     return " ".join(inst.a) + "\n" + " ".join(inst.b) + "\n"
 
 

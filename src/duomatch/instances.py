@@ -10,8 +10,8 @@ constructions that pin the locality gap of the search:
   diagonal edges, reconstructed by :func:`search_gap_instance` rather than
   hardcoded, and certified by the same checklist (ratio 13/6 at m=26).
 
-The checklist itself quantifies swap resistance: after removing any t
-matching edges, how many optimum edges fit alongside the remainder.
+The checklist itself quantifies swap resistance on one conflict index: after
+removing any t matching edges, how many optimum edges fit alongside the rest.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     InvariantError,
     Matching,
     StringInstance,
+    _index,
     _positions,
     compatible,
     singleton_partition,
@@ -150,17 +151,6 @@ def _entrants(blockers: list[int], kept: int) -> int:
     return [b & kept for b in blockers].count(0)
 
 
-def _shut_out(g: DuoGraph, f: Edge) -> int:
-    """Mask over ``g.edges`` of the edges a matching holding ``f`` cannot
-    take: f itself and the edges conflicting with it.  ``f`` need not
-    belong to g."""
-    index = g.index
-    k = index.pos.get(f)
-    if k is not None:
-        return index.conf[k] | 1 << k
-    return sum(1 << k for k, e in enumerate(g.edges) if not compatible(e, f))
-
-
 def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching,
                               caps=GRAPH_GAP_CAPS,
                               subset_budget: int = 2_000_000) -> ChecklistReport:
@@ -171,20 +161,25 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     with the remainder stays within caps[t-1].  At most ``subset_budget``
     subsets are scanned in total, else SubsetBudgetError.
 
-    Both scans run on bitmasks.  The blocking edges are the graph edges
-    that are neither matching edges nor in a matching edge's conflict mask
-    of ``g.index``.  For the swap items each optimum edge gets, once per
-    call, a blocker mask: bit x stands for the x-th matching edge in lex
-    order and is set when that edge equals or conflicts with the optimum
-    edge.  After removing X, the optimum edge enters iff its blocker mask
-    lies inside X.  Matching and optimum edges need not belong to g.
+    Both scans read one :func:`~duomatch.core._index` over the edges of
+    g, the matching and the optimum, which need not lie in g.  The blocking
+    edges are the graph edges neither in the matching nor in a matching
+    edge's conflict mask.  For the swap items each optimum edge gets a
+    blocker mask: bit x stands for the x-th matching edge in lex order and
+    is set when that edge equals or conflicts with the optimum edge.  After
+    removing X, the optimum edge enters iff its blocker mask lies inside X.
     """
     items: list[ChecklistItem] = []
-
-    taken = 0
-    for f in matching.edges:
-        taken |= _shut_out(g, f)
-    blocking = tuple(e for k, e in enumerate(g.edges) if not taken >> k & 1)
+    m_edges = matching.edges
+    index = _index(tuple(sorted({*g.edges, *m_edges, *optimum.edges})))
+    pos, conf = index.pos, index.conf
+    # dense matching-edge bits keep the per-subset masks short
+    dense = {pos[f]: x for x, f in enumerate(m_edges)}
+    m_mask = sum(1 << k for k in dense)
+    taken = m_mask
+    for k in dense:
+        taken |= conf[k]
+    blocking = tuple(e for e in g.edges if not taken >> pos[e] & 1)
     items.append(ChecklistItem("maximal", not blocking, len(blocking), 0, blocking[:3]))
 
     singles = tuple(sorted(singletons_of(matching)))
@@ -196,10 +191,9 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
         raise SubsetBudgetError(
             f"{total_subsets} subsets exceed budget {subset_budget}"
         )
-    m_edges = matching.edges
     full = (1 << len(m_edges)) - 1
     blockers = [
-        sum(1 << x for x, f in enumerate(m_edges) if f == e or not compatible(e, f))
+        sum(1 << dense[k] for k in _positions(m_mask & (conf[pos[e]] | 1 << pos[e])))
         for e in optimum.edges
     ]
     bits = [1 << x for x in range(len(m_edges))]

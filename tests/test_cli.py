@@ -437,6 +437,7 @@ def test_solve_rejects_bad_rho(capsys, demo_file):
     (["verify", "{demo}", "{opt}", "--local-opt", "--rho", "9"], "rho must be in 1..5"),
     (["solve", "{binary}"], "not UTF-8"),
     (["verify", "{demo}", "{binary}"], "not UTF-8"),
+    (["bench", "{demo}", "--rho", "5..1"], "not '5..1'"),
 ])
 def test_bad_flags_and_bytes_are_usage_errors(capsys, tmp_path, demo_file, argv, reason):
     binary = tmp_path / "binary.duo"
@@ -447,6 +448,19 @@ def test_bad_flags_and_bytes_are_usage_errors(capsys, tmp_path, demo_file, argv,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("raised, code, message", [
+    (MemoryError, EXIT_BUDGET, "out of memory"),
+    (KeyboardInterrupt, 130, "interrupted"),
+])
+def test_memory_error_and_interrupt_exit_codes(capsys, demo_file, monkeypatch,
+                                               raised, code, message):
+    def failing(g, config):
+        raise raised()
+
+    monkeypatch.setattr(cli.localsearch, "local_search", failing)
+    assert run(capsys, "solve", demo_file) == (code, "", f"error: {message}\n")
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, demo_file, monkeypatch):

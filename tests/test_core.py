@@ -17,6 +17,8 @@ from duomatch.core import (
     NotPermutationError,
     ParseError,
     StringInstance,
+    _conflicting_pairs,
+    _index,
     compatible,
     induced_position_map,
     is_compatible_matching,
@@ -210,14 +212,51 @@ def test_conflict_set_matches_full_scan(g):
 
 @given(graphs())
 def test_index_masks_match_full_scan(g):
-    idx = g.index
-    assert idx.pos == {e: k for k, e in enumerate(g.edges)}
-    for e, conf, par in zip(g.edges, idx.conf, idx.par):
-        for k, f in enumerate(g.edges):
+    assert_index_matches_full_scan(g.edges, g.index)
+
+
+def assert_index_matches_full_scan(edges, idx):
+    assert idx.pos == {e: k for k, e in enumerate(edges)}
+    for e, conf, par in zip(edges, idx.conf, idx.par):
+        for k, f in enumerate(edges):
             assert (conf >> k & 1) == (not compatible(e, f))
             parallel = (f.i - e.i, f.j - e.j) in ((1, 1), (-1, -1))
             assert (par >> k & 1) == parallel
-        assert conf >> len(g.edges) == 0 and par >> len(g.edges) == 0
+        assert conf >> len(edges) == 0 and par >> len(edges) == 0
+
+
+# positions a matching file can hold: outside 1..m, zero and negative
+wide_edge_st = st.builds(Edge, st.integers(-3, 12), st.integers(-3, 12))
+
+
+@given(st.lists(wide_edge_st, max_size=16))
+def test_index_of_any_edges_matches_full_scan(es):
+    """``_index`` holds the conflict and parallel rules for any offsets."""
+    ordered = tuple(sorted(set(es)))
+    assert_index_matches_full_scan(ordered, _index(ordered))
+
+
+@given(st.lists(wide_edge_st, max_size=12))
+def test_matching_of_any_edges_reports_first_conflict(es):
+    ordered = sorted(set(es))
+    first = next(
+        ((a, b) for a, b in itertools.combinations(ordered, 2) if not compatible(a, b)),
+        None,
+    )
+    if first is None:
+        assert Matching(es).edges == tuple(ordered)
+        return
+    with pytest.raises(IncompatibleEdgesError) as exc:
+        Matching(es)
+    assert exc.value.pair == first
+
+
+@given(st.lists(wide_edge_st, max_size=12))
+def test_conflicting_pairs_of_any_list_in_combinations_order(es):
+    """Repeated entries are compatible, so the lister gives every
+    conflicting pair of the list in ``combinations`` order."""
+    expected = [(a, b) for a, b in itertools.combinations(es, 2) if not compatible(a, b)]
+    assert list(_conflicting_pairs(es)) == expected
 
 
 def test_index_built_on_first_use(demo_graph):

@@ -50,6 +50,24 @@ def test_instance_round_trip(data):
     assert parse_instance(text) == inst
 
 
+@pytest.mark.parametrize("a, b, bad", [
+    (("a", ""), ("", "a"), "''"),
+    (("a b", "c"), ("c", "a b"), "'a b'"),
+    (("c", "x\ty"), ("x\ty", "c"), "'x\\ty'"),
+    (("#a", "b"), ("b", "#a"), "'#a'"),
+    (("b", "#a"), ("#a", "b"), "'#a'"),
+], ids=["empty", "space", "tab", "hash-first-in-a", "hash-first-in-b"])
+def test_format_instance_rejects_unwritable_symbols(a, b, bad):
+    with pytest.raises(ValueError) as exc:
+        format_instance(StringInstance(a, b))
+    assert bad in str(exc.value)
+
+
+def test_format_instance_writes_hash_symbols_after_the_first():
+    inst = StringInstance(("a", "#b"), ("a", "#b"))
+    assert parse_instance(format_instance(inst)) == inst
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_graph_round_trip(data):

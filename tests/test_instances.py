@@ -234,6 +234,32 @@ def test_checklist_matches_reference(case):
     assert got == ref.swap_resistance_checklist(g, matching, optimum, caps)
 
 
+@st.composite
+def wide_checklist_cases(draw):
+    """A graph on 1..6 plus a matching and an optimum with positions from
+    -3 to 12, as matching files may hold."""
+    g = DuoGraph(6, draw(st.lists(st.builds(Edge, st.integers(1, 6), st.integers(1, 6)),
+                                  max_size=16)))
+
+    def matching():
+        chosen: list[Edge] = []
+        for e in draw(st.lists(st.builds(Edge, st.integers(-3, 12), st.integers(-3, 12)),
+                               max_size=12)):
+            if all(compatible(e, f) for f in chosen):
+                chosen.append(e)
+        return Matching(chosen)
+
+    return g, matching(), matching()
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_checklist_cases())
+def test_checklist_matches_reference_off_the_graph(case):
+    g, matching, optimum = case
+    got = swap_resistance_checklist(g, matching, optimum, GRAPH_GAP_CAPS)
+    assert got == ref.swap_resistance_checklist(g, matching, optimum, GRAPH_GAP_CAPS)
+
+
 def test_checklist_matches_reference_on_fixtures():
     inst, m = string_gap_fixture()
     g = DuoGraph.from_strings(inst)

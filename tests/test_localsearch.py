@@ -276,10 +276,10 @@ def test_certificate_counts_stop_at_first_hit(demo_graph):
     assert cert.reduce_subsets_scanned == 0
 
 
-def reference_scan_count(g: DuoGraph, m: Matching, rho: int, scan_order: str,
-                         grow: bool) -> int:
-    """rho-subsets the reference scan of one move visits on ``m``, up to and
-    including the one that yields the move."""
+def reference_scan(g: DuoGraph, m: Matching, rho: int, scan_order: str,
+                   grow: bool) -> tuple[bool, int]:
+    """Whether the reference scan of one move finds it on ``m``, and how
+    many rho-subsets it visits, up to and including the one that yields it."""
     m_edges = ref._ordered(m.edges, scan_order)
     base = ref._singleton_count(m.edges)
     for count, removed in enumerate(itertools.combinations(m_edges, rho), 1):
@@ -288,8 +288,8 @@ def reference_scan_count(g: DuoGraph, m: Matching, rho: int, scan_order: str,
             list(removed) + ref._swap_candidates(g, removed, kept, scan_order), scan_order)
         for incoming in ref._iter_compatible_subsets(pool, rho + grow):
             if grow or ref._singleton_count(kept + list(incoming)) < base:
-                return count
-    return comb(len(m), rho)
+                return True, count
+    return False, comb(len(m), rho)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,8 +305,8 @@ def test_local_optimum_matches_reference_scan(g, rho, scan_order, use_reduce):
     if cert.exhaustive:
         assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == 0
         return
-    assert cert.replace_subsets_scanned == reference_scan_count(g, m, rho, scan_order, True)
-    expected = reference_scan_count(g, m, rho, scan_order, False) if reduce_ran else 0
+    assert cert.replace_subsets_scanned == reference_scan(g, m, rho, scan_order, True)[1]
+    expected = reference_scan(g, m, rho, scan_order, False)[1] if reduce_ran else 0
     assert cert.reduce_subsets_scanned == expected
 
 
@@ -423,9 +423,9 @@ def test_deep_first_hit_counts_match_reference(seed, n, alphabet, replace_count,
     ok, cert = is_local_optimum(g, m, SolverConfig(rho=5))
     assert not ok
     assert (cert.replace_subsets_scanned, cert.reduce_subsets_scanned) == (replace_count, reduce_count)
-    assert replace_count == reference_scan_count(g, m, 5, SCAN_LEX, True)
+    assert replace_count == reference_scan(g, m, 5, SCAN_LEX, True)[1]
     if reduce_count:
-        assert reduce_count == reference_scan_count(g, m, 5, SCAN_LEX, False)
+        assert reduce_count == reference_scan(g, m, 5, SCAN_LEX, False)[1]
 
 
 def test_reduce_beside_an_improving_replace_drops_more_than_the_conflicts():
@@ -480,22 +480,6 @@ def long_string_pairs(draw, max_n=24):
     n, k = draw(st.integers(8, max_n)), draw(st.integers(4, 5))
     a = draw(st.permutations(["abcde"[t % k] for t in range(n)]))
     return DuoGraph.from_strings(StringInstance(tuple(a), tuple(draw(st.permutations(a)))))
-
-
-def reference_scan(g: DuoGraph, m: Matching, rho: int, scan_order: str,
-                   grow: bool) -> tuple[bool, int]:
-    """Whether the reference scan of one move finds it on ``m``, and how
-    many rho-subsets it visits, up to and including the one that yields it."""
-    m_edges = ref._ordered(m.edges, scan_order)
-    base = ref._singleton_count(m.edges)
-    for count, removed in enumerate(itertools.combinations(m_edges, rho), 1):
-        kept = [e for e in m_edges if e not in removed]
-        pool = ref._ordered(
-            list(removed) + ref._swap_candidates(g, removed, kept, scan_order), scan_order)
-        for incoming in ref._iter_compatible_subsets(pool, rho + grow):
-            if grow or ref._singleton_count(kept + list(incoming)) < base:
-                return True, count
-    return False, comb(len(m), rho)
 
 
 @settings(max_examples=25, deadline=None)
