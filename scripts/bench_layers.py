@@ -11,8 +11,9 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 * ``exact`` on dense alphabet-4 balanced pairs, n=40 (seed 7) and n=48
   (seed 9);
 * the identity pair n=2000 through the ``solve`` and ``exact`` commands;
-* the exhaustive m=18 gap search with 8 matching edges and anchors (2, 8)
-  and (3, 9).
+* the exhaustive gap searches with anchors (2, 8) and (3, 9) at m=18
+  with 8 matching edges and at m=20 with 9, whose room of 7 edges no
+  two-edge runs fill, and the m=26 search that ``make_fixtures.py`` runs.
 
 A balanced pair (n, a, seed) is ``s = [f"s{i % a}" for i in range(n)]``
 shuffled by ``random.Random(seed)``, then a copy of it shuffled again by the
@@ -130,14 +131,17 @@ def rows(work: str):
             row["nodes"] = exact_max_matching(g).nodes_explored
         yield row
 
-    spec = instances.GapSearchSpec(m=18, matching_size=8, anchors=(Edge(2, 8), Edge(3, 9)))
+    anchors = (Edge(2, 8), Edge(3, 9))
+    for spec in (instances.GapSearchSpec(m=18, matching_size=8, anchors=anchors),
+                 instances.GapSearchSpec(m=20, matching_size=9, anchors=anchors),
+                 instances.GapSearchSpec(m=26)):
+        def gap(start, spec=spec):
+            start()
+            return instances.search_gap_instance(spec)
 
-    def gap(start):
-        start()
-        return instances.search_gap_instance(spec)
-
-    t, found = best_of(gap)
-    yield {"name": "gap_search m=18 size=8", "best_s": t, "found": found is not None}
+        t, found = best_of(gap)
+        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}", "best_s": t,
+               "found": found is not None}
 
 
 def main() -> int:

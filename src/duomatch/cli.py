@@ -253,13 +253,11 @@ def _bench_inputs(paths: list[str]) -> list[str]:
 def cmd_bench(args) -> int:
     files = _bench_inputs(args.inputs)
     if not files:
-        print("no input instances found", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError("no input instances found")
     rhos = _parse_rhos(args.rho)
     for rho in rhos:
         if not 1 <= rho <= localsearch.MAX_RHO:
-            print(f"rho {rho} out of range", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParseError(f"rho {rho} out of range")
     cpus = os.cpu_count() or 1
     threads = os.environ.get("DUO_THREADS", str(cpus))
     try:
@@ -267,8 +265,7 @@ def cmd_bench(args) -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        print(f"DUO_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"DUO_THREADS must be a positive integer, got {threads!r}")
     tasks = [(path, args.format, rho, args.with_exact) for path in files for rho in rhos]
     # the pool forks all its workers at once, so never ask for more than
     # there are tasks or cores

@@ -345,39 +345,105 @@ class _RunTable:
         return row
 
 
-def _diag_caps_hold(m_edges: list[Edge], m: int, caps) -> bool:
+class _CoverFields:
+    """Per-position cover masks of ``ne`` matching edges packed into one int.
+
+    Field p - 1 holds the mask of edge indices whose edge conflicts with the
+    diagonal edge (p, p), for p = 1..m, in ``ne`` bits topped by a guard bit
+    that stays 0.  Adding ``low`` then carries into a field's guard bit iff
+    the field is non-zero, so one AND, ADD and popcount count the fields
+    that lie inside an edge mask, over all positions at once.
+    """
+
+    __slots__ = ("m", "ne", "width", "ones", "low", "guards")
+
+    def __init__(self, m: int, ne: int):
+        self.m = m
+        self.ne = ne
+        self.width = ne + 1
+        self.ones = sum(1 << self.width * k for k in range(m))
+        self.low = ((1 << ne) - 1) * self.ones
+        self.guards = (1 << ne) * self.ones
+
+    def spread(self, edges) -> int:
+        """The packed covers of ``edges`` numbered from 0; shift it left by
+        the index of the first edge to place them among the others."""
+        packed = 0
+        for t, e in enumerate(edges):
+            for p in (e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1):
+                if 1 <= p <= self.m:
+                    packed |= 1 << self.width * (p - 1) + t
+        return packed
+
+    def masks(self, covers: int) -> list[int]:
+        edges = (1 << self.ne) - 1
+        return [covers >> self.width * k & edges for k in range(self.m)]
+
+
+def _diag_caps_hold(covers: int, fields: _CoverFields, caps, hint: int = 0) -> int | None:
     """Swap caps against the diagonal optimum, via coverage multiplicities.
 
     An off-diagonal edge (a, b) conflicts with diagonal edge (p, p) exactly
     when p lies in {a-1, a, a+1, b-1, b, b+1}, so after removing X the
-    diagonal entrants are precisely the positions whose whole covering edge
-    set sits inside X.  That turns each cap into bitmask counting, orders of
-    magnitude cheaper than the generic checklist scan.  The verdict does not
-    depend on the order of ``m_edges``.
+    diagonal entrants are precisely the positions whose non-empty cover
+    (``covers``, packed by ``fields``) lies inside X.  Returns a failing X,
+    an edge-index mask of t <= len(caps) bits with more than caps[t-1]
+    positions covered inside it, or None when every cap holds.
+
+    ``hint``, 0 or an earlier failing X of at most min(len(caps), ne) edge
+    bits, is tested first; the gap search passes the previous leaf's
+    witness, and most leaves fail on it.  Otherwise the scan looks only at
+    unions of covers: a failing X of width t contains the union U of the
+    covers inside it, U has the same count and at most t bits, and U padded
+    to any width t' >= |U| fails if its count exceeds caps[t'-1].  The
+    unions are grown depth first from the covers of at most min(len(caps),
+    ne) bits, highest mask first, which picks witnesses on the latest runs'
+    edges; those most often fail the next leaf too.
     """
-    ne = len(m_edges)
-    pos_cover = [0] * (m + 1)
-    for idx, e in enumerate(m_edges):
-        for p in (e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1):
-            if 1 <= p <= m:
-                pos_cover[p] |= 1 << idx
-    covers = [c for c in pos_cover[1:] if c]
-    bits = [1 << idx for idx in range(ne)]
-    for t in range(1, min(len(caps), ne) + 1):
-        cap = caps[t - 1]
-        # a cover inside a t-subset has at most t bits
-        small = [c for c in covers if c.bit_count() <= t]
-        if len(small) <= cap:
-            continue
-        for picked in combinations(bits, t):
-            rest = ~sum(picked)
-            count = 0
-            for c in small:
-                if not c & rest:
-                    count += 1
-                    if count > cap:
-                        return False
-    return True
+    low, guards, ones = fields.low, fields.guards, fields.ones
+    nonzero = ((covers + low) & guards).bit_count()
+
+    def inside(x: int) -> int:
+        return nonzero - ((covers & (low ^ x * ones)) + low & guards).bit_count()
+
+    if hint and inside(hint) > caps[hint.bit_count() - 1]:
+        return hint
+    top = min(len(caps), fields.ne)
+    if not top:
+        return None
+    # least[s-1]: the least cap over widths s..top, which U of s bits must beat
+    least = list(caps[:top])
+    for s in range(top - 2, -1, -1):
+        least[s] = min(least[s], least[s + 1])
+    small = sorted({c for c in fields.masks(covers) if c.bit_count() <= top}, reverse=True)
+
+    # depth first over (union, first cover it may still take), children
+    # pushed in reverse so that they pop in cover order
+    stack = [(0, 0)]
+    while stack:
+        x, start = stack.pop()
+        if inside(x) > least[max(x.bit_count(), 1) - 1]:
+            break
+        for k in range(len(small) - 1, start - 1, -1):
+            v = x | small[k]
+            if v != x and v.bit_count() <= top:
+                stack.append((v, k + 1))
+    else:
+        return None
+    s = max(x.bit_count(), 1)
+    width = next(t for t in range(s, top + 1) if caps[t - 1] == least[s - 1])
+    free = ((1 << fields.ne) - 1) & ~x
+    for _ in range(width - x.bit_count()):
+        x |= free & -free
+        free &= free - 1
+    return x
+
+
+def _fillable(room: int, longest: int) -> bool:
+    """Whether ``room`` edges are a sum of run lengths 2..``longest``."""
+    if room == 0:
+        return True
+    return room >= 2 and (longest >= 3 or (longest == 2 and room % 2 == 0))
 
 
 def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
@@ -393,12 +459,23 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     deterministic.  Returns None when the space is exhausted, raises
     SearchBudgetError when ``max_nodes`` runs out first.
 
+    Before the first node, a spec whose room (``matching_size`` minus the
+    anchor edges) is no sum of candidate run lengths 2..L returns None: an
+    odd room when L = 2, whose parity no run changes, or a room of 1, which
+    no run fits.  That check removes no leaf.
+
     The search runs on masks over the candidate runs, numbered in that lex
     order: ``covering[p]`` holds the runs covering position p, ``allowed``
     the runs compatible with every chosen run (the AND of their
     :class:`_RunTable` rows) and ``excluded`` the lex-earlier alternatives.
     A node's candidates are ``covering[p] & allowed & ~excluded`` among the
-    runs short enough to fit, taken lowest bit first.
+    runs short enough to fit, taken lowest bit first.  Each node also
+    carries the per-position covers of the chosen edges, packed by
+    :class:`_CoverFields`: a child adds its run's precomputed spread,
+    shifted to the run's edge indices.  A complete leaf hands them to
+    :func:`_diag_caps_hold` with the last leaf's failing X as the hint;
+    only a leaf that passes builds its matching and runs the checklist,
+    which must agree.
     """
     m = spec.m
     optimum = Matching(Edge(i, i) for i in range(1, m + 1))
@@ -409,17 +486,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         if not (1 <= a.i <= m and 1 <= a.j <= m) or a.i == a.j:
             return None
 
-    all_runs = _candidate_runs(m, min(spec.max_run_length, target))
-    table = _RunTable(all_runs, m)
-    covering = [0] * (m + 1)
-    fits = [0] * (target + 1)
-    for k, r in enumerate(all_runs):
-        for p in range(1, m + 1):
-            if r.cover_mask >> p & 1:
-                covering[p] |= 1 << k
-        for room in range(r.ell, target + 1):
-            fits[room] |= 1 << k
-
+    longest = min(spec.max_run_length, target)
     seeds = _anchor_runs(spec.anchors, m)
     if any(r.ell < 2 for r in seeds):
         return None
@@ -427,15 +494,33 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         if not _runs_compatible(r, s):
             return None
     seed_count = sum(r.ell for r in seeds)
-    if seed_count > target:
+    if seed_count > target or not _fillable(target - seed_count, longest):
         return None
 
-    nodes = 0
+    all_runs = _candidate_runs(m, longest)
+    table = _RunTable(all_runs, m)
+    fields = _CoverFields(m, target)
+    covering = [0] * (m + 1)
+    fits = [0] * (target + 1)
+    spreads = []
+    for k, r in enumerate(all_runs):
+        for p in range(1, m + 1):
+            if r.cover_mask >> p & 1:
+                covering[p] |= 1 << k
+        for room in range(r.ell, target + 1):
+            fits[room] |= 1 << k
+        spreads.append(fields.spread(r.edges))
 
-    def verdict(chosen: list[_Run]) -> GapInstance | None:
-        edges = [e for r in chosen for e in r.edges]
-        if not _diag_caps_hold(edges, m, spec.caps):
+    nodes = 0
+    witness = 0
+
+    def verdict(chosen: list[_Run], covers: int) -> GapInstance | None:
+        nonlocal witness
+        failing = _diag_caps_hold(covers, fields, spec.caps, witness)
+        if failing is not None:
+            witness = failing
             return None
+        edges = [e for r in chosen for e in r.edges]
         matching = Matching(edges)
         graph = DuoGraph(m, list(optimum.edges) + edges)
         report = swap_resistance_checklist(graph, matching, optimum, spec.caps)
@@ -443,7 +528,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             raise InvariantError("fast cap test disagrees with the checklist")
         return GapInstance(graph, matching, optimum, report)
 
-    def rec(chosen: list[_Run], count: int, cover: int,
+    def rec(chosen: list[_Run], count: int, cover: int, covers: int,
             allowed: int, excluded: int) -> GapInstance | None:
         nonlocal nodes
         nodes += 1
@@ -453,7 +538,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         if count == target:
             if uncovered:
                 return None
-            return verdict(chosen)
+            return verdict(chosen, covers)
         # a run of length ell >= 2 covers at most 2*ell + 4 <= 4*ell positions
         if uncovered.bit_count() > 4 * (target - count):
             return None
@@ -468,6 +553,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
                 chosen + [r],
                 count + r.ell,
                 cover | r.cover_mask,
+                covers | spreads[k] << count,
                 allowed & table.row(k),
                 excluded | skipped,
             )
@@ -482,4 +568,10 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     for r in seeds:
         cover |= r.cover_mask
         allowed &= table.compatible_mask(r)
-    return rec(list(seeds), seed_count, cover, allowed, 0)
+    covers = fields.spread([e for r in seeds for e in r.edges])
+    try:
+        return rec(list(seeds), seed_count, cover, covers, allowed, 0)
+    finally:
+        # rec's closure holds rec: clearing it frees the search's tables on
+        # return rather than at the next full garbage collection
+        rec = None

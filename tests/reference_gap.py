@@ -5,7 +5,10 @@ blocking edges with one :func:`compatible` call per (edge, matching edge)
 pair, and the gap search tests each candidate run against every chosen run
 with :func:`_runs_compatible` at every node.  :mod:`duomatch.instances` runs
 the same searches over bitmask tables and must return the same reports and
-the same instances after visiting the same nodes.
+the same instances after the same leaf tests.  The gap search also visits
+the same nodes, except on a spec whose room (matching size minus anchor
+edges) is no sum of the candidate run lengths: it returns None before its
+first node, where this search exhausts the tree without reaching a leaf.
 """
 
 from __future__ import annotations

@@ -403,6 +403,22 @@ def test_bench_no_inputs(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, threads, message", [
+    (["bench", "{empty}"], None, "error: no input instances found"),
+    (["bench", "{demo}", "--rho", "9"], None, "error: rho 9 out of range"),
+    (["bench", "{demo}"], "two", "error: DUO_THREADS must be a positive integer, got 'two'"),
+], ids=["no-inputs", "rho", "threads"])
+def test_bench_usage_errors_carry_prefix(capsys, tmp_path, demo_file, monkeypatch,
+                                         argv, threads, message):
+    (tmp_path / "empty").mkdir()
+    if threads is not None:
+        monkeypatch.setenv("DUO_THREADS", threads)
+    argv = [a.format(demo=demo_file, empty=tmp_path / "empty") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == message + "\n"
+
+
 # ---------------------------------------------------------------- errors
 
 def test_missing_file_is_usage_error(capsys):

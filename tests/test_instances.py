@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duomatch import instances
@@ -305,9 +305,67 @@ def test_run_table_rows_match_runs_compatible(m):
                 assert table.compatible_mask(r) == expected
 
 
+@st.composite
+def leaf_cases(draw):
+    """Off-diagonal edge lists on 1..m with caps, some not monotone."""
+    m = draw(st.integers(4, 16))
+    pool = [Edge(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    edges = draw(st.lists(st.sampled_from(pool), max_size=9, unique=True))
+    caps = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=5)))
+    return m, edges, caps, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf_cases())
+# no union of covers has two bits, so only {(2, 4)} padded to two edges beats the cap 0
+@example((4, [Edge(3, 4), Edge(2, 4), Edge(4, 3)], (3, 0), 0))
+def test_leaf_witness_contract(case):
+    """The leaf test's verdict matches the reference with no hint, a
+    failing hint and a holding one, and every X it returns fails its cap."""
+    m, edges, caps, pick = case
+    ne = len(edges)
+    masks = [0] * m
+    for x, e in enumerate(edges):
+        for p in (e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1):
+            if 1 <= p <= m:
+                masks[p - 1] |= 1 << x
+    fields = instances._CoverFields(m, ne)
+    covers = sum(c << fields.width * k for k, c in enumerate(masks))
+
+    def inside(x):
+        return sum(1 for c in masks if c and not c & ~x)
+
+    subsets = [sum(1 << x for x in xs) for t in range(1, min(len(caps), ne) + 1)
+               for xs in combinations(range(ne), t)]
+    failing = [x for x in subsets if inside(x) > caps[x.bit_count() - 1]]
+    holding = [x for x in subsets if inside(x) <= caps[x.bit_count() - 1]]
+    holds = ref._diag_caps_hold(edges, m, caps)
+    assert holds == (not failing)
+    hints = [0] + [xs[pick % len(xs)] for xs in (failing, holding) if xs]
+    for hint in hints:
+        got = instances._diag_caps_hold(covers, fields, caps, hint)
+        assert (got is None) == holds
+        if got is not None:
+            assert 0 < got.bit_count() <= len(caps) and not got >> ne
+            assert inside(got) > caps[got.bit_count() - 1]
+
+
+def fillable(spec) -> bool:
+    """Whether runs of 2..L edges can make up the room the anchors leave,
+    by enumerating the sums that the runs reach."""
+    longest = min(spec.max_run_length, spec.matching_size)
+    room = spec.matching_size - len(set(spec.anchors))
+    sums = {0}
+    for _ in range(room):
+        sums |= {s + ell for s in sums for ell in range(2, longest + 1) if s + ell <= room}
+    return room in sums
+
+
 def assert_search_matches_reference(spec):
-    """Same result, same leaf tests and the same node count as the search
-    as first written; node counts are compared through the budget."""
+    """Same result and the same leaf tests as the search as first written.
+    Node counts are compared through the budget, except on a spec whose
+    room cannot be filled, which the search rejects before its first node
+    and the reference exhausts without reaching a leaf."""
     stats: dict = {}
     expected = ref.search_gap_instance(spec, stats)
     verdicts = []
@@ -327,6 +385,10 @@ def assert_search_matches_reference(spec):
         assert (got.graph.m, got.graph.edges) == (expected.graph.m, expected.graph.edges)
         assert got.checklist == expected.checklist
     assert len(verdicts) == stats["verdicts"]
+    if not fillable(spec):
+        assert expected is None and stats["verdicts"] == 0
+        assert search_gap_instance(replace(spec, max_nodes=1)) is None
+        return
     nodes = stats["nodes"]
     for budget in sorted({1, nodes // 3, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1, 0}):
         budgeted = replace(spec, max_nodes=budget)
@@ -354,6 +416,9 @@ GAP_CASES = [
     GapSearchSpec(m=14, matching_size=4, anchors=(Edge(2, 6), Edge(3, 7), Edge(6, 2), Edge(7, 3)),
                   caps=(1, 2, 3)),
     GapSearchSpec(m=9, matching_size=12, anchors=(), caps=(1,)),
+    # certify's second search: a room of 7 at L = 2, which the reference
+    # exhausts in 54,746 nodes
+    GapSearchSpec(m=20, matching_size=9, anchors=(Edge(2, 8), Edge(3, 9))),
 ]
 
 
