@@ -15,7 +15,9 @@ SHA-256 per input and flag set:
 * the checklist report and the ``tokens`` output of each gap fixture's
   matching against the exact witness;
 * the ``bench --rho 1..5 --with-exact`` CSV over the whole corpus, without
-  its wall-clock ``ms`` column.
+  its wall-clock ``ms`` column;
+* the gap search on each spec of ``GAP_SPECS``: the matching, graph edges
+  and checklist report it finds, or None.
 
 The last line is one SHA-256 over all the others.  Two checkouts whose
 outputs agree print the same lines, so comparing a change against its
@@ -52,6 +54,24 @@ SOLVE_FLAGS = (
     ("rho3", ["--rho", "3"]),
     ("rho5", ["--rho", "5"]),
     ("reverse-seed3", ["--scan-order", "reverse-lex", "--seed", "3"]),
+)
+
+#: (m, matching_size, anchors, caps, max_run_length) of the gap searches:
+#: the specs pinned in tests/test_instances.py below m=20, then the m=18
+#: search of the certify benchmark.  The anchors are distinct and passed as
+#: edges, which searches that do not normalise them read the same way.
+GAP_SPECS = (
+    (7, 2, (), (1,), 2),
+    (10, 4, (), (1, 2), 2),
+    (10, 6, ((2, 5),), (1, 2), 3),
+    (12, 6, ((2, 5), (3, 6)), (1, 2, 3), 2),
+    (12, 7, (), (0, 2, 2), 3),
+    (12, 6, ((1, 5), (2, 6), (6, 1), (7, 2)), (1, 2), 2),
+    (14, 7, ((2, 6), (3, 7)), (1, 2), 3),
+    (14, 6, ((2, 8), (3, 9)), (1, 2, 3), 2),
+    (14, 4, ((2, 6), (3, 7), (6, 2), (7, 3)), (1, 2, 3), 2),
+    (9, 12, (), (1,), 2),
+    (18, 8, ((2, 8), (3, 9)), (1, 2, 3, 4, 5), 2),
 )
 
 
@@ -108,7 +128,7 @@ def sha(data: bytes) -> str:
 
 
 def digests(paths: list[str]):
-    from duomatch import Matching, exact_max_matching, fileio, instances, localsearch
+    from duomatch import Edge, Matching, exact_max_matching, fileio, instances, localsearch
     from duomatch.cli import main
 
     for name in paths:
@@ -148,6 +168,16 @@ def digests(paths: list[str]):
     with open(table, newline="", encoding="utf-8") as fh:
         rows = [row[:-1] for row in csv.reader(fh)]
     yield "bench rho1..5 with-exact", sha(out + "".join(",".join(r) + "\n" for r in rows).encode())
+    for m, size, anchors, caps, longest in GAP_SPECS:
+        spec = instances.GapSearchSpec(m=m, matching_size=size,
+                                       anchors=tuple(Edge(i, j) for i, j in anchors),
+                                       caps=caps, max_run_length=longest)
+        found = instances.search_gap_instance(spec)
+        text = "None" if found is None else repr((found.matching, found.graph.edges,
+                                                  found.checklist))
+        label = " ".join(f"{i},{j}" for i, j in anchors) or "-"
+        yield (f"gap-search m{m} size{size} anchors {label} caps {caps} L{longest}",
+               sha(text.encode()))
 
 
 def main() -> int:

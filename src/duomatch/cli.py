@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import analysis, fileio, instances, localsearch
 from .core import (
@@ -169,12 +170,18 @@ def cmd_tokens(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    try:
+        first = instances.GeneratorSpec(
+            n=args.n, k=args.k, alphabet_size=args.alphabet, seed=args.seed
+        )
+    except instances.InfeasibleSpecError as exc:
+        raise ParseError(str(exc)) from None
+    if args.count < 0:
+        raise ParseError(f"--count must be >= 0, got {args.count}")
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for offset in range(args.count):
-        spec = instances.GeneratorSpec(
-            n=args.n, k=args.k, alphabet_size=args.alphabet, seed=args.seed + offset
-        )
+        spec = replace(first, seed=args.seed + offset)
         inst = instances.gen_random_kduo(spec)
         fname = spec.instance_id + ".duo"
         with open(os.path.join(args.out, fname), "w", encoding="utf-8") as fh:

@@ -12,6 +12,9 @@ constructions that pin the locality gap of the search:
 
 The checklist itself quantifies swap resistance on one conflict index: after
 removing any t matching edges, how many optimum edges fit alongside the rest.
+The gap search reads its tables off the conflict index of the m x m grid: run
+compatibility, the diagonal positions each run covers and the packed covers
+its leaf test counts.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .core import (
     StringInstance,
     _index,
     _positions,
-    compatible,
     singleton_partition,
 )
 
@@ -222,7 +224,9 @@ class GapSearchSpec:
     checklist against the diagonal optimum.  ``max_run_length`` bounds the
     candidate runs; the family this reconstructs consists of parallel pairs,
     so the default keeps the space small, and raising it widens the search
-    at a steep cost.
+    at a steep cost.  ``anchors`` may hold edges or ``(i, j)`` tuples, in
+    any order and with repeats; the spec keeps them as a sorted tuple of
+    distinct edges.
     """
 
     m: int
@@ -231,6 +235,9 @@ class GapSearchSpec:
     caps: tuple[int, ...] = GRAPH_GAP_CAPS
     max_run_length: int = 2
     max_nodes: int = 5_000_000
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "anchors", tuple(sorted({Edge(*a) for a in self.anchors})))
 
 
 @dataclass(frozen=True)
@@ -241,107 +248,90 @@ class GapInstance:
     checklist: ChecklistReport
 
 
-class _Run:
-    """ell consecutive parallel edges starting at (i, j), with its edge list
-    and diagonal-coverage bitmask (bit p set iff edge (p, p) conflicts with
-    the run) precomputed once."""
-
-    __slots__ = ("i", "j", "ell", "edges", "cover_mask")
-
-    def __init__(self, i: int, j: int, ell: int, m: int):
-        self.i = i
-        self.j = j
-        self.ell = ell
-        self.edges = tuple(Edge(i + t, j + t) for t in range(ell))
-        mask = 0
-        for a in (i, j):
-            for p in range(max(1, a - 1), min(m, a + ell) + 1):
-                mask |= 1 << p
-        self.cover_mask = mask
-
-    def __repr__(self) -> str:
-        return f"_Run({self.i},{self.j},x{self.ell})"
-
-
-def _runs_compatible(r: _Run, s: _Run) -> bool:
-    """Whether two runs may coexist as distinct maximal runs of one
-    matching: no shared edge, no head-to-tail continuation (the merged run
-    is its own candidate), and all cross pairs compatible."""
-    if (s.i == r.i + r.ell and s.j == r.j + r.ell) or \
-            (r.i == s.i + s.ell and r.j == s.j + s.ell):
-        return False
-    return all(e != f and compatible(e, f) for e in r.edges for f in s.edges)
-
-
-def _anchor_runs(anchors: tuple[Edge, ...], m: int) -> list[_Run]:
-    runs: list[_Run] = []
-    pending = sorted(anchors)
-    while pending:
-        head = pending.pop(0)
-        ell = 1
-        while Edge(head.i + ell, head.j + ell) in pending:
-            pending.remove(Edge(head.i + ell, head.j + ell))
-            ell += 1
-        runs.append(_Run(head.i, head.j, ell, m))
-    return runs
-
-
-def _candidate_runs(m: int, longest: int) -> list[_Run]:
-    """Every off-diagonal run of 2 to ``longest`` edges inside 1..m, in
-    lexicographic (i, j, length) order."""
-    runs: list[_Run] = []
-    for i in range(1, m):
-        for j in range(1, m):
-            if i == j:
-                continue
-            for ell in range(2, longest + 1):
-                if i + ell - 1 > m or j + ell - 1 > m:
-                    break
-                runs.append(_Run(i, j, ell, m))
+def _anchor_runs(anchors: tuple[Edge, ...]) -> list[tuple[int, int, int]]:
+    """The maximal runs of consecutive parallel edges among the sorted,
+    distinct ``anchors``, as (i, j, length) in lexicographic order."""
+    edges = set(anchors)
+    runs = []
+    for a in anchors:
+        if (a.i - 1, a.j - 1) not in edges:
+            ell = 1
+            while (a.i + ell, a.j + ell) in edges:
+                ell += 1
+            runs.append((a.i, a.j, ell))
     return runs
 
 
 class _RunTable:
-    """Candidate runs numbered in list order, with compatibility rows.
+    """The candidate runs of the gap search, read off one conflict index.
 
-    ``row(k)`` is the mask of runs s with ``_runs_compatible(runs[k], s)``,
-    built on first use.  Two runs whose spans lie at least two positions
-    apart on both sides are always compatible (every cross pair has
-    |di|, |dj| >= 2), so a row calls :func:`_runs_compatible` only on the
-    runs that come within one position of the run on some side.
+    The index covers the m x m grid, which holds the diagonal optimum and
+    every run edge.  A run (i, j, ell) is the ell parallel edges (i + t,
+    j + t); ``runs`` lists every off-diagonal run of 2 to ``longest`` edges
+    inside 1..m in lexicographic (i, j, ell) order, and ``masks[k]`` holds
+    run k's edges as grid bits.  ``edge_covers[e]`` has bit p set iff grid
+    edge e conflicts with the diagonal edge (p, p), as ``conf[e]`` says;
+    :meth:`cover` ORs them over a mask, and ``covers[k]`` is run k's.
+
+    A run's hits are the edges it holds, conflicts with or runs parallel
+    to: the OR of ``conf | par`` and the edge itself over its edges.  Two
+    runs may coexist as distinct maximal runs of one matching iff neither
+    holds a hit of the other, which rules out a shared edge, a conflicting
+    cross pair and a head-to-tail continuation alike.  ``row(k)``, built on
+    first use, is the mask of the runs compatible with run k.
     """
 
-    def __init__(self, runs: list[_Run], m: int):
-        self.runs = runs
-        self.all = (1 << len(runs)) - 1
-        by_i = [0] * (m + 2)
-        by_j = [0] * (m + 2)
-        for k, r in enumerate(runs):
-            for t in range(r.ell):
-                by_i[r.i + t] |= 1 << k
-                by_j[r.j + t] |= 1 << k
-        self._by_i = by_i
-        self._by_j = by_j
-        self._rows: list[int | None] = [None] * len(runs)
+    def __init__(self, m: int, longest: int):
+        self.grid = tuple(Edge(i, j) for i in range(1, m + 1) for j in range(1, m + 1))
+        self.index = _index(self.grid)
+        diagonal = {self.index.pos[Edge(p, p)]: p for p in range(1, m + 1)}
+        on_diagonal = sum(1 << k for k in diagonal)
+        self.edge_covers = [sum(1 << diagonal[k] for k in _positions(c & on_diagonal))
+                            for c in self.index.conf]
+        self.runs = [(i, j, ell) for i in range(1, m) for j in range(1, m) if i != j
+                     for ell in range(2, min(longest, m + 1 - max(i, j)) + 1)]
+        self.all = (1 << len(self.runs)) - 1
+        self.masks = [self.mask(run) for run in self.runs]
+        self.covers = [self.cover(mask) for mask in self.masks]
+        through = [0] * len(self.grid)
+        for k, mask in enumerate(self.masks):
+            for e in _positions(mask):
+                through[e] |= 1 << k
+        self._through = through
+        self._rows: list[int | None] = [None] * len(self.runs)
 
-    def compatible_mask(self, r: _Run) -> int:
-        """Mask of the table's runs compatible with ``r``, which need not be
-        one of them."""
+    def mask(self, run: tuple[int, int, int]) -> int:
+        """The grid bits of the edges of ``run``, which need not be a
+        candidate."""
+        i, j, ell = run
+        pos = self.index.pos
+        return sum(1 << pos[Edge(i + t, j + t)] for t in range(ell))
+
+    def cover(self, mask: int) -> int:
+        covered = 0
+        for e in _positions(mask):
+            covered |= self.edge_covers[e]
+        return covered
+
+    def hits(self, mask: int) -> int:
+        conf, par = self.index.conf, self.index.par
+        hit = mask
+        for e in _positions(mask):
+            hit |= conf[e] | par[e]
+        return hit
+
+    def compatible_mask(self, mask: int) -> int:
+        """Mask of the candidate runs compatible with every run whose edges
+        ``mask`` holds: those through none of their hits."""
         near = 0
-        for p in range(r.i - 1, r.i + r.ell + 1):
-            near |= self._by_i[p]
-        for q in range(r.j - 1, r.j + r.ell + 1):
-            near |= self._by_j[q]
-        mask = self.all & ~near
-        for k in _positions(near):
-            if _runs_compatible(r, self.runs[k]):
-                mask |= 1 << k
-        return mask
+        for e in _positions(self.hits(mask)):
+            near |= self._through[e]
+        return self.all & ~near
 
     def row(self, k: int) -> int:
         row = self._rows[k]
         if row is None:
-            row = self._rows[k] = self.compatible_mask(self.runs[k])
+            row = self._rows[k] = self.compatible_mask(self.masks[k])
         return row
 
 
@@ -365,14 +355,14 @@ class _CoverFields:
         self.low = ((1 << ne) - 1) * self.ones
         self.guards = (1 << ne) * self.ones
 
-    def spread(self, edges) -> int:
-        """The packed covers of ``edges`` numbered from 0; shift it left by
+    def spread(self, covers) -> int:
+        """The packed covers of edges numbered from 0, given the diagonal
+        positions each edge covers (bit p for position p); shift it left by
         the index of the first edge to place them among the others."""
         packed = 0
-        for t, e in enumerate(edges):
-            for p in (e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1):
-                if 1 <= p <= self.m:
-                    packed |= 1 << self.width * (p - 1) + t
+        for t, cover in enumerate(covers):
+            for p in _positions(cover):
+                packed |= 1 << self.width * (p - 1) + t
         return packed
 
     def masks(self, covers: int) -> list[int]:
@@ -383,12 +373,12 @@ class _CoverFields:
 def _diag_caps_hold(covers: int, fields: _CoverFields, caps, hint: int = 0) -> int | None:
     """Swap caps against the diagonal optimum, via coverage multiplicities.
 
-    An off-diagonal edge (a, b) conflicts with diagonal edge (p, p) exactly
-    when p lies in {a-1, a, a+1, b-1, b, b+1}, so after removing X the
-    diagonal entrants are precisely the positions whose non-empty cover
-    (``covers``, packed by ``fields``) lies inside X.  Returns a failing X,
-    an edge-index mask of t <= len(caps) bits with more than caps[t-1]
-    positions covered inside it, or None when every cap holds.
+    A diagonal edge (p, p) enters after removing the matching edges X
+    exactly when every matching edge it conflicts with lies in X, so the
+    entrants are precisely the positions whose non-empty cover (``covers``,
+    packed by ``fields``) lies inside X.  Returns a failing X, an edge-index
+    mask of t <= len(caps) bits with more than caps[t-1] positions covered
+    inside it, or None when every cap holds.
 
     ``hint``, 0 or an earlier failing X of at most min(len(caps), ne) edge
     bits, is tested first; the gap search passes the previous leaf's
@@ -459,18 +449,20 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     deterministic.  Returns None when the space is exhausted, raises
     SearchBudgetError when ``max_nodes`` runs out first.
 
-    Before the first node, a spec whose room (``matching_size`` minus the
-    anchor edges) is no sum of candidate run lengths 2..L returns None: an
-    odd room when L = 2, whose parity no run changes, or a room of 1, which
-    no run fits.  That check removes no leaf.
+    Before the first node, and before any table is built, a spec whose room
+    (``matching_size`` minus the anchor edges) is no sum of candidate run
+    lengths 2..L returns None: an odd room when L = 2, whose parity no run
+    changes, or a room of 1, which no run fits.  That check removes no leaf.
 
-    The search runs on masks over the candidate runs, numbered in that lex
-    order: ``covering[p]`` holds the runs covering position p, ``allowed``
-    the runs compatible with every chosen run (the AND of their
-    :class:`_RunTable` rows) and ``excluded`` the lex-earlier alternatives.
-    A node's candidates are ``covering[p] & allowed & ~excluded`` among the
-    runs short enough to fit, taken lowest bit first.  Each node also
-    carries the per-position covers of the chosen edges, packed by
+    The search runs on masks over the candidate runs of a
+    :class:`_RunTable`, whose rows, run edges and diagonal covers are all
+    read off one conflict index of the m x m grid.  ``covering[p]`` holds
+    the runs covering position p, ``allowed`` the runs compatible with every
+    chosen run (the AND of their rows; the anchor runs' come from the same
+    index) and ``excluded`` the lex-earlier alternatives.  A node's
+    candidates are ``covering[p] & allowed & ~excluded`` among the runs
+    short enough to fit, taken lowest bit first.  Each node also carries the
+    chosen edges as grid bits and their per-position covers, packed by
     :class:`_CoverFields`: a child adds its run's precomputed spread,
     shifted to the run's edge indices.  A complete leaf hands them to
     :func:`_diag_caps_hold` with the last leaf's failing X as the hint;
@@ -487,40 +479,44 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             return None
 
     longest = min(spec.max_run_length, target)
-    seeds = _anchor_runs(spec.anchors, m)
-    if any(r.ell < 2 for r in seeds):
+    seeds = _anchor_runs(spec.anchors)
+    if any(ell < 2 for _, _, ell in seeds):
         return None
-    for r, s in combinations(seeds, 2):
-        if not _runs_compatible(r, s):
-            return None
-    seed_count = sum(r.ell for r in seeds)
+    seed_count = len(spec.anchors)
     if seed_count > target or not _fillable(target - seed_count, longest):
         return None
 
-    all_runs = _candidate_runs(m, longest)
-    table = _RunTable(all_runs, m)
+    table = _RunTable(m, longest)
+    chosen = hit = 0
+    for run in seeds:
+        mask = table.mask(run)
+        if mask & hit:
+            return None
+        chosen |= mask
+        hit |= table.hits(mask)
+
+    runs, masks, run_covers = table.runs, table.masks, table.covers
     fields = _CoverFields(m, target)
     covering = [0] * (m + 1)
     fits = [0] * (target + 1)
     spreads = []
-    for k, r in enumerate(all_runs):
-        for p in range(1, m + 1):
-            if r.cover_mask >> p & 1:
-                covering[p] |= 1 << k
-        for room in range(r.ell, target + 1):
+    for k, (_, _, ell) in enumerate(runs):
+        for p in _positions(run_covers[k]):
+            covering[p] |= 1 << k
+        for room in range(ell, target + 1):
             fits[room] |= 1 << k
-        spreads.append(fields.spread(r.edges))
+        spreads.append(fields.spread(table.edge_covers[e] for e in _positions(masks[k])))
 
     nodes = 0
     witness = 0
 
-    def verdict(chosen: list[_Run], covers: int) -> GapInstance | None:
+    def verdict(chosen: int, covers: int) -> GapInstance | None:
         nonlocal witness
         failing = _diag_caps_hold(covers, fields, spec.caps, witness)
         if failing is not None:
             witness = failing
             return None
-        edges = [e for r in chosen for e in r.edges]
+        edges = [table.grid[e] for e in _positions(chosen)]
         matching = Matching(edges)
         graph = DuoGraph(m, list(optimum.edges) + edges)
         report = swap_resistance_checklist(graph, matching, optimum, spec.caps)
@@ -528,7 +524,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             raise InvariantError("fast cap test disagrees with the checklist")
         return GapInstance(graph, matching, optimum, report)
 
-    def rec(chosen: list[_Run], count: int, cover: int, covers: int,
+    def rec(chosen: int, count: int, cover: int, covers: int,
             allowed: int, excluded: int) -> GapInstance | None:
         nonlocal nodes
         nodes += 1
@@ -548,11 +544,10 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         while cands:
             low = cands & -cands
             k = low.bit_length() - 1
-            r = all_runs[k]
             found = rec(
-                chosen + [r],
-                count + r.ell,
-                cover | r.cover_mask,
+                chosen | masks[k],
+                count + runs[k][2],
+                cover | run_covers[k],
                 covers | spreads[k] << count,
                 allowed & table.row(k),
                 excluded | skipped,
@@ -563,14 +558,10 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             cands ^= low
         return None
 
-    cover = 0
-    allowed = table.all
-    for r in seeds:
-        cover |= r.cover_mask
-        allowed &= table.compatible_mask(r)
-    covers = fields.spread([e for r in seeds for e in r.edges])
+    covers = fields.spread(table.edge_covers[e] for e in _positions(chosen))
     try:
-        return rec(list(seeds), seed_count, cover, covers, allowed, 0)
+        return rec(chosen, seed_count, table.cover(chosen), covers,
+                   table.compatible_mask(chosen), 0)
     finally:
         # rec's closure holds rec: clearing it frees the search's tables on
         # return rather than at the next full garbage collection

@@ -3,12 +3,17 @@
 These are the scans as first written: the checklist counts entrants and
 blocking edges with one :func:`compatible` call per (edge, matching edge)
 pair, and the gap search tests each candidate run against every chosen run
-with :func:`_runs_compatible` at every node.  :mod:`duomatch.instances` runs
-the same searches over bitmask tables and must return the same reports and
-the same instances after the same leaf tests.  The gap search also visits
-the same nodes, except on a spec whose room (matching size minus anchor
-edges) is no sum of the candidate run lengths: it returns None before its
-first node, where this search exhausts the tree without reaching a leaf.
+with :func:`_runs_compatible` at every node.  This module carries its own
+run helpers as first written (:class:`_Run` with its hand-computed diagonal
+cover, :func:`_runs_compatible` and :func:`_anchor_runs`), so the oracle
+imports no search code from the package it checks.
+
+:mod:`duomatch.instances` runs the same searches over bitmask tables read
+off one conflict index and must return the same reports and the same
+instances after the same leaf tests.  The gap search also visits the same
+nodes, except on a spec whose room (matching size minus anchor edges) is no
+sum of the candidate run lengths: it returns None before its first node,
+where this search exhausts the tree without reaching a leaf.
 """
 
 from __future__ import annotations
@@ -25,11 +30,53 @@ from duomatch.instances import (
     GapSearchSpec,
     SearchBudgetError,
     SubsetBudgetError,
-    _anchor_runs,
-    _Run,
-    _runs_compatible,
     singletons_of,
 )
+
+
+class _Run:
+    """ell consecutive parallel edges starting at (i, j), with its edge list
+    and diagonal-coverage bitmask (bit p set iff edge (p, p) conflicts with
+    the run) precomputed once."""
+
+    __slots__ = ("i", "j", "ell", "edges", "cover_mask")
+
+    def __init__(self, i: int, j: int, ell: int, m: int):
+        self.i = i
+        self.j = j
+        self.ell = ell
+        self.edges = tuple(Edge(i + t, j + t) for t in range(ell))
+        mask = 0
+        for a in (i, j):
+            for p in range(max(1, a - 1), min(m, a + ell) + 1):
+                mask |= 1 << p
+        self.cover_mask = mask
+
+    def __repr__(self) -> str:
+        return f"_Run({self.i},{self.j},x{self.ell})"
+
+
+def _runs_compatible(r: _Run, s: _Run) -> bool:
+    """Whether two runs may coexist as distinct maximal runs of one
+    matching: no shared edge, no head-to-tail continuation (the merged run
+    is its own candidate), and all cross pairs compatible."""
+    if (s.i == r.i + r.ell and s.j == r.j + r.ell) or \
+            (r.i == s.i + s.ell and r.j == s.j + s.ell):
+        return False
+    return all(e != f and compatible(e, f) for e in r.edges for f in s.edges)
+
+
+def _anchor_runs(anchors: tuple[Edge, ...], m: int) -> list[_Run]:
+    runs: list[_Run] = []
+    pending = sorted(anchors)
+    while pending:
+        head = pending.pop(0)
+        ell = 1
+        while Edge(head.i + ell, head.j + ell) in pending:
+            pending.remove(Edge(head.i + ell, head.j + ell))
+            ell += 1
+        runs.append(_Run(head.i, head.j, ell, m))
+    return runs
 
 
 def _entrants(optimum: Matching, kept: tuple[Edge, ...]) -> int:

@@ -303,6 +303,20 @@ def test_gen_deterministic(capsys, tmp_path):
     assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "1", "--k", "1", "--alphabet", "1"], "n must be >= 2, got 1"),
+    (["--n", "10", "--k", "1", "--alphabet", "3"], "3 symbols at cap 1 cannot fill n=10"),
+    (["--n", "8", "--k", "2", "--alphabet", "5", "--count", "-2"], "--count must be >= 0, got -2"),
+])
+def test_gen_bad_flags_exit_2(capsys, tmp_path, flags, message):
+    out_dir = tmp_path / "batch"
+    code, out, err = run(capsys, "gen", *flags, "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------- bench
 
 def strip_ms(text):

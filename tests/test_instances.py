@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duomatch import instances
-from duomatch.core import DuoGraph, Edge, InvariantError, Matching, compatible, parse_instance
+from duomatch.core import (
+    DuoGraph,
+    Edge,
+    InvariantError,
+    Matching,
+    _positions,
+    compatible,
+    parse_instance,
+)
 from duomatch.exact import exact_max_matching
 from duomatch.fileio import parse_graph, parse_matching_edges
 from duomatch.instances import (
@@ -286,23 +294,33 @@ def test_checklist_counts_one_entrant_scan_per_subset(monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_run_table_rows_match_runs_compatible(m):
-    runs = instances._candidate_runs(m, 3)
-    table = instances._RunTable(runs, m)
-    assert table.all == (1 << len(runs)) - 1
+    """Rows, anchor masks, run covers and spreads read off the grid's
+    conflict index agree with the run helpers as first written."""
+    table = instances._RunTable(m, 3)
+    assert table.runs == sorted((i, j, ell) for i in range(1, m + 1) for j in range(1, m + 1)
+                                for ell in (2, 3) if i != j and max(i, j) + ell - 1 <= m)
+    assert table.all == (1 << len(table.runs)) - 1
+    runs = [ref._Run(i, j, ell, m) for i, j, ell in table.runs]
+    fields = instances._CoverFields(m, 3)
     for k, r in enumerate(runs):
-        expected = sum(1 << x for x, s in enumerate(runs) if instances._runs_compatible(r, s))
+        expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
         assert table.row(k) == expected
+        assert table.covers[k] == r.cover_mask
+        spread = sum(1 << fields.width * (p - 1) + t for t, e in enumerate(r.edges)
+                     for p in {e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1} if 1 <= p <= m)
+        covers = [table.edge_covers[e] for e in _positions(table.masks[k])]
+        assert fields.spread(covers) == spread
     # anchor runs of any length need not be in the table
     for i, j in combinations(range(1, m + 1), 2):
         for a, b in ((i, j), (j, i)):
             for ell in (1, 4):
                 if max(a, b) + ell - 1 > m:
                     continue
-                r = instances._Run(a, b, ell, m)
-                expected = sum(
-                    1 << x for x, s in enumerate(runs) if instances._runs_compatible(r, s)
-                )
-                assert table.compatible_mask(r) == expected
+                r = ref._Run(a, b, ell, m)
+                mask = table.mask((a, b, ell))
+                expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
+                assert table.compatible_mask(mask) == expected
+                assert table.cover(mask) == r.cover_mask
 
 
 @st.composite
@@ -450,4 +468,32 @@ def gap_specs(draw):
 @settings(max_examples=40, deadline=None)
 @given(gap_specs())
 def test_gap_search_matches_reference_on_random_specs(spec):
+    assert_search_matches_reference(spec)
+
+
+def test_gap_spec_takes_raw_tuple_anchors():
+    spec = GapSearchSpec(m=12, matching_size=6, anchors=((3, 6), (2, 5)), caps=(1, 2, 3))
+    assert spec == GapSearchSpec(m=12, matching_size=6, anchors=(Edge(2, 5), Edge(3, 6)),
+                                 caps=(1, 2, 3))
+    assert all(type(a) is Edge for a in spec.anchors)
+    found = search_gap_instance(spec)
+    assert found.matching == Matching([(2, 5), (3, 6), (5, 8), (6, 9), (10, 1), (11, 2)])
+
+
+def test_gap_spec_ignores_repeated_anchors():
+    spec = GapSearchSpec(m=6, matching_size=4, caps=(0,),
+                         anchors=(Edge(2, 1), Edge(2, 1), Edge(3, 2)))
+    assert spec.anchors == (Edge(2, 1), Edge(3, 2))
+    found = search_gap_instance(spec)
+    assert found.matching == Matching([(2, 1), (3, 2), (5, 4), (6, 5)])
+
+
+@pytest.mark.parametrize("anchors", [
+    ((2, 5), (3, 6), (2, 8), (3, 9)),  # two runs on A-positions 2 and 3
+    ((2, 5), (3, 6), (4, 9), (5, 10)),  # (3, 6) and (4, 9) on consecutive A-positions
+])
+def test_gap_search_rejects_conflicting_anchor_runs(anchors):
+    spec = GapSearchSpec(m=12, matching_size=6, anchors=tuple(Edge(*a) for a in anchors),
+                         caps=(1, 2, 3))
+    assert search_gap_instance(spec) is None
     assert_search_matches_reference(spec)
