@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Per-layer wall times over a fixed scaling corpus, written to JSON.
 
-Each row times one layer on one seeded input, best of three runs, and
-records the work it did: the graph size |E|, the size |M| of the result
+Each row times one layer on one seeded input over five runs, records the
+least (``best_s``) and the median (``median_s``) wall time, and records
+the work it did: the graph size |E|, the size |M| of the result
 and, for the exact solver, the branch-and-bound nodes.  Rows:
 
 * ``from_strings`` and ``local_search`` at rho 1 on balanced pairs
@@ -25,7 +26,9 @@ conflict index.  Comparing a change against its parent on one machine is
     python3 scripts/bench_layers.py --src ../parent/src --label old
 
 which writes ``BENCH_new.json`` and ``BENCH_old.json`` in the current
-directory.  Stdlib only; about a minute on a 2-core x86-64 VM.
+directory.  The median is the figure to compare: on a shared machine the
+best of a few runs still moved by 40% between back-to-back runs of
+unchanged code.  Stdlib only; about two minutes on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-REPEATS = 3
+REPEATS = 5
 
 
 def balanced_pair(n: int, alphabet: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -54,15 +58,16 @@ def balanced_pair(n: int, alphabet: int, seed: int) -> tuple[tuple[str, ...], tu
     return tuple(a), tuple(b)
 
 
-def best_of(run) -> tuple[float, object]:
-    """Least wall time of ``REPEATS`` calls of ``run(start)``, where ``run``
-    does its untimed set-up, calls ``start()`` and returns its result."""
-    best, result = float("inf"), None
+def timed(run) -> tuple[dict[str, float], object]:
+    """Least and median wall time of ``REPEATS`` calls of ``run(start)``,
+    where ``run`` does its untimed set-up, calls ``start()`` and returns its
+    result."""
+    times, result = [], None
     for _ in range(REPEATS):
         began = []
         result = run(lambda: began.append(time.perf_counter()))
-        best = min(best, time.perf_counter() - began[0])
-    return best, result
+        times.append(time.perf_counter() - began[0])
+    return {"best_s": min(times), "median_s": statistics.median(times)}, result
 
 
 def rows(work: str):
@@ -81,8 +86,8 @@ def rows(work: str):
             start()
             return DuoGraph.from_strings(inst)
 
-        t, g = best_of(build)
-        yield {"name": f"from_strings balanced({n},{alphabet})", "best_s": t, "E": len(g.edges)}
+        t, g = timed(build)
+        yield {"name": f"from_strings balanced({n},{alphabet})", **t, "E": len(g.edges)}
 
     for n, alphabet, rho in ((700, 70, 1), (2000, 100, 1), (4000, 60, 1), (300, 10, 5)):
         pair = balanced_pair(n, alphabet, 2017)
@@ -93,8 +98,8 @@ def rows(work: str):
             start()
             return g, localsearch.local_search(g, config)[0]
 
-        t, (g, m) = best_of(search)
-        yield {"name": f"local_search rho={rho} balanced({n},{alphabet})", "best_s": t,
+        t, (g, m) = timed(search)
+        yield {"name": f"local_search rho={rho} balanced({n},{alphabet})", **t,
                "E": len(g.edges), "M": len(m)}
 
     for n, seed in ((40, 7), (48, 9)):
@@ -105,8 +110,8 @@ def rows(work: str):
             start()
             return g, exact_max_matching(g)
 
-        t, (g, result) = best_of(solve_exact)
-        yield {"name": f"exact balanced({n},4) seed {seed}", "best_s": t, "E": len(g.edges),
+        t, (g, result) = timed(solve_exact)
+        yield {"name": f"exact balanced({n},4) seed {seed}", **t, "E": len(g.edges),
                "M": result.value, "nodes": result.nodes_explored}
 
     ident = [f"x{t}" for t in range(2000)]
@@ -124,9 +129,9 @@ def rows(work: str):
                 raise RuntimeError(f"{command} exited {code}")
             return out.getvalue()
 
-        t, text = best_of(run_command)
+        t, text = timed(run_command)
         size = next(int(ln.split()[1]) for ln in text.splitlines() if ln.startswith(key + " "))
-        row = {"name": f"{command} identity(2000)", "best_s": t, "E": len(g.edges), "M": size}
+        row = {"name": f"{command} identity(2000)", **t, "E": len(g.edges), "M": size}
         if command == "exact":
             row["nodes"] = exact_max_matching(g).nodes_explored
         yield row
@@ -139,8 +144,8 @@ def rows(work: str):
             start()
             return instances.search_gap_instance(spec)
 
-        t, found = best_of(gap)
-        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}", "best_s": t,
+        t, found = timed(gap)
+        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}", **t,
                "found": found is not None}
 
 
@@ -155,7 +160,8 @@ def main() -> int:
     out = []
     with tempfile.TemporaryDirectory() as work:
         for row in rows(work):
-            row["best_s"] = round(row["best_s"], 4)
+            for key in ("best_s", "median_s"):
+                row[key] = round(row[key], 4)
             print(json.dumps(row), flush=True)
             out.append(row)
     report = {

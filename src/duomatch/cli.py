@@ -52,12 +52,12 @@ def cmd_solve(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_json_lines())
-    for e in matching:
-        print(e)
-    print(f"preserved {len(matching)}")
+    lines = [f"{e}\n" for e in matching]
+    lines.append(f"preserved {len(matching)}\n")
     if inst is not None:
         blocks = partition_from_matching(inst, matching)
-        print("partition: " + " | ".join(" ".join(b) for b in blocks))
+        lines.append("partition: " + " | ".join(" ".join(b) for b in blocks) + "\n")
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -186,28 +186,33 @@ def _index(edges: tuple[Edge, ...]) -> ConflictIndex:
     with any integer positions: by :func:`compatible`, which reads only
     offsets, the edges conflicting with (i, j) are those on A-positions
     i-1..i+1 or B-positions j-1..j+1, less (i, j) and its two parallel
-    neighbours, so each conflict mask is an OR of six bucket masks."""
+    neighbours.  So each conflict mask is the union of rows i-1..i+1 OR
+    the union of columns j-1..j+1, each union built once per distinct
+    position, less the edge and its parallel neighbours, which are found
+    by looking up (i-1, j-1) and (i+1, j+1) in ``pos``."""
     pos = {e: k for k, e in enumerate(edges)}
     on_i: dict[int, int] = {}
     on_j: dict[int, int] = {}
-    for e, k in pos.items():
-        on_i[e.i] = on_i.get(e.i, 0) | 1 << k
-        on_j[e.j] = on_j.get(e.j, 0) | 1 << k
-    par = tuple(
-        sum(
-            1 << pos[f]
-            for f in (Edge(e.i - 1, e.j - 1), Edge(e.i + 1, e.j + 1))
-            if f in pos
-        )
-        for e in edges
-    )
-    conf = tuple(
-        (on_i.get(e.i - 1, 0) | on_i[e.i] | on_i.get(e.i + 1, 0)
-         | on_j.get(e.j - 1, 0) | on_j[e.j] | on_j.get(e.j + 1, 0))
-        & ~(1 << k | p)
-        for (e, k), p in zip(pos.items(), par)
-    )
-    return ConflictIndex(pos, conf, par)
+    for (i, j), k in pos.items():
+        bit = 1 << k
+        on_i[i] = on_i.get(i, 0) | bit
+        on_j[j] = on_j.get(j, 0) | bit
+    near_i = {i: on_i.get(i - 1, 0) | row | on_i.get(i + 1, 0) for i, row in on_i.items()}
+    near_j = {j: on_j.get(j - 1, 0) | col | on_j.get(j + 1, 0) for j, col in on_j.items()}
+    get = pos.get
+    par = []
+    conf = []
+    for (i, j), k in pos.items():
+        p = 0
+        f = get((i - 1, j - 1))
+        if f is not None:
+            p = 1 << f
+        f = get((i + 1, j + 1))
+        if f is not None:
+            p |= 1 << f
+        par.append(p)
+        conf.append((near_i[i] | near_j[j]) & ~(1 << k | p))
+    return ConflictIndex(pos, tuple(conf), tuple(par))
 
 
 class DuoGraph:
@@ -238,16 +243,12 @@ class DuoGraph:
         """Build the duo graph of a string pair: edge (i, j) iff duo i of A
         equals duo j of B as an ordered symbol pair."""
         a, b = inst.a, inst.b
-        m = inst.n - 1
         duo_positions: dict[tuple[str, str], list[int]] = {}
-        for j in range(1, m + 1):
-            duo_positions.setdefault((b[j - 1], b[j]), []).append(j)
-        edges = [
-            Edge(i, j)
-            for i in range(1, m + 1)
-            for j in duo_positions.get((a[i - 1], a[i]), ())
-        ]
-        return cls(m, edges)
+        for j, duo in enumerate(zip(b, b[1:]), 1):
+            duo_positions.setdefault(duo, []).append(j)
+        get = duo_positions.get
+        edges = [(i, j) for i, duo in enumerate(zip(a, a[1:]), 1) for j in get(duo, ())]
+        return cls(inst.n - 1, edges)
 
     @property
     def index(self) -> ConflictIndex:

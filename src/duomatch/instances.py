@@ -226,7 +226,7 @@ class GapSearchSpec:
     so the default keeps the space small, and raising it widens the search
     at a steep cost.  ``anchors`` may hold edges or ``(i, j)`` tuples, in
     any order and with repeats; the spec keeps them as a sorted tuple of
-    distinct edges.
+    distinct edges.  ``m`` must be at least 1 (ValueError otherwise).
     """
 
     m: int
@@ -237,6 +237,8 @@ class GapSearchSpec:
     max_nodes: int = 5_000_000
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"GapSearchSpec needs m >= 1, got m={self.m}")
         object.__setattr__(self, "anchors", tuple(sorted({Edge(*a) for a in self.anchors})))
 
 

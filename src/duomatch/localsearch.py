@@ -38,8 +38,10 @@ edge.
 Every matching a move returns is built from its mask by
 ``Matching._of_mask``, which still checks it for conflicts and keeps the
 graph and mask, so the next move reads the mask back instead of rebuilding
-it from the edges.  Trace steps and singleton counts are computed on the
-masks too.
+it from the edges.  Trace steps are computed on the masks too.  Reduce's
+acceptance test and the trace's singleton counts read only the edges a
+move swaps and their parallel neighbours (:func:`_singleton_change`), not
+the whole matching.
 """
 
 from __future__ import annotations
@@ -410,13 +412,44 @@ def _grows(mask: int) -> bool:
     return True
 
 
+def _lonely(par: tuple[int, ...], edges: int, mask: int) -> int:
+    """Number of edges in ``edges`` with no parallel neighbour in ``mask``."""
+    count = 0
+    while edges:
+        low = edges & -edges
+        if not par[low.bit_length() - 1] & mask:
+            count += 1
+        edges ^= low
+    return count
+
+
+def _singleton_change(par: tuple[int, ...], before: int, after: int) -> int:
+    """Singletons of mask ``after`` less those of mask ``before``, read on
+    the edges that differ and their parallel neighbours only.
+
+    An edge outside them is in both masks or in neither, and so are its
+    parallel neighbours, since ``par`` is symmetric: its status is the
+    same on both sides.  The cost is O(number of changed edges), not
+    O(size of the masks).
+    """
+    near = rest = before ^ after
+    while rest:
+        low = rest & -rest
+        near |= par[low.bit_length() - 1]
+        rest ^= low
+    return _lonely(par, after & near, after) - _lonely(par, before & near, before)
+
+
 def _lowers_singletons(g: DuoGraph, matching: Matching):
     """Acceptance test of the reduce move, or None when the matching has
-    no singleton to lose."""
-    base = _singletons(g, _mask(g, matching))
-    if base == 0:
+    no singleton to lose.  The test compares a candidate mask with the
+    matching's only on the edges it changed and their parallel neighbours
+    (:func:`_singleton_change`), so each call costs O(rho), not O(|M|)."""
+    m_mask = _mask(g, matching)
+    if not _singletons(g, m_mask):
         return None
-    return lambda mask: _singletons(g, mask) < base
+    par = g.index.par
+    return lambda mask: _singleton_change(par, m_mask, mask) < 0
 
 
 def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
@@ -459,10 +492,14 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
     """
     steps: list[TraceStep] = []
     current = Matching._of_mask(g, 0)
+    singles = 0  # singleton count of current, carried across the steps
     iteration = 0
 
     def record(phase: str, before: Matching, after: Matching) -> None:
+        nonlocal singles
         b, a = _mask(g, before), _mask(g, after)
+        singles_before = singles
+        singles += _singleton_change(g.index.par, b, a)
         # tuples from lists: tuple() over a generator grows and then shrinks
         # its result, and over many runs that fragments the heap measurably
         steps.append(
@@ -471,8 +508,8 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
                 phase=phase,
                 size_before=len(before),
                 size_after=len(after),
-                singletons_before=_singletons(g, b),
-                singletons_after=_singletons(g, a),
+                singletons_before=singles_before,
+                singletons_after=singles,
                 removed=tuple([g.edges[k] for k in _positions(b & ~a)]),
                 added=tuple([g.edges[k] for k in _positions(a & ~b)]),
             )

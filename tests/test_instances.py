@@ -471,6 +471,16 @@ def test_gap_search_matches_reference_on_random_specs(spec):
     assert_search_matches_reference(spec)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_gap_spec_rejects_m_below_one(m):
+    with pytest.raises(ValueError, match=f"m={m}"):
+        GapSearchSpec(m=m, matching_size=0, anchors=())
+
+
+def test_gap_search_on_one_position_finds_nothing():
+    assert search_gap_instance(GapSearchSpec(m=1, matching_size=0, anchors=())) is None
+
+
 def test_gap_spec_takes_raw_tuple_anchors():
     spec = GapSearchSpec(m=12, matching_size=6, anchors=((3, 6), (2, 5)), caps=(1, 2, 3))
     assert spec == GapSearchSpec(m=12, matching_size=6, anchors=(Edge(2, 5), Edge(3, 6)),

@@ -378,6 +378,56 @@ def test_traces_match_reference(monkeypatch):
     assert any(PHASE_REDUCE in t for t in ours) and any(PHASE_REPLACE in t for t in ours)
 
 
+def test_trace_singleton_counts_match_replay():
+    """Every step's singleton counts are those of the matching rebuilt from
+    the trace's removed and added edges, counted by singleton_partition."""
+    steps_seen = set()
+    for g in seeded_string_pairs(8):
+        for rho in (1, 3, 5):
+            for order in (SCAN_LEX, SCAN_REVERSE_LEX):
+                matching, trace = local_search(g, SolverConfig(rho=rho, scan_order=order))
+                current: set[Edge] = set()
+                for step in trace.steps:
+                    assert step.size_before == len(current)
+                    assert step.singletons_before == singles_count(current)
+                    assert set(step.removed) <= current
+                    current = current.difference(step.removed).union(step.added)
+                    assert step.size_after == len(current)
+                    assert step.singletons_after == singles_count(current)
+                    steps_seen.add(step.phase)
+                assert current == set(matching.edges)
+    assert {PHASE_GREEDY, PHASE_REPLACE, PHASE_REDUCE, PHASE_TERMINATE} <= steps_seen
+
+
+@st.composite
+def near_masks(draw):
+    """A graph, a maximal matching of it and a mask that differs from the
+    matching's in up to six bits."""
+    g = draw(graphs(max_edges=20))
+    m = greedy_maximal(g, config=SolverConfig(seed=draw(st.integers(0, 99))))
+    ks = range(len(g.edges))
+    flips = draw(st.sets(st.sampled_from(ks), max_size=6)) if ks else set()
+    return g, m, localsearch._mask(g, m) ^ sum(1 << k for k in flips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_masks())
+def test_reduce_acceptance_reads_changed_edges_exactly(case):
+    """The singleton change read off the changed edges equals a full
+    recount, and reduce's test accepts exactly the masks with fewer
+    singletons than the matching."""
+    g, m, mask = case
+    m_mask = localsearch._mask(g, m)
+    edges_of = lambda bits: [g.edges[k] for k in localsearch._positions(bits)]
+    change = localsearch._singleton_change(g.index.par, m_mask, mask)
+    assert change == singles_count(edges_of(mask)) - singles_count(edges_of(m_mask))
+    accept = localsearch._lowers_singletons(g, m)
+    if accept is None:
+        assert singles_count(m) == 0
+    else:
+        assert accept(mask) == (localsearch._singletons(g, mask) < localsearch._singletons(g, m_mask))
+
+
 @pytest.mark.parametrize("rho", [1, 5])
 def test_each_step_still_checks_compatibility(monkeypatch, demo_graph, rho):
     """A swap search that returns a conflicting edge set makes the run
