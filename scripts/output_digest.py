@@ -5,9 +5,12 @@ Writes a seeded corpus of string pairs (dense small-alphabet pairs, sparse
 pairs, identity pairs) next to the files in ``fixtures/`` and prints one
 SHA-256 per input and flag set:
 
-* ``solve`` stdout plus its ``--trace`` file at rho 1, 3 and 5, and with
-  ``--scan-order reverse-lex --seed 3``;
+* ``solve`` stdout plus its ``--trace`` file at rho 1, 3 and 5, with
+  ``--scan-order reverse-lex --seed 3``, and with ``--rho 1 --no-reduce``
+  (the plain hill climber);
 * the ``LocalOptCertificate`` of the greedy matching at rho 1 to 5;
+* ``replace_step`` and ``reduce_step`` of the greedy matching at rho 1 to 5,
+  in both scan orders;
 * ``exact`` stdout;
 * ``tokens`` exit code, stdout and stderr for the greedy matching against
   the exact witness, and with the two roles swapped;
@@ -54,6 +57,7 @@ SOLVE_FLAGS = (
     ("rho3", ["--rho", "3"]),
     ("rho5", ["--rho", "5"]),
     ("reverse-seed3", ["--scan-order", "reverse-lex", "--seed", "3"]),
+    ("rho1-no-reduce", ["--rho", "1", "--no-reduce"]),
 )
 
 #: (m, matching_size, anchors, caps, max_run_length) of the gap searches:
@@ -146,6 +150,13 @@ def digests(paths: list[str]):
             cfg = localsearch.SolverConfig(rho=rho)
             certs.append(repr(localsearch.is_local_optimum(g, greedy, cfg)))
         yield f"certificates {name}", sha("\n".join(certs).encode())
+        moves = [
+            repr(step(g, greedy, rho, order))
+            for step in (localsearch.replace_step, localsearch.reduce_step)
+            for rho in range(1, 6)
+            for order in (localsearch.SCAN_LEX, localsearch.SCAN_REVERSE_LEX)
+        ]
+        yield f"moves {name}", sha("\n".join(moves).encode())
         yield f"exact {name}", sha(run_cli(main, ["exact", name]))
         witness = exact_max_matching(g).witness
         write_edges("greedy.txt", greedy.edges)

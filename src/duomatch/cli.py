@@ -23,7 +23,7 @@ from .core import (
     Matching,
     ParseError,
     _conflicting_pairs,
-    is_compatible_matching,
+    _matching_on,
     partition_from_matching,
 )
 from .exact import BudgetExceededError, exact_max_matching
@@ -62,6 +62,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise ParseError(f"--budget must be >= 0, got {args.budget}")
     g, _ = fileio.load_problem(args.input, args.format)
     try:
         result = exact_max_matching(g, budget=args.budget)
@@ -125,14 +127,15 @@ def cmd_tokens(args) -> int:
     g, _ = fileio.load_problem(args.input, args.format)
     m_edges = fileio.load_matching_edges(args.matching)
     opt_edges = fileio.load_matching_edges(args.optimum)
-    for name, es in (("matching", m_edges), ("optimum", opt_edges)):
-        if not is_compatible_matching(g, es):
+    # built on the graph once, so the report and the checks read the masks back
+    matching, optimum = _matching_on(g, m_edges), _matching_on(g, opt_edges)
+    for name, built in (("matching", matching), ("optimum", optimum)):
+        if built is None:
             print(
                 json.dumps({"error": f"{name} is not a compatible matching of the graph"}),
                 file=sys.stderr,
             )
             return EXIT_CHECK_FAILED
-    matching, optimum = Matching(m_edges), Matching(opt_edges)
     try:
         report = analysis.token_report(g, matching, optimum)
     except localsearch.NotMaximalError as exc:
@@ -386,7 +389,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (instances.SearchBudgetError, MemoryError) as exc:
+    except (instances.SearchBudgetError, localsearch.IterationCapError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except DuoError as exc:

@@ -398,14 +398,20 @@ def _mask(g: DuoGraph, matching: Matching) -> int:
         raise EdgeNotInGraphError(f"edge {exc.args[0]} not in graph") from None
 
 
-def is_compatible_matching(g: DuoGraph, edges) -> bool:
-    """True iff every edge belongs to ``g`` and all pairs are compatible."""
+def _matching_on(g: DuoGraph, edges) -> Matching | None:
+    """The matching of ``edges`` built on ``g`` by :meth:`Matching._of_mask`,
+    so later steps read its mask back; None when an edge is not in ``g`` or
+    two edges conflict."""
     pos = g.index.pos
     try:
-        Matching._of_mask(g, sum(1 << k for k in {pos[Edge(*e)] for e in edges}))
+        return Matching._of_mask(g, sum(1 << k for k in {pos[Edge(*e)] for e in edges}))
     except (KeyError, IncompatibleEdgesError):
-        return False
-    return True
+        return None
+
+
+def is_compatible_matching(g: DuoGraph, edges) -> bool:
+    """True iff every edge belongs to ``g`` and all pairs are compatible."""
+    return _matching_on(g, edges) is not None
 
 
 def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:

@@ -61,10 +61,13 @@ def _cover_within(conf: tuple[int, ...], rest: int, slack: int) -> bool:
 def exact_max_matching(g: DuoGraph, budget: int | None = None) -> ExactResult:
     """Maximum pairwise-compatible edge set of ``g``.
 
-    ``budget`` caps explored nodes, the root included; on exhaustion
-    BudgetExceededError is raised with the incumbent attached.  Deterministic
-    for a given graph.
+    ``budget`` caps explored nodes, the root included, so 0 stops at the
+    root; on exhaustion BudgetExceededError is raised with the incumbent
+    attached, and a negative budget raises ValueError.  Deterministic for a
+    given graph.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     conf = g.index.conf
     best_mask, best = 0, 0
     nodes = 1

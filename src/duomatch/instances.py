@@ -226,7 +226,8 @@ class GapSearchSpec:
     so the default keeps the space small, and raising it widens the search
     at a steep cost.  ``anchors`` may hold edges or ``(i, j)`` tuples, in
     any order and with repeats; the spec keeps them as a sorted tuple of
-    distinct edges.  ``m`` must be at least 1 (ValueError otherwise).
+    distinct edges.  ``m`` must be at least 1 and ``max_nodes`` at least 0
+    (ValueError otherwise).
     """
 
     m: int
@@ -239,6 +240,8 @@ class GapSearchSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"GapSearchSpec needs m >= 1, got m={self.m}")
+        if self.max_nodes < 0:
+            raise ValueError(f"GapSearchSpec needs max_nodes >= 0, got max_nodes={self.max_nodes}")
         object.__setattr__(self, "anchors", tuple(sorted({Edge(*a) for a in self.anchors})))
 
 

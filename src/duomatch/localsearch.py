@@ -35,13 +35,17 @@ number system.  So every trace, and every count in a
 visits each subset in order and tests each graph edge against each kept
 edge.
 
-Every matching a move returns is built from its mask by
-``Matching._of_mask``, which still checks it for conflicts and keeps the
-graph and mask, so the next move reads the mask back instead of rebuilding
-it from the edges.  Trace steps are computed on the masks too.  Reduce's
-acceptance test and the trace's singleton counts read only the edges a
-move swaps and their parallel neighbours (:func:`_singleton_change`), not
-the whole matching.
+One :class:`_SwapState` carries what the moves read: the matching's mask,
+size and singleton count, and its entrant map.  :func:`local_search` keeps
+one state for the whole run and moves it after every step; a move updates
+the count from the changed edges and their parallel neighbours
+(:func:`_singleton_change`) and the entrants from the changed edges and
+their conflicts, not from the whole matching or graph.  Replace, reduce and
+:func:`is_local_optimum` all search from a state through one "replace,
+else reduce" method; the public :func:`replace_step` and
+:func:`reduce_step` build a fresh one.  Every matching a move returns is
+still built from its mask by ``Matching._of_mask``, which checks it for
+conflicts.  Reduce's acceptance test reads the changed edges only too.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import DuoError, DuoGraph, Edge, InvariantError, Matching, _mask, _parallels, _positions
+from .core import DuoError, DuoGraph, Edge, InvariantError, Matching, _mask, _positions
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -158,11 +162,6 @@ class LocalOptCertificate:
 
 def _ordered(items, scan_order: str) -> list:
     return sorted(items, reverse=(scan_order == SCAN_REVERSE_LEX))
-
-
-def _singletons(g: DuoGraph, mask: int) -> int:
-    """Number of edges in ``mask`` with no parallel neighbour in ``mask``."""
-    return (mask & ~_parallels(g, mask)).bit_count()
 
 
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
@@ -366,48 +365,6 @@ def _rank(m_mask: int, x: int, reverse: bool) -> int:
     return comb(n, r) - 1 - sum(comb(n - 1 - t, r - i) for i, t in enumerate(idx))
 
 
-def _first_swap(g: DuoGraph, matching: Matching, rho: int, scan_order: str,
-                size: int, accept) -> tuple[Matching | None, int]:
-    """The swap enumerator behind replace and reduce.
-
-    Returns the first matching of ``size`` edges within swap distance rho of
-    ``matching`` that passes ``accept`` (a test on its mask), together with
-    the number of rho-subsets of the matching a plain scan visits to find
-    it.  When the matching has at most rho edges every compatible
-    ``size``-subset of the graph is a candidate and the count is 0.
-    Otherwise the rho-subsets X are ordered lexicographically over the
-    matching in scan order.  The entrants of X are the non-matching edges
-    whose conflicts with the matching are non-empty and lie inside X (for a
-    maximal matching no other edge can enter), and the pool X plus entrants
-    is searched in scan order for the incoming edges.  ``size`` is one more
-    than the matching (replace) or equal to it with ``accept`` the
-    singleton test (reduce).  :func:`_first_x` finds the first X that
-    admits a move straight from the cores of the matching, so only that X
-    is searched; the count is its rank plus 1, or C(|M|, rho) when no X
-    admits a move.
-    """
-    conf = g.index.conf
-    reverse = scan_order == SCAN_REVERSE_LEX
-    if len(matching) <= rho:
-        found = _first_subset((1 << len(g.edges)) - 1, conf, size, 0, accept, reverse)
-        return (None if found is None else Matching._of_mask(g, found)), 0
-    m_mask = _mask(g, matching)
-    inside = {}
-    for k, c in enumerate(conf):
-        c &= m_mask
-        if c and not m_mask >> k & 1 and c.bit_count() <= rho:
-            inside[k] = c
-    gain = size - len(matching)
-    x = _first_x(g, m_mask, inside, rho, gain, accept, reverse) if inside else None
-    if x is None:
-        return None, comb(len(matching), rho)
-    entering = sum(1 << k for k, c in inside.items() if not c & ~x)
-    found = _first_subset(x | entering, conf, rho + gain, m_mask & ~x, accept, reverse)
-    if found is None:
-        raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
-    return Matching._of_mask(g, found), _rank(m_mask, x, reverse) + 1
-
-
 def _grows(mask: int) -> bool:
     return True
 
@@ -440,16 +397,92 @@ def _singleton_change(par: tuple[int, ...], before: int, after: int) -> int:
     return _lonely(par, after & near, after) - _lonely(par, before & near, before)
 
 
-def _lowers_singletons(g: DuoGraph, matching: Matching):
-    """Acceptance test of the reduce move, or None when the matching has
-    no singleton to lose.  The test compares a candidate mask with the
-    matching's only on the edges it changed and their parallel neighbours
-    (:func:`_singleton_change`), so each call costs O(rho), not O(|M|)."""
-    m_mask = _mask(g, matching)
-    if not _singletons(g, m_mask):
-        return None
-    par = g.index.par
-    return lambda mask: _singleton_change(par, m_mask, mask) < 0
+class _SwapState:
+    """The matching a search is at, with what its moves read: its mask,
+    size and singleton count, and ``inside``, which maps each entrant (a
+    non-matching edge whose conflicts with the matching are non-empty and
+    number at most rho) to those conflicts.  For a maximal matching no other
+    edge can enter a swap.
+
+    :meth:`move` is the only update, and a fresh state is the move from the
+    empty matching, so a state built for one query and one carried across a
+    whole run hold the same fields.  A move reads only the changed edges,
+    their parallel neighbours for the count and their conflicts for the
+    entrants: an edge outside both keeps its membership and its conflicts
+    in the matching.
+    """
+
+    def __init__(self, g: DuoGraph, rho: int, scan_order: str, m_mask: int = 0) -> None:
+        self.g, self.rho = g, rho
+        self.reverse = scan_order == SCAN_REVERSE_LEX
+        self.mask = self.size = self.singles = 0
+        self.inside: dict[int, int] = {}
+        self.move(m_mask)
+
+    def move(self, mask: int) -> None:
+        """Make ``mask`` the matching."""
+        conf, inside, rho = self.g.index.conf, self.inside, self.rho
+        changed = near = self.mask ^ mask
+        for k in _positions(changed):
+            near |= conf[k]
+        self.singles += _singleton_change(self.g.index.par, self.mask, mask)
+        self.mask, self.size = mask, mask.bit_count()
+        for k in _positions(near):
+            c = conf[k] & mask
+            if c and not mask >> k & 1 and c.bit_count() <= rho:
+                inside[k] = c
+            else:
+                inside.pop(k, None)
+
+    def lowers(self, mask: int) -> bool:
+        """Reduce's acceptance test: ``mask`` has fewer singletons than the
+        matching, read on the changed edges only (:func:`_singleton_change`),
+        so each call costs O(rho), not O(|M|)."""
+        return _singleton_change(self.g.index.par, self.mask, mask) < 0
+
+    def swap(self, gain: int, accept) -> tuple[int | None, int]:
+        """The swap enumerator behind replace (``gain`` 1, every result
+        accepted) and reduce (``gain`` 0, ``accept`` :meth:`lowers`).
+
+        Returns the mask of the first matching of size + ``gain`` edges
+        within swap distance rho that passes ``accept``, or None, together
+        with the number of rho-subsets of the matching a plain scan visits
+        to find it.  When the matching has at most rho edges every
+        compatible subset of the graph is a candidate and the count is 0.
+        Otherwise the rho-subsets X are ordered lexicographically over the
+        matching in scan order, and the pool X plus the entrants whose
+        conflicts lie inside X is searched in scan order for the incoming
+        edges.  :func:`_first_x` finds the first X that admits a move
+        straight from the cores of the matching, so only that X is
+        searched; the count is its rank plus 1, or C(|M|, rho) when no X
+        admits a move.
+        """
+        conf, rho, reverse, m_mask = self.g.index.conf, self.rho, self.reverse, self.mask
+        if self.size <= rho:
+            return _first_subset((1 << len(conf)) - 1, conf, self.size + gain, 0, accept, reverse), 0
+        inside = self.inside
+        x = _first_x(self.g, m_mask, inside, rho, gain, accept, reverse) if inside else None
+        if x is None:
+            return None, comb(self.size, rho)
+        entering = sum(1 << k for k, c in inside.items() if not c & ~x)
+        found = _first_subset(x | entering, conf, rho + gain, m_mask & ~x, accept, reverse)
+        if found is None:
+            raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
+        return found, _rank(m_mask, x, reverse) + 1
+
+    def reduce(self) -> tuple[int | None, int]:
+        """:meth:`swap` for reduce; no move and a count of 0 when the
+        matching has no singleton to lose."""
+        return self.swap(0, self.lowers) if self.singles else (None, 0)
+
+    def improve(self, use_reduce: bool) -> tuple[int | None, int, int]:
+        """The first replace, else (with ``use_reduce``) the first reduce:
+        the mask found or None, and the replace and reduce scan counts."""
+        found, replace_scanned = self.swap(1, _grows)
+        reduce_scanned = 0
+        if found is None and use_reduce:
+            found, reduce_scanned = self.reduce()
+        return found, replace_scanned, reduce_scanned
 
 
 def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
@@ -464,7 +497,8 @@ def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
     X in the replacement realizes every narrower swap, so widths below rho
     need no separate pass.
     """
-    return _first_swap(g, matching, rho, scan_order, len(matching) + 1, _grows)[0]
+    found = _SwapState(g, rho, scan_order, _mask(g, matching)).swap(1, _grows)[0]
+    return None if found is None else Matching._of_mask(g, found)
 
 
 def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
@@ -475,10 +509,8 @@ def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
     matching has at most rho edges, otherwise rho-for-rho swaps drawn from
     each dropped subset's entrant pool.
     """
-    accept = _lowers_singletons(g, matching)
-    if accept is None:
-        return None
-    return _first_swap(g, matching, rho, scan_order, len(matching), accept)[0]
+    found = _SwapState(g, rho, scan_order, _mask(g, matching)).reduce()[0]
+    return None if found is None else Matching._of_mask(g, found)
 
 
 def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Matching, SearchTrace]:
@@ -487,29 +519,29 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
 
     Each iteration re-extends greedily (recorded only when it adds edges),
     then tries replace, then reduce if enabled, and terminates when neither
-    applies.  Raises IterationCapError only when ``config.max_iterations``
-    is set and reached.
+    applies.  One :class:`_SwapState` follows the matching through the run.
+    Raises IterationCapError only when ``config.max_iterations`` is set and
+    reached.
     """
     steps: list[TraceStep] = []
+    state = _SwapState(g, config.rho, config.scan_order)
     current = Matching._of_mask(g, 0)
-    singles = 0  # singleton count of current, carried across the steps
     iteration = 0
 
-    def record(phase: str, before: Matching, after: Matching) -> None:
-        nonlocal singles
-        b, a = _mask(g, before), _mask(g, after)
-        singles_before = singles
-        singles += _singleton_change(g.index.par, b, a)
+    def record(phase: str, after: Matching) -> None:
+        b, a = state.mask, _mask(g, after)
+        size_before, singles_before = state.size, state.singles
+        state.move(a)
         # tuples from lists: tuple() over a generator grows and then shrinks
         # its result, and over many runs that fragments the heap measurably
         steps.append(
             TraceStep(
                 iteration=iteration,
                 phase=phase,
-                size_before=len(before),
-                size_after=len(after),
+                size_before=size_before,
+                size_after=state.size,
                 singletons_before=singles_before,
-                singletons_after=singles,
+                singletons_after=state.singles,
                 removed=tuple([g.edges[k] for k in _positions(b & ~a)]),
                 added=tuple([g.edges[k] for k in _positions(a & ~b)]),
             )
@@ -520,23 +552,16 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
             raise IterationCapError(current, SearchTrace(tuple(steps)))
         extended = greedy_maximal(g, current, config)
         if len(extended) > len(current):
-            record(PHASE_GREEDY, current, extended)
+            record(PHASE_GREEDY, extended)
         current = extended
-        swapped = replace_step(g, current, config.rho, config.scan_order)
-        if swapped is not None:
-            record(PHASE_REPLACE, current, swapped)
-            current = swapped
-            iteration += 1
-            continue
-        if config.use_reduce:
-            swapped = reduce_step(g, current, config.rho, config.scan_order)
-            if swapped is not None:
-                record(PHASE_REDUCE, current, swapped)
-                current = swapped
-                iteration += 1
-                continue
-        record(PHASE_TERMINATE, current, current)
-        return current, SearchTrace(tuple(steps))
+        found = state.improve(config.use_reduce)[0]
+        if found is None:
+            record(PHASE_TERMINATE, current)
+            return current, SearchTrace(tuple(steps))
+        swapped = Matching._of_mask(g, found)
+        record(PHASE_REPLACE if len(swapped) > len(current) else PHASE_REDUCE, swapped)
+        current = swapped
+        iteration += 1
 
 
 def is_local_optimum(g: DuoGraph, matching: Matching,
@@ -555,14 +580,9 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
     for k, e in enumerate(g.edges):
         if not (conf[k] | 1 << k) & m_mask:
             raise NotMaximalError(f"edge {e} extends the matching")
-    rho, order = config.rho, config.scan_order
-    swapped, replace_scanned = _first_swap(g, matching, rho, order, len(matching) + 1, _grows)
-    reduce_scanned = 0
-    if swapped is None and config.use_reduce:
-        accept = _lowers_singletons(g, matching)
-        if accept is not None:
-            swapped, reduce_scanned = _first_swap(g, matching, rho, order, len(matching), accept)
-    return swapped is None, LocalOptCertificate(
-        rho, config.use_reduce, len(matching), _singletons(g, m_mask),
-        len(matching) <= rho, replace_scanned, reduce_scanned,
+    state = _SwapState(g, config.rho, config.scan_order, m_mask)
+    found, replace_scanned, reduce_scanned = state.improve(config.use_reduce)
+    return found is None, LocalOptCertificate(
+        config.rho, config.use_reduce, state.size, state.singles,
+        state.size <= config.rho, replace_scanned, reduce_scanned,
     )

@@ -5,7 +5,9 @@ testing each graph edge against the matching with :func:`compatible`, and
 singleton counts come from :func:`singleton_partition`.  The solver in
 :mod:`duomatch.localsearch` runs the same scans over the graph's conflict
 bitmask index and must return exactly the same matchings, so that every
-trace stays byte-identical.
+trace stays byte-identical.  :func:`local_search` is the loop as it ran on
+the public moves, one call each per step, before the solver carried one
+swap state across the run; here it runs on the reference moves.
 """
 
 from __future__ import annotations
@@ -14,7 +16,18 @@ import random
 from itertools import combinations
 
 from duomatch.core import DuoGraph, Edge, Matching, compatible, singleton_partition
-from duomatch.localsearch import SCAN_LEX, SCAN_REVERSE_LEX, SolverConfig
+from duomatch.localsearch import (
+    PHASE_GREEDY,
+    PHASE_REDUCE,
+    PHASE_REPLACE,
+    PHASE_TERMINATE,
+    SCAN_LEX,
+    SCAN_REVERSE_LEX,
+    IterationCapError,
+    SearchTrace,
+    SolverConfig,
+    TraceStep,
+)
 
 
 def _ordered(edges, scan_order: str) -> list[Edge]:
@@ -120,3 +133,47 @@ def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
             if _singleton_count(candidate) < base:
                 return Matching(candidate)
     return None
+
+
+def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Matching, SearchTrace]:
+    steps: list[TraceStep] = []
+    current = Matching()
+    iteration = 0
+
+    def record(phase: str, before: Matching, after: Matching) -> None:
+        b, a = set(before.edges), set(after.edges)
+        steps.append(
+            TraceStep(
+                iteration=iteration,
+                phase=phase,
+                size_before=len(before),
+                size_after=len(after),
+                singletons_before=_singleton_count(before.edges),
+                singletons_after=_singleton_count(after.edges),
+                removed=tuple(sorted(b - a)),
+                added=tuple(sorted(a - b)),
+            )
+        )
+
+    while True:
+        if config.max_iterations is not None and iteration >= config.max_iterations:
+            raise IterationCapError(current, SearchTrace(tuple(steps)))
+        extended = greedy_maximal(g, current, config)
+        if len(extended) > len(current):
+            record(PHASE_GREEDY, current, extended)
+        current = extended
+        swapped = replace_step(g, current, config.rho, config.scan_order)
+        if swapped is not None:
+            record(PHASE_REPLACE, current, swapped)
+            current = swapped
+            iteration += 1
+            continue
+        if config.use_reduce:
+            swapped = reduce_step(g, current, config.rho, config.scan_order)
+            if swapped is not None:
+                record(PHASE_REDUCE, current, swapped)
+                current = swapped
+                iteration += 1
+                continue
+        record(PHASE_TERMINATE, current, current)
+        return current, SearchTrace(tuple(steps))

@@ -99,6 +99,21 @@ def test_exact_budget_exhausted(capsys, demo_file):
     assert out.startswith("budget-exceeded lower-bound ")
 
 
+def test_exact_budget_zero_stops_at_the_root(capsys, demo_file):
+    assert run(capsys, "exact", demo_file, "--budget", "0") == (
+        EXIT_BUDGET, "budget-exceeded lower-bound 0\n", "")
+
+
+def test_exact_negative_budget_is_a_usage_error(capsys, demo_file):
+    assert run(capsys, "exact", demo_file, "--budget", "-5") == (
+        EXIT_USAGE, "", "error: --budget must be >= 0, got -5\n")
+
+
+def test_solve_iteration_cap_exits_3(capsys, demo_file):
+    assert run(capsys, "solve", demo_file, "--max-iterations", "0") == (
+        EXIT_BUDGET, "", "error: iteration cap hit at size 0\n")
+
+
 @pytest.fixture
 def identity_2000(tmp_path):
     """A == B over 2000 distinct symbols: 1999 pairwise compatible edges,

@@ -111,6 +111,11 @@ def test_budget_exhaustion(demo_graph):
     assert len(best.witness) == best.value
 
 
+def test_negative_budget_rejected(demo_graph):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        exact_max_matching(demo_graph, budget=-1)
+
+
 def test_budget_large_enough_is_transparent(demo_graph):
     res = exact_max_matching(demo_graph, budget=10_000)
     assert res.value == 3

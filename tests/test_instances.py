@@ -477,6 +477,11 @@ def test_gap_spec_rejects_m_below_one(m):
         GapSearchSpec(m=m, matching_size=0, anchors=())
 
 
+def test_gap_spec_rejects_negative_max_nodes():
+    with pytest.raises(ValueError, match="max_nodes=-3"):
+        GapSearchSpec(m=7, matching_size=2, anchors=(), max_nodes=-3)
+
+
 def test_gap_search_on_one_position_finds_nothing():
     assert search_gap_instance(GapSearchSpec(m=1, matching_size=0, anchors=())) is None
 

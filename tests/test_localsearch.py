@@ -361,7 +361,7 @@ def seeded_string_pairs(count: int):
         yield DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
 
 
-def test_traces_match_reference(monkeypatch):
+def test_traces_match_reference():
     configs = [
         SolverConfig(rho=rho, scan_order=order, use_reduce=use_reduce)
         for rho in (1, 3, 5)
@@ -370,10 +370,7 @@ def test_traces_match_reference(monkeypatch):
     ] + [SolverConfig(seed=11)]
     graphs_ = list(seeded_string_pairs(8))
     ours = [local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
-    monkeypatch.setattr(localsearch, "greedy_maximal", ref.greedy_maximal)
-    monkeypatch.setattr(localsearch, "replace_step", ref.replace_step)
-    monkeypatch.setattr(localsearch, "reduce_step", ref.reduce_step)
-    theirs = [local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
+    theirs = [ref.local_search(g, cfg)[1].to_json_lines() for g in graphs_ for cfg in configs]
     assert ours == theirs
     assert any(PHASE_REDUCE in t for t in ours) and any(PHASE_REPLACE in t for t in ours)
 
@@ -414,18 +411,57 @@ def near_masks(draw):
 @given(near_masks())
 def test_reduce_acceptance_reads_changed_edges_exactly(case):
     """The singleton change read off the changed edges equals a full
-    recount, and reduce's test accepts exactly the masks with fewer
-    singletons than the matching."""
+    recount, and reduce's test on the swap state accepts exactly the masks
+    with fewer singletons than the matching."""
     g, m, mask = case
     m_mask = localsearch._mask(g, m)
     edges_of = lambda bits: [g.edges[k] for k in localsearch._positions(bits)]
     change = localsearch._singleton_change(g.index.par, m_mask, mask)
     assert change == singles_count(edges_of(mask)) - singles_count(edges_of(m_mask))
-    accept = localsearch._lowers_singletons(g, m)
-    if accept is None:
-        assert singles_count(m) == 0
+    state = localsearch._SwapState(g, 1, SCAN_LEX, m_mask)
+    assert state.singles == singles_count(m)
+    if state.singles == 0:
+        assert state.reduce() == (None, 0)
     else:
-        assert accept(mask) == (localsearch._singletons(g, mask) < localsearch._singletons(g, m_mask))
+        assert state.lowers(mask) == (singles_count(edges_of(mask)) < singles_count(m))
+
+
+@st.composite
+def mask_walks(draw):
+    """A graph, a width, and a walk of masks over its edges: a seeded
+    greedy matching, up to eight masks each a few bits from the one before
+    (conflicting ones included), then the empty mask."""
+    g = draw(graphs(max_edges=20))
+    rho = draw(st.integers(1, 5))
+    mask = localsearch._mask(g, greedy_maximal(g, config=SolverConfig(seed=draw(st.integers(0, 99)))))
+    walk = [mask]
+    ks = range(len(g.edges))
+    for _ in range(draw(st.integers(0, 8)) if ks else 0):
+        mask ^= sum(1 << k for k in draw(st.sets(st.sampled_from(ks), min_size=1, max_size=4)))
+        walk.append(mask)
+    return g, rho, walk + [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_walks())
+def test_swap_state_moves_match_a_rebuild(case):
+    """After every move the carried entrant map and singleton count are
+    those rebuilt from scratch on the new mask: every edge outside the
+    mask whose conflicts with it are non-empty and at most rho in number,
+    mapped to them, and singleton_partition's count."""
+    g, rho, walk = case
+    conf = g.index.conf
+    state = localsearch._SwapState(g, rho, SCAN_LEX)
+    for mask in walk:
+        state.move(mask)
+        inside = {}
+        for k, c in enumerate(conf):
+            c &= mask
+            if c and not mask >> k & 1 and c.bit_count() <= rho:
+                inside[k] = c
+        assert state.inside == inside
+        edges_in = [g.edges[k] for k in localsearch._positions(mask)]
+        assert (state.mask, state.size, state.singles) == (mask, len(edges_in), singles_count(edges_in))
 
 
 @pytest.mark.parametrize("rho", [1, 5])
