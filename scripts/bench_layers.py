@@ -20,15 +20,22 @@ A balanced pair (n, a, seed) is ``s = [f"s{i % a}" for i in range(n)]``
 shuffled by ``random.Random(seed)``, then a copy of it shuffled again by the
 same generator.  Graphs are built afresh, untimed, before every timed
 ``local_search`` and ``exact`` run, so those times include building the
-conflict index.  Comparing a change against its parent on one machine is
+conflict index.
 
-    python3 scripts/bench_layers.py --label new
-    python3 scripts/bench_layers.py --src ../parent/src --label old
+Each repeat runs every row once in a child process per checkout.  Comparing
+a change against its parent on one machine is
 
-which writes ``BENCH_new.json`` and ``BENCH_old.json`` in the current
-directory.  The median is the figure to compare: on a shared machine the
-best of a few runs still moved by 40% between back-to-back runs of
-unchanged code.  Stdlib only; about two minutes on a 2-core x86-64 VM.
+    python3 scripts/bench_layers.py --src ../parent/src --label old \
+        --src src --label new
+
+which alternates the two checkouts, flipping which goes first on each
+repeat, and writes ``BENCH_old.json`` and ``BENCH_new.json`` in the current
+directory.  The median over the alternated repeats is the figure to
+compare: on a shared machine the best of a few runs still moved by 40%
+between back-to-back runs of unchanged code, and runs of one checkout after
+the other saw different host load.  With one ``--src`` (by default this
+checkout) the script writes the one file.  Stdlib only; about two minutes
+per checkout on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,16 +66,12 @@ def balanced_pair(n: int, alphabet: int, seed: int) -> tuple[tuple[str, ...], tu
     return tuple(a), tuple(b)
 
 
-def timed(run) -> tuple[dict[str, float], object]:
-    """Least and median wall time of ``REPEATS`` calls of ``run(start)``,
-    where ``run`` does its untimed set-up, calls ``start()`` and returns its
-    result."""
-    times, result = [], None
-    for _ in range(REPEATS):
-        began = []
-        result = run(lambda: began.append(time.perf_counter()))
-        times.append(time.perf_counter() - began[0])
-    return {"best_s": min(times), "median_s": statistics.median(times)}, result
+def timed(run) -> tuple[float, object]:
+    """Wall time of one call of ``run(start)``, where ``run`` does its
+    untimed set-up, calls ``start()`` and returns its result."""
+    began = []
+    result = run(lambda: began.append(time.perf_counter()))
+    return time.perf_counter() - began[0], result
 
 
 def rows(work: str):
@@ -87,7 +91,7 @@ def rows(work: str):
             return DuoGraph.from_strings(inst)
 
         t, g = timed(build)
-        yield {"name": f"from_strings balanced({n},{alphabet})", **t, "E": len(g.edges)}
+        yield {"name": f"from_strings balanced({n},{alphabet})", "s": t, "E": len(g.edges)}
 
     for n, alphabet, rho in ((700, 70, 1), (2000, 100, 1), (4000, 60, 1), (300, 10, 5)):
         pair = balanced_pair(n, alphabet, 2017)
@@ -99,7 +103,7 @@ def rows(work: str):
             return g, localsearch.local_search(g, config)[0]
 
         t, (g, m) = timed(search)
-        yield {"name": f"local_search rho={rho} balanced({n},{alphabet})", **t,
+        yield {"name": f"local_search rho={rho} balanced({n},{alphabet})", "s": t,
                "E": len(g.edges), "M": len(m)}
 
     for n, seed in ((40, 7), (48, 9)):
@@ -111,7 +115,7 @@ def rows(work: str):
             return g, exact_max_matching(g)
 
         t, (g, result) = timed(solve_exact)
-        yield {"name": f"exact balanced({n},4) seed {seed}", **t, "E": len(g.edges),
+        yield {"name": f"exact balanced({n},4) seed {seed}", "s": t, "E": len(g.edges),
                "M": result.value, "nodes": result.nodes_explored}
 
     ident = [f"x{t}" for t in range(2000)]
@@ -131,7 +135,7 @@ def rows(work: str):
 
         t, text = timed(run_command)
         size = next(int(ln.split()[1]) for ln in text.splitlines() if ln.startswith(key + " "))
-        row = {"name": f"{command} identity(2000)", **t, "E": len(g.edges), "M": size}
+        row = {"name": f"{command} identity(2000)", "s": t, "E": len(g.edges), "M": size}
         if command == "exact":
             row["nodes"] = exact_max_matching(g).nodes_explored
         yield row
@@ -145,35 +149,68 @@ def rows(work: str):
             return instances.search_gap_instance(spec)
 
         t, found = timed(gap)
-        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}", **t,
+        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}", "s": t,
                "found": found is not None}
+
+
+def child(src: str) -> None:
+    """Run every row once on the checkout at ``src``; one JSON line each."""
+    sys.path.insert(0, os.path.abspath(src))
+    with tempfile.TemporaryDirectory() as work:
+        for row in rows(work):
+            print(json.dumps(row), flush=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="source directory of the checkout to run (default: this one)")
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--src", action="append",
+                        help="source directory of a checkout to run, once or twice "
+                             "(default: this one)")
+    parser.add_argument("--label", action="append", default=[],
+                        help="names the output BENCH_<label>.json, one per --src")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
-    os.environ["DUO_THREADS"] = "1"
-    out = []
-    with tempfile.TemporaryDirectory() as work:
-        for row in rows(work):
-            for key in ("best_s", "median_s"):
-                row[key] = round(row[key], 4)
-            print(json.dumps(row), flush=True)
-            out.append(row)
-    report = {
-        "label": args.label,
-        "repeats": REPEATS,
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
-        "rows": out,
-    }
-    with open(f"BENCH_{args.label}.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    if args.child:
+        child(srcs[0])
+        return 0
+    if len(srcs) != len(args.label) or len(srcs) > 2:
+        parser.error("give one --label per --src, and at most two of each")
+    times: list[dict[str, list[float]]] = [{} for _ in srcs]
+    fields: list[dict[str, dict]] = [{} for _ in srcs]
+    env = dict(os.environ, DUO_THREADS="1")
+    for repeat in range(REPEATS):
+        order = range(len(srcs)) if repeat % 2 == 0 else reversed(range(len(srcs)))
+        for at in order:
+            done = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child", "--src", srcs[at]],
+                env=env, stdout=subprocess.PIPE, text=True, check=True)
+            for line in done.stdout.splitlines():
+                row = json.loads(line)
+                times[at].setdefault(row["name"], []).append(row.pop("s"))
+                fields[at].setdefault(row["name"], row)
+            print(f"repeat {repeat + 1}/{REPEATS}: {args.label[at]} done",
+                  file=sys.stderr, flush=True)
+    for at, label in enumerate(args.label):
+        out = []
+        for name, row in fields[at].items():
+            ts = times[at][name]
+            out.append({"name": name, "best_s": round(min(ts), 4),
+                        "median_s": round(statistics.median(ts), 4),
+                        **{k: v for k, v in row.items() if k != "name"}})
+            print(json.dumps({"label": label, **out[-1]}), flush=True)
+        report = {
+            "label": label,
+            "repeats": REPEATS,
+            "python": platform.python_version(),
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
+            "rows": out,
+        }
+        if len(srcs) == 2:
+            report["alternated_with"] = args.label[1 - at]
+        with open(f"BENCH_{label}.json", "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

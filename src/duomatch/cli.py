@@ -20,7 +20,6 @@ from dataclasses import replace
 from . import analysis, fileio, instances, localsearch
 from .core import (
     DuoError,
-    Matching,
     ParseError,
     _conflicting_pairs,
     _matching_on,
@@ -79,6 +78,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    config = _solver_config(rho=args.rho, use_reduce=not args.no_reduce)
     g, _ = fileio.load_problem(args.input, args.format)
     edges = fileio.load_matching_edges(args.matching)
     violations: list[dict] = []
@@ -101,10 +101,8 @@ def cmd_verify(args) -> int:
         verdict["rho"] = args.rho
         local_opt = False
         if not missing and not conflicts:
-            matching = Matching(edges)
-            config = _solver_config(rho=args.rho, use_reduce=not args.no_reduce)
             try:
-                local_opt, cert = localsearch.is_local_optimum(g, matching, config)
+                local_opt = localsearch.is_local_optimum(g, _matching_on(g, edges), config)[0]
                 verdict["maximal"] = True
                 if not local_opt:
                     violations.append({"kind": "improvable"})

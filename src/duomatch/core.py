@@ -318,16 +318,19 @@ def _conflicting_pairs(edges):
             yield a, edges[u]
 
 
-def _compatible_edges(edges: tuple[Edge, ...], conf: tuple[int, ...], mask: int) -> list[Edge]:
+def _compatible_edges(edges: tuple[Edge, ...], conf: tuple[int, ...], mask: int,
+                      kept: int = 0) -> list[Edge]:
     """The edges ``edges[k]`` for the set bits k of ``mask``, each checked
-    against the conflicts ``conf[k]`` above it, so IncompatibleEdgesError
-    names the first conflicting pair in lex order."""
+    against the conflicts ``conf[k]`` above it in ``mask`` and anywhere in
+    ``kept``, so that with no ``kept`` IncompatibleEdgesError names the
+    first conflicting pair in lex order.  With ``kept`` a compatible set,
+    the edges ``mask`` adds to it are checked at O(|mask|) cost."""
     es = []
     rest = mask
     while rest:  # inline, not _positions: that costs 2-4% of every solve
         low = rest & -rest
         k = low.bit_length() - 1
-        hit = conf[k] & rest
+        hit = conf[k] & (rest | kept)
         if hit:
             raise IncompatibleEdgesError(edges[k], edges[(hit & -hit).bit_length() - 1])
         es.append(edges[k])

@@ -36,16 +36,19 @@ visits each subset in order and tests each graph edge against each kept
 edge.
 
 One :class:`_SwapState` carries what the moves read: the matching's mask,
-size and singleton count, and its entrant map.  :func:`local_search` keeps
-one state for the whole run and moves it after every step; a move updates
-the count from the changed edges and their parallel neighbours
-(:func:`_singleton_change`) and the entrants from the changed edges and
-their conflicts, not from the whole matching or graph.  Replace, reduce and
-:func:`is_local_optimum` all search from a state through one "replace,
-else reduce" method; the public :func:`replace_step` and
-:func:`reduce_step` build a fresh one.  Every matching a move returns is
-still built from its mask by ``Matching._of_mask``, which checks it for
-conflicts.  Reduce's acceptance test reads the changed edges only too.
+size and singleton count, its free edges and its entrant map.
+:func:`local_search` keeps one state as the matching for the whole run and
+moves it after every step; a move updates the count from the changed edges
+and their parallel neighbours (:func:`_singleton_change`), and the free
+edges and entrants from the changed edges and their conflicts, not from
+the whole matching or graph.  The greedy extension scans the free edges
+only, and :func:`is_local_optimum` reads maximality off them.  Replace,
+reduce and :func:`is_local_optimum` all search from a state through one
+"replace, else reduce" method; the public :func:`replace_step` and
+:func:`reduce_step` build a fresh one.  Each step of the loop checks the
+edges it adds against the new mask, and a :class:`Matching` is built only
+for the run's result.  Reduce's acceptance test reads the changed edges
+only too.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import DuoError, DuoGraph, Edge, InvariantError, Matching, _mask, _positions
+from .core import (DuoError, DuoGraph, Edge, InvariantError, Matching, _compatible_edges, _mask,
+                   _positions)
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -160,30 +164,18 @@ class LocalOptCertificate:
     reduce_subsets_scanned: int
 
 
-def _ordered(items, scan_order: str) -> list:
-    return sorted(items, reverse=(scan_order == SCAN_REVERSE_LEX))
-
-
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
                    config: SolverConfig = SolverConfig()) -> Matching:
     """Extend ``matching`` to a maximal one, adding edges in scan order.
 
     With a seeded config the scan order is a reproducible shuffle instead.
     Idempotent once the matching is maximal.  Every edge of ``matching``
-    must belong to ``g`` (EdgeNotInGraphError otherwise).
+    must belong to ``g`` (EdgeNotInGraphError otherwise).  A thin wrapper
+    over :meth:`_SwapState.extend` on a fresh state.
     """
-    conf = g.index.conf
     taken = _mask(g, matching) if matching is not None else 0
-    if config.seed is not None:
-        order = list(range(len(g.edges)))
-        random.Random(config.seed).shuffle(order)
-    else:
-        order = _ordered(range(len(g.edges)), config.scan_order)
-    for k in order:
-        bit = 1 << k
-        if not (conf[k] | bit) & taken:
-            taken |= bit
-    return Matching._of_mask(g, taken)
+    state = _SwapState(g, config.rho, config.scan_order, taken, config.seed)
+    return Matching._of_mask(g, state.extend())
 
 
 def _first_subset(pool: int, conf, width: int, base: int, accept,
@@ -399,23 +391,34 @@ def _singleton_change(par: tuple[int, ...], before: int, after: int) -> int:
 
 class _SwapState:
     """The matching a search is at, with what its moves read: its mask,
-    size and singleton count, and ``inside``, which maps each entrant (a
+    size and singleton count; ``free``, the mask of the edges outside it
+    with no conflict in it; and ``inside``, which maps each entrant (a
     non-matching edge whose conflicts with the matching are non-empty and
-    number at most rho) to those conflicts.  For a maximal matching no other
-    edge can enter a swap.
+    number at most rho) to those conflicts.  For a maximal matching
+    ``free`` is 0 and no other edge can enter a swap.
 
     :meth:`move` is the only update, and a fresh state is the move from the
-    empty matching, so a state built for one query and one carried across a
-    whole run hold the same fields.  A move reads only the changed edges,
-    their parallel neighbours for the count and their conflicts for the
-    entrants: an edge outside both keeps its membership and its conflicts
-    in the matching.
+    empty matching, where every edge is free, so a state built for one
+    query and one carried across a whole run hold the same fields.  A move
+    reads only the changed edges, their parallel neighbours for the count
+    and their conflicts for ``free`` and the entrants: an edge outside both
+    keeps its membership and its conflicts in the matching.  ``seed`` fixes
+    the shuffled order :meth:`extend` scans in, once per state.
     """
 
-    def __init__(self, g: DuoGraph, rho: int, scan_order: str, m_mask: int = 0) -> None:
+    def __init__(self, g: DuoGraph, rho: int, scan_order: str, m_mask: int = 0,
+                 seed: int | None = None) -> None:
         self.g, self.rho = g, rho
         self.reverse = scan_order == SCAN_REVERSE_LEX
+        # extend's sort key: none for lex, the negated position for
+        # reverse-lex, and for a seed each position's place in the shuffle
+        self.key = int.__neg__ if self.reverse else None
+        if seed is not None:
+            order = list(range(len(g.edges)))
+            random.Random(seed).shuffle(order)
+            self.key = sorted(range(len(order)), key=order.__getitem__).__getitem__
         self.mask = self.size = self.singles = 0
+        self.free = (1 << len(g.edges)) - 1
         self.inside: dict[int, int] = {}
         self.move(m_mask)
 
@@ -427,12 +430,28 @@ class _SwapState:
             near |= conf[k]
         self.singles += _singleton_change(self.g.index.par, self.mask, mask)
         self.mask, self.size = mask, mask.bit_count()
+        self.free &= ~near
         for k in _positions(near):
             c = conf[k] & mask
             if c and not mask >> k & 1 and c.bit_count() <= rho:
                 inside[k] = c
             else:
                 inside.pop(k, None)
+                if not c and not mask >> k & 1:
+                    self.free |= 1 << k
+
+    def extend(self) -> int:
+        """The mask of the matching extended greedily over ``free`` in scan
+        order (lex, reverse-lex or the seeded shuffle); the state does not
+        move.  An edge that is not free at the start conflicts with the
+        matching or is in it, so a scan over every graph edge would take
+        the same edges."""
+        conf, taken, free = self.g.index.conf, self.mask, self.free
+        for k in sorted(_positions(free), key=self.key):
+            if free >> k & 1:
+                taken |= 1 << k
+                free &= ~conf[k]
+        return taken
 
     def lowers(self, mask: int) -> bool:
         """Reduce's acceptance test: ``mask`` has fewer singletons than the
@@ -517,23 +536,25 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
     """Run the full loop from the empty matching; returns the terminal
     matching and a step-by-step trace.
 
-    Each iteration re-extends greedily (recorded only when it adds edges),
-    then tries replace, then reduce if enabled, and terminates when neither
-    applies.  One :class:`_SwapState` follows the matching through the run.
-    Raises IterationCapError only when ``config.max_iterations`` is set and
-    reached.
+    Each iteration re-extends greedily over the free edges (recorded only
+    when it adds edges), then tries replace, then reduce if enabled, and
+    terminates when neither applies.  One :class:`_SwapState` is the
+    matching throughout the run; a :class:`Matching` is built only for the
+    result and for IterationCapError.  Every step checks its added edges
+    against the new mask, which finds any conflict in it, since the mask
+    before the step was checked.  Raises IterationCapError only when
+    ``config.max_iterations`` is set and reached.
     """
     steps: list[TraceStep] = []
-    state = _SwapState(g, config.rho, config.scan_order)
-    current = Matching._of_mask(g, 0)
+    state = _SwapState(g, config.rho, config.scan_order, seed=config.seed)
     iteration = 0
 
-    def record(phase: str, after: Matching) -> None:
-        b, a = state.mask, _mask(g, after)
-        size_before, singles_before = state.size, state.singles
+    def record(phase: str, a: int) -> None:
+        b, size_before, singles_before = state.mask, state.size, state.singles
         state.move(a)
         # tuples from lists: tuple() over a generator grows and then shrinks
-        # its result, and over many runs that fragments the heap measurably
+        # its result, and over many runs that fragments the heap measurably;
+        # the added edges are checked against the kept ones as they are listed
         steps.append(
             TraceStep(
                 iteration=iteration,
@@ -543,24 +564,21 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
                 singletons_before=singles_before,
                 singletons_after=state.singles,
                 removed=tuple([g.edges[k] for k in _positions(b & ~a)]),
-                added=tuple([g.edges[k] for k in _positions(a & ~b)]),
+                added=tuple(_compatible_edges(g.edges, g.index.conf, a & ~b, a & b)),
             )
         )
 
     while True:
         if config.max_iterations is not None and iteration >= config.max_iterations:
-            raise IterationCapError(current, SearchTrace(tuple(steps)))
-        extended = greedy_maximal(g, current, config)
-        if len(extended) > len(current):
+            raise IterationCapError(Matching._of_mask(g, state.mask), SearchTrace(tuple(steps)))
+        extended = state.extend()
+        if extended != state.mask:
             record(PHASE_GREEDY, extended)
-        current = extended
         found = state.improve(config.use_reduce)[0]
         if found is None:
-            record(PHASE_TERMINATE, current)
-            return current, SearchTrace(tuple(steps))
-        swapped = Matching._of_mask(g, found)
-        record(PHASE_REPLACE if len(swapped) > len(current) else PHASE_REDUCE, swapped)
-        current = swapped
+            record(PHASE_TERMINATE, state.mask)
+            return Matching._of_mask(g, state.mask), SearchTrace(tuple(steps))
+        record(PHASE_REPLACE if found.bit_count() > state.size else PHASE_REDUCE, found)
         iteration += 1
 
 
@@ -568,19 +586,18 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
                      config: SolverConfig = SolverConfig()) -> tuple[bool, LocalOptCertificate]:
     """Check that no configured move applies to ``matching``.
 
-    Raises NotMaximalError if some graph edge extends the matching, since
-    the moves are only meaningful on maximal matchings.  The certificate
-    reports how many rho-subsets a scan in order visits up to the one that
-    yields a move, or C(|M|, rho) when none does: 0 with the exhaustive
-    whole-graph branch (flagged separately), and 0 for reduce when it was
-    not run or the matching has no singletons.
+    Raises NotMaximalError, naming the lowest free edge of the swap state,
+    if some graph edge extends the matching, since the moves are only
+    meaningful on maximal matchings.  The certificate reports how many
+    rho-subsets a scan in order visits up to the one that yields a move, or
+    C(|M|, rho) when none does: 0 with the exhaustive whole-graph branch
+    (flagged separately), and 0 for reduce when it was not run or the
+    matching has no singletons.
     """
-    conf = g.index.conf
-    m_mask = _mask(g, matching)
-    for k, e in enumerate(g.edges):
-        if not (conf[k] | 1 << k) & m_mask:
-            raise NotMaximalError(f"edge {e} extends the matching")
-    state = _SwapState(g, config.rho, config.scan_order, m_mask)
+    state = _SwapState(g, config.rho, config.scan_order, _mask(g, matching))
+    if state.free:
+        k = (state.free & -state.free).bit_length() - 1
+        raise NotMaximalError(f"edge {g.edges[k]} extends the matching")
     found, replace_scanned, reduce_scanned = state.improve(config.use_reduce)
     return found is None, LocalOptCertificate(
         config.rho, config.use_reduce, state.size, state.singles,

@@ -483,13 +483,16 @@ def test_solve_rejects_bad_rho(capsys, demo_file):
     (["solve", "{binary}"], "not UTF-8"),
     (["verify", "{demo}", "{binary}"], "not UTF-8"),
     (["bench", "{demo}", "--rho", "5..1"], "not '5..1'"),
+    (["verify", "{demo}", "{far}", "--local-opt", "--rho", "0"], "rho must be in 1..5"),
 ])
 def test_bad_flags_and_bytes_are_usage_errors(capsys, tmp_path, demo_file, argv, reason):
     binary = tmp_path / "binary.duo"
     binary.write_bytes(b"a b \xff\nb a\n")
     opt = tmp_path / "opt.txt"
     opt.write_text("2 1\n3 2\n5 5\n")
-    argv = [a.format(demo=demo_file, binary=binary, opt=opt) for a in argv]
+    far = tmp_path / "far.txt"
+    far.write_text("99 99\n")
+    argv = [a.format(demo=demo_file, binary=binary, opt=opt, far=far) for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error:") and reason in err

@@ -245,7 +245,8 @@ def test_iteration_cap(demo_graph):
 # ---------------------------------------------------------------- local optimum
 
 def test_not_maximal_rejected(demo_graph):
-    with pytest.raises(NotMaximalError):
+    """The error names the lowest graph edge compatible with the matching."""
+    with pytest.raises(NotMaximalError, match="^edge 3 2 extends the matching$"):
         is_local_optimum(demo_graph, Matching([Edge(2, 1)]))
 
 
@@ -445,21 +446,25 @@ def mask_walks(draw):
 @settings(max_examples=300, deadline=None)
 @given(mask_walks())
 def test_swap_state_moves_match_a_rebuild(case):
-    """After every move the carried entrant map and singleton count are
-    those rebuilt from scratch on the new mask: every edge outside the
-    mask whose conflicts with it are non-empty and at most rho in number,
-    mapped to them, and singleton_partition's count."""
+    """After every move the carried entrant map, free edges and singleton
+    count are those rebuilt from scratch on the new mask: every edge
+    outside the mask whose conflicts with it are non-empty and at most rho
+    in number, mapped to them; every edge outside the mask with no conflict
+    in it; and singleton_partition's count."""
     g, rho, walk = case
     conf = g.index.conf
     state = localsearch._SwapState(g, rho, SCAN_LEX)
     for mask in walk:
         state.move(mask)
-        inside = {}
+        inside, free = {}, 0
         for k, c in enumerate(conf):
             c &= mask
             if c and not mask >> k & 1 and c.bit_count() <= rho:
                 inside[k] = c
+            if not c and not mask >> k & 1:
+                free |= 1 << k
         assert state.inside == inside
+        assert state.free == free
         edges_in = [g.edges[k] for k in localsearch._positions(mask)]
         assert (state.mask, state.size, state.singles) == (mask, len(edges_in), singles_count(edges_in))
 
@@ -467,12 +472,24 @@ def test_swap_state_moves_match_a_rebuild(case):
 @pytest.mark.parametrize("rho", [1, 5])
 def test_each_step_still_checks_compatibility(monkeypatch, demo_graph, rho):
     """A swap search that returns a conflicting edge set makes the run
-    raise, through the whole-graph branch (rho 5, two-edge matching) and
-    through the connected-swap branch (rho 1)."""
+    raise at the step that took it, through the whole-graph branch (rho 5,
+    two-edge matching) and through the connected-swap branch (rho 1).  The
+    sets are every graph edge, and the greedy matching {(1, 5), (3, 2)}
+    plus (2, 1), which conflicts only with the kept edge (1, 5): the step
+    names the added edge first, where a check of the whole matching at the
+    end of the run would name (1, 5) first."""
+    pos = demo_graph.index.pos
     everything = (1 << len(demo_graph.edges)) - 1
-    monkeypatch.setattr(localsearch, "_first_subset", lambda *args: everything)
-    with pytest.raises(IncompatibleEdgesError):
-        local_search(demo_graph, SolverConfig(rho=rho, max_iterations=5))
+    beside_kept = sum(1 << pos[e] for e in edges([(1, 5), (2, 1), (3, 2)]))
+    for returned in (everything, beside_kept):
+        calls = []
+        monkeypatch.setattr(localsearch, "_first_subset",
+                            lambda *args, returned=returned: calls.append(args) or returned)
+        with pytest.raises(IncompatibleEdgesError) as exc:
+            local_search(demo_graph, SolverConfig(rho=rho, max_iterations=5))
+        assert len(calls) == 1
+        if returned == beside_kept:
+            assert exc.value.pair == (Edge(2, 1), Edge(1, 5))
 
 
 # ---------------------------------------------------------------- first-X rule
@@ -492,7 +509,7 @@ def test_rank_counts_subsets_in_scan_order(rho, scan_order):
     over the matching in scan order."""
     for n in range(rho, 9):
         m_mask = sum(1 << k for k in range(1, 2 * n, 2))  # spread-out positions
-        ordered = localsearch._ordered(localsearch._positions(m_mask), scan_order)
+        ordered = ref._ordered(localsearch._positions(m_mask), scan_order)
         reverse = scan_order == SCAN_REVERSE_LEX
         for count, xs in enumerate(itertools.combinations(ordered, rho)):
             assert localsearch._rank(m_mask, sum(1 << k for k in xs), reverse) == count
