@@ -3,7 +3,9 @@
 
 Each fixture is written as its instance file plus a matching file and a JSON
 certificate holding the checklist outcome, the exact optimum, and the ratio.
-Rerunning reproduces byte-identical files.
+A fixture whose checklist fails, or whose matching is not a rho-5 local
+optimum, stops the run with a non-zero exit before any of its files is
+written.  Rerunning reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -22,6 +23,7 @@ from duomatch import (
     STRING_GAP_CAPS,
     exact_max_matching,
     fileio,
+    format_rational,
     is_local_optimum,
     local_search,
     ratio_report,
@@ -29,82 +31,62 @@ from duomatch import (
     string_gap_fixture,
     swap_resistance_checklist,
 )
-from duomatch import analysis
+
+OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-def checklist_json(report) -> list[dict]:
-    return [
-        {
-            "name": it.name,
-            "passed": it.passed,
-            "observed": it.observed,
-            "cap": it.cap,
-        }
-        for it in report.items
-    ]
+def write_fixture(name: str, head: dict, instance: tuple[str, str], g: DuoGraph,
+                  matching, checklist, exact) -> None:
+    """Certify ``matching`` on ``g`` and write the three files of ``name``.
 
-
-def write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
+    ``head`` opens the certificate, ``instance`` is the instance file's
+    extension and text, ``checklist`` the swap-resistance report and
+    ``exact`` the exact result on ``g``.  Raises SystemExit, writing
+    nothing, unless the checklist passed and ``matching`` is a rho-5 local
+    optimum.
+    """
+    ok, _ = is_local_optimum(g, matching, SolverConfig(rho=5))
+    if not (checklist.passed and ok):
+        raise SystemExit(f"{name}: not certified (checklist passed: {checklist.passed}, "
+                         f"rho-5 local optimum: {ok})")
+    cert = {
+        **head,
+        "edges": len(g.edges),
+        "matching_size": len(matching),
+        "exact": exact.value,
+        "ls_from_empty": len(local_search(g)[0]),
+        "ratio": format_rational(ratio_report(len(matching), exact.value).ratio),
+        "local_optimum_rho5": ok,
+        "checklist": [
+            {"name": it.name, "passed": it.passed, "observed": it.observed, "cap": it.cap}
+            for it in checklist.items
+        ],
+    }
+    os.makedirs(OUT, exist_ok=True)
+    for ext, text in (instance, ("matching", fileio.format_matching(matching)),
+                      ("json", json.dumps(cert, indent=2) + "\n")):
+        path = os.path.join(OUT, f"{name}.{ext}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
 def main() -> int:
-    out = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-    os.makedirs(out, exist_ok=True)
-
     # string-pair worst case: 6 preserved duos locally optimal against 10
     inst, matching = string_gap_fixture()
     g = DuoGraph.from_strings(inst)
     res = exact_max_matching(g)
-    report = swap_resistance_checklist(g, matching, res.witness, STRING_GAP_CAPS)
-    assert report.passed
-    ok, _ = is_local_optimum(g, matching, SolverConfig(rho=5))
-    assert ok
-    ls_scratch, _ = local_search(g)
-    cert = {
-        "kind": "duo",
-        "n": inst.n,
-        "edges": len(g.edges),
-        "matching_size": len(matching),
-        "exact": res.value,
-        "ls_from_empty": len(ls_scratch),
-        "ratio": analysis.format_rational(
-            ratio_report(len(matching), res.value).ratio
-        ),
-        "local_optimum_rho5": ok,
-        "checklist": checklist_json(report),
-    }
-    write(os.path.join(out, "string_gap.duo"), fileio.format_instance(inst))
-    write(os.path.join(out, "string_gap.matching"), fileio.format_matching(matching))
-    write(os.path.join(out, "string_gap.json"), json.dumps(cert, indent=2) + "\n")
+    write_fixture("string_gap", {"kind": "duo", "n": inst.n},
+                  ("duo", fileio.format_instance(inst)), g, matching,
+                  swap_resistance_checklist(g, matching, res.witness, STRING_GAP_CAPS), res)
 
     # graph-family worst case at m=26, reconstructed by search
-    t0 = time.perf_counter()
     found = search_gap_instance(GapSearchSpec(m=26))
-    print(f"gap search finished in {time.perf_counter() - t0:.1f}s")
-    assert found is not None and found.checklist.passed
-    ok, _ = is_local_optimum(found.graph, found.matching, SolverConfig(rho=5))
-    assert ok
-    res = exact_max_matching(found.graph)
-    ls_scratch, _ = local_search(found.graph)
-    cert = {
-        "kind": "mcbm",
-        "m": found.graph.m,
-        "edges": len(found.graph.edges),
-        "matching_size": len(found.matching),
-        "exact": res.value,
-        "ls_from_empty": len(ls_scratch),
-        "ratio": analysis.format_rational(
-            ratio_report(len(found.matching), res.value).ratio
-        ),
-        "local_optimum_rho5": ok,
-        "checklist": checklist_json(found.checklist),
-    }
-    write(os.path.join(out, "graph_gap_26.mcbm"), fileio.format_graph(found.graph))
-    write(os.path.join(out, "graph_gap_26.matching"), fileio.format_matching(found.matching))
-    write(os.path.join(out, "graph_gap_26.json"), json.dumps(cert, indent=2) + "\n")
+    if found is None:
+        raise SystemExit("graph_gap_26: the gap search found no instance")
+    write_fixture("graph_gap_26", {"kind": "mcbm", "m": found.graph.m},
+                  ("mcbm", fileio.format_graph(found.graph)), found.graph, found.matching,
+                  found.checklist, exact_max_matching(found.graph))
     return 0
 
 

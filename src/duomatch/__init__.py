@@ -12,6 +12,7 @@ from .core import (
     InvariantError,
     LengthMismatchError,
     Matching,
+    NotMaximalError,
     NotPermutationError,
     ParseError,
     StringInstance,
@@ -26,7 +27,6 @@ from .exact import BudgetExceededError, ExactResult, exact_max_matching, exact_m
 from .localsearch import (
     IterationCapError,
     LocalOptCertificate,
-    NotMaximalError,
     SearchTrace,
     SolverConfig,
     TraceStep,

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DuoGraph, Edge, InvariantError, Matching, _mask, _parallels, _positions
-from .localsearch import NotMaximalError
+from .core import (DuoGraph, Edge, InvariantError, Matching, NotMaximalError, _mask, _parallels,
+                   _positions)
 
 #: Largest token total any single matching edge can end up with at a
 #: width-5 terminal matching.
@@ -231,10 +231,7 @@ def token_profile(report: TokenReport) -> TokenProfile:
     for e in sorted(report.per_sol_edge):
         if report.per_sol_edge[e] < 3:
             continue
-        vals = list(report.shares[e])
-        while len(vals) < 6:
-            vals.append(Fraction(0))
-        multiset = tuple(sorted(vals, reverse=True))
+        multiset = report.shares[e] + (Fraction(0),) * (6 - len(report.shares[e]))
         heavy.append((e, multiset))
         if multiset not in HEAVY_SHARE_COMBINATIONS:
             bad.append((e, multiset))

@@ -44,6 +44,10 @@ class EdgeNotInGraphError(DuoError):
     """An operation referenced an edge absent from the graph."""
 
 
+class NotMaximalError(DuoError):
+    """A maximal matching was required but an extension exists."""
+
+
 class InvariantError(DuoError):
     """A result broke an invariant its construction guarantees.
 
@@ -291,13 +295,8 @@ def _parallels(g: DuoGraph, mask: int) -> int:
     the relation is symmetric, those in the OR of their ``par`` masks."""
     par = g.index.par
     near = 0
-    rest = mask
-    # inline rather than _positions: reduce's acceptance test runs this per
-    # candidate, and the generator cost 2-4% of whole solves
-    while rest:
-        low = rest & -rest
-        near |= par[low.bit_length() - 1]
-        rest ^= low
+    for k in _positions(mask):
+        near |= par[k]
     return mask & near
 
 

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import (DuoError, DuoGraph, Edge, InvariantError, Matching, _compatible_edges, _mask,
-                   _positions)
+from .core import (DuoError, DuoGraph, Edge, InvariantError, Matching, NotMaximalError,
+                   _compatible_edges, _mask, _positions)
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -81,10 +81,6 @@ class IterationCapError(DuoError):
         super().__init__(f"iteration cap hit at size {len(matching)}")
         self.matching = matching
         self.trace = trace
-
-
-class NotMaximalError(DuoError):
-    """A maximal matching was required but an extension exists."""
 
 
 @dataclass(frozen=True)

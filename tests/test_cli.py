@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import random
 import tempfile
 import time
 
@@ -18,7 +19,7 @@ from duomatch.cli import (
     EXIT_USAGE,
     main,
 )
-from duomatch.core import Edge, Matching, StringInstance, compatible
+from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance
 from duomatch.exact import ExactResult
 
 from conftest import DEMO_TEXT, FIXTURES_DIR
@@ -145,6 +146,39 @@ def test_bench_large_identity(capsys, tmp_path, identity_2000, monkeypatch):
     assert strip_ms(csv_path.read_text())[1:] == [
         ["identity_n2000", "2000", "1", "1999", "1", "1999", "1999", "1/1", "1"],
     ]
+
+
+def test_balanced_n200_smoke(capsys, tmp_path):
+    """Balanced pair (200, 8), seed 2017: solve's matching verifies as a
+    rho-5 local optimum, and a budgeted exact stops with a lower bound whose
+    edges verify as a compatible matching."""
+    s = [f"s{i % 8}" for i in range(200)]
+    rng = random.Random(2017)
+    rng.shuffle(s)
+    t = list(s)
+    rng.shuffle(t)
+    text = f"{' '.join(s)}\n{' '.join(t)}\n"
+    assert len(DuoGraph.from_strings(parse_instance(text)).edges) == 618
+    pair = tmp_path / "balanced.duo"
+    pair.write_text(text)
+
+    code, out, _ = run(capsys, "solve", str(pair))
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[-2] == "preserved 101"
+    mfile = tmp_path / "solve.matching"
+    mfile.write_text("\n".join(lines[:-2]) + "\n")
+    code, out, _ = run(capsys, "verify", str(pair), str(mfile), "--local-opt")
+    assert code == EXIT_OK and json.loads(out)["local_optimum"]
+
+    code, out, _ = run(capsys, "exact", str(pair), "--budget", "5000")
+    assert code == EXIT_BUDGET
+    first, *edge_lines = out.splitlines()
+    assert first == "budget-exceeded lower-bound 83" and len(edge_lines) == 83
+    efile = tmp_path / "exact.matching"
+    efile.write_text("\n".join(edge_lines) + "\n")
+    code, out, _ = run(capsys, "verify", str(pair), str(efile))
+    assert code == EXIT_OK and json.loads(out)["compatible"]
 
 
 # ---------------------------------------------------------------- verify

@@ -1,4 +1,7 @@
 import json
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -211,6 +214,22 @@ def test_shipped_graph_fixture_certified():
     observed = tuple(report.item(f"swap-{t}").observed for t in range(1, 6))
     assert observed == GRAPH_GAP_CAPS
     assert cert["ratio"] == "13/6"
+
+
+def test_make_fixtures_rebuilds_the_store_byte_for_byte(tmp_path):
+    """The script, run from a copy beside the package source, writes exactly
+    the files of fixtures/ with the same bytes."""
+    repo = FIXTURES_DIR.parent
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(repo / "scripts" / "make_fixtures.py", tmp_path / "scripts")
+    (tmp_path / "src").symlink_to(repo / "src", target_is_directory=True)
+    run = subprocess.run([sys.executable, str(tmp_path / "scripts" / "make_fixtures.py")],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    written = sorted(p.name for p in (tmp_path / "fixtures").iterdir())
+    assert written == sorted(p.name for p in FIXTURES_DIR.iterdir())
+    for name in written:
+        assert (tmp_path / "fixtures" / name).read_bytes() == (FIXTURES_DIR / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- against the reference
