@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import analysis, fileio, instances, localsearch
 from .core import (
@@ -187,16 +187,7 @@ def cmd_gen(args) -> int:
         fname = spec.instance_id + ".duo"
         with open(os.path.join(args.out, fname), "w", encoding="utf-8") as fh:
             fh.write(fileio.format_instance(inst))
-        entries.append(
-            {
-                "id": spec.instance_id,
-                "file": fname,
-                "n": spec.n,
-                "k": spec.k,
-                "alphabet_size": spec.alphabet_size,
-                "seed": spec.seed,
-            }
-        )
+        entries.append({"id": spec.instance_id, "file": fname, **asdict(spec)})
     manifest = os.path.join(args.out, "manifest.json")
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump({"instances": entries}, fh, indent=2)
@@ -328,35 +319,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heuristic and exact solvers for duo-preservation string mapping",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --format, shared by every subcommand that reads an instance
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["duo", "mcbm"], default=None)
 
-    p = sub.add_parser("solve", help="run the local search on one instance")
+    p = sub.add_parser("solve", parents=[fmt], help="run the local search on one instance")
     p.add_argument("input")
-    p.add_argument("--format", choices=["duo", "mcbm"], default=None)
     p.add_argument("--trace", default=None, help="write the step trace as JSON lines")
     _add_common_solver_args(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exact", help="branch-and-bound optimum")
+    p = sub.add_parser("exact", parents=[fmt], help="branch-and-bound optimum")
     p.add_argument("input")
-    p.add_argument("--format", choices=["duo", "mcbm"], default=None)
     p.add_argument("--budget", type=int, default=None, help="node budget")
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("verify", help="check a matching file against a graph")
+    p = sub.add_parser("verify", parents=[fmt], help="check a matching file against a graph")
     p.add_argument("input")
     p.add_argument("matching")
-    p.add_argument("--format", choices=["duo", "mcbm"], default=None)
     p.add_argument("--local-opt", action="store_true",
                    help="also require maximality and local optimality")
     p.add_argument("--rho", type=int, default=5)
     p.add_argument("--no-reduce", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("tokens", help="token accounting of a matching against an optimum")
+    p = sub.add_parser("tokens", parents=[fmt],
+                       help="token accounting of a matching against an optimum")
     p.add_argument("input")
     p.add_argument("matching")
     p.add_argument("optimum")
-    p.add_argument("--format", choices=["duo", "mcbm"], default=None)
     p.set_defaults(func=cmd_tokens)
 
     p = sub.add_parser("gen", help="write seeded random instances")
@@ -368,9 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="solve a batch and emit a CSV summary")
+    p = sub.add_parser("bench", parents=[fmt], help="solve a batch and emit a CSV summary")
     p.add_argument("inputs", nargs="+", help="instance files or directories")
-    p.add_argument("--format", choices=["duo", "mcbm"], default=None)
     p.add_argument("--rho", default="5", help="single width, list, or range like 1..5")
     p.add_argument("--with-exact", action="store_true")
     p.add_argument("--csv", default=None, help="output path (default stdout)")

@@ -12,9 +12,9 @@ constructions that pin the locality gap of the search:
 
 The checklist itself quantifies swap resistance on one conflict index: after
 removing any t matching edges, how many optimum edges fit alongside the rest.
-The gap search reads its tables off the conflict index of the m x m grid: run
-compatibility, the diagonal positions each run covers and the packed covers
-its leaf test counts.
+The gap search reads its tables off the conflict index of the m x m grid: the
+anchors, run compatibility, the diagonal positions each run covers and the
+packed covers its leaf test counts.
 """
 
 from __future__ import annotations
@@ -166,15 +166,16 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     Both scans read one :func:`~duomatch.core._index` over the edges of
     g, the matching and the optimum, which need not lie in g.  The blocking
     edges are the graph edges neither in the matching nor in a matching
-    edge's conflict mask.  For the swap items each optimum edge gets a
-    blocker mask: bit x stands for the x-th matching edge in lex order and
-    is set when that edge equals or conflicts with the optimum edge.  After
-    removing X, the optimum edge enters iff its blocker mask lies inside X.
+    edge's conflict mask; the singletons are the matching edges whose
+    ``par`` mask misses the matching.  For the swap items each optimum edge
+    gets a blocker mask: bit x stands for the x-th matching edge in lex
+    order and is set when that edge equals or conflicts with the optimum
+    edge.  After removing X, the optimum edge enters iff its blocker mask
+    lies inside X.
     """
     items: list[ChecklistItem] = []
     m_edges = matching.edges
-    index = _index(tuple(sorted({*g.edges, *m_edges, *optimum.edges})))
-    pos, conf = index.pos, index.conf
+    pos, conf, par = _index(tuple(sorted({*g.edges, *m_edges, *optimum.edges})))
     # dense matching-edge bits keep the per-subset masks short
     dense = {pos[f]: x for x, f in enumerate(m_edges)}
     m_mask = sum(1 << k for k in dense)
@@ -184,7 +185,7 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     blocking = tuple(e for e in g.edges if not taken >> pos[e] & 1)
     items.append(ChecklistItem("maximal", not blocking, len(blocking), 0, blocking[:3]))
 
-    singles = tuple(sorted(singletons_of(matching)))
+    singles = tuple(f for f in m_edges if not par[pos[f]] & m_mask)
     items.append(ChecklistItem("all-parallel", not singles, len(singles), 0, singles[:3]))
 
     widths = [t for t in range(1, len(caps) + 1) if t <= len(matching)]
@@ -226,8 +227,8 @@ class GapSearchSpec:
     so the default keeps the space small, and raising it widens the search
     at a steep cost.  ``anchors`` may hold edges or ``(i, j)`` tuples, in
     any order and with repeats; the spec keeps them as a sorted tuple of
-    distinct edges.  ``m`` must be at least 1 and ``max_nodes`` at least 0
-    (ValueError otherwise).
+    distinct edges.  ``m`` must be at least 1, and ``matching_size`` and
+    ``max_nodes`` at least 0 (ValueError otherwise).
     """
 
     m: int
@@ -238,10 +239,10 @@ class GapSearchSpec:
     max_nodes: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"GapSearchSpec needs m >= 1, got m={self.m}")
-        if self.max_nodes < 0:
-            raise ValueError(f"GapSearchSpec needs max_nodes >= 0, got max_nodes={self.max_nodes}")
+        for field, least in (("m", 1), ("matching_size", 0), ("max_nodes", 0)):
+            value = getattr(self, field)
+            if value < least:
+                raise ValueError(f"GapSearchSpec needs {field} >= {least}, got {field}={value}")
         object.__setattr__(self, "anchors", tuple(sorted({Edge(*a) for a in self.anchors})))
 
 
@@ -251,20 +252,6 @@ class GapInstance:
     matching: Matching
     optimum: Matching
     checklist: ChecklistReport
-
-
-def _anchor_runs(anchors: tuple[Edge, ...]) -> list[tuple[int, int, int]]:
-    """The maximal runs of consecutive parallel edges among the sorted,
-    distinct ``anchors``, as (i, j, length) in lexicographic order."""
-    edges = set(anchors)
-    runs = []
-    for a in anchors:
-        if (a.i - 1, a.j - 1) not in edges:
-            ell = 1
-            while (a.i + ell, a.j + ell) in edges:
-                ell += 1
-            runs.append((a.i, a.j, ell))
-    return runs
 
 
 class _RunTable:
@@ -289,14 +276,16 @@ class _RunTable:
     def __init__(self, m: int, longest: int):
         self.grid = tuple(Edge(i, j) for i in range(1, m + 1) for j in range(1, m + 1))
         self.index = _index(self.grid)
-        diagonal = {self.index.pos[Edge(p, p)]: p for p in range(1, m + 1)}
+        pos = self.index.pos
+        diagonal = {pos[Edge(p, p)]: p for p in range(1, m + 1)}
         on_diagonal = sum(1 << k for k in diagonal)
         self.edge_covers = [sum(1 << diagonal[k] for k in _positions(c & on_diagonal))
                             for c in self.index.conf]
         self.runs = [(i, j, ell) for i in range(1, m) for j in range(1, m) if i != j
                      for ell in range(2, min(longest, m + 1 - max(i, j)) + 1)]
         self.all = (1 << len(self.runs)) - 1
-        self.masks = [self.mask(run) for run in self.runs]
+        self.masks = [sum(1 << pos[Edge(i + t, j + t)] for t in range(ell))
+                      for i, j, ell in self.runs]
         self.covers = [self.cover(mask) for mask in self.masks]
         through = [0] * len(self.grid)
         for k, mask in enumerate(self.masks):
@@ -305,31 +294,21 @@ class _RunTable:
         self._through = through
         self._rows: list[int | None] = [None] * len(self.runs)
 
-    def mask(self, run: tuple[int, int, int]) -> int:
-        """The grid bits of the edges of ``run``, which need not be a
-        candidate."""
-        i, j, ell = run
-        pos = self.index.pos
-        return sum(1 << pos[Edge(i + t, j + t)] for t in range(ell))
-
     def cover(self, mask: int) -> int:
         covered = 0
         for e in _positions(mask):
             covered |= self.edge_covers[e]
         return covered
 
-    def hits(self, mask: int) -> int:
+    def compatible_mask(self, mask: int) -> int:
+        """Mask of the candidate runs compatible with every run whose edges
+        ``mask`` holds: those through none of their hits."""
         conf, par = self.index.conf, self.index.par
         hit = mask
         for e in _positions(mask):
             hit |= conf[e] | par[e]
-        return hit
-
-    def compatible_mask(self, mask: int) -> int:
-        """Mask of the candidate runs compatible with every run whose edges
-        ``mask`` holds: those through none of their hits."""
         near = 0
-        for e in _positions(self.hits(mask)):
+        for e in _positions(hit):
             near |= self._through[e]
         return self.all & ~near
 
@@ -459,6 +438,13 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     lengths 2..L returns None: an odd room when L = 2, whose parity no run
     changes, or a room of 1, which no run fits.  That check removes no leaf.
 
+    The anchors are one grid mask, read off the grid's conflict index with
+    everything else.  The search returns None unless every anchor has a
+    parallel neighbour among the anchors and conflicts with none of them.
+    That is the rule on their maximal runs: each must hold 2 or more edges,
+    and no two may clash.  Two distinct maximal runs share no edge and
+    cannot continue one another, so a conflict is the only clash left.
+
     The search runs on masks over the candidate runs of a
     :class:`_RunTable`, whose rows, run edges and diagonal covers are all
     read off one conflict index of the m x m grid.  ``covering[p]`` holds
@@ -484,21 +470,15 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             return None
 
     longest = min(spec.max_run_length, target)
-    seeds = _anchor_runs(spec.anchors)
-    if any(ell < 2 for _, _, ell in seeds):
-        return None
     seed_count = len(spec.anchors)
     if seed_count > target or not _fillable(target - seed_count, longest):
         return None
 
     table = _RunTable(m, longest)
-    chosen = hit = 0
-    for run in seeds:
-        mask = table.mask(run)
-        if mask & hit:
-            return None
-        chosen |= mask
-        hit |= table.hits(mask)
+    pos, conf, par = table.index
+    chosen = sum(1 << pos[a] for a in spec.anchors)
+    if any(conf[e] & chosen or not par[e] & chosen for e in _positions(chosen)):
+        return None
 
     runs, masks, run_covers = table.runs, table.masks, table.covers
     fields = _CoverFields(m, target)

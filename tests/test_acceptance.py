@@ -8,8 +8,11 @@ arithmetic; wall-clock limits follow each check's stated budget.
 """
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from duomatch.analysis import (
     GUARANTEE_RHO1,
@@ -195,6 +198,24 @@ def test_deterministic_output(capsys, tmp_path, monkeypatch):
         out = capsys.readouterr().out
         bench_rows.append([ln.rsplit(",", 1)[0] for ln in out.splitlines()])
     assert bench_rows[0] == bench_rows[1]
+
+
+#: The last line of scripts/output_digest.py: one SHA-256 over every
+#: deterministic output of the solvers on its seeded corpus.  A change that
+#: alters an output on purpose re-pins it and says why in CHANGES.md.
+OUTPUT_DIGEST_ALL = "cd6bfa3226e335ed741d4f1be5d6a333ff3333a15b944d5156e19dc67f580fe7  all"
+
+
+def test_output_digest_is_pinned():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == OUTPUT_DIGEST_ALL, (
+        "solver outputs changed; to see which, compare per-output lines with the parent:\n"
+        "  python3 scripts/output_digest.py > new.txt\n"
+        "  python3 scripts/output_digest.py --src ../parent/src > old.txt\n"
+        "  diff old.txt new.txt"
+    )
 
 
 def test_graph_gap_search_budgeted():

@@ -336,7 +336,7 @@ def test_run_table_rows_match_runs_compatible(m):
                 if max(a, b) + ell - 1 > m:
                     continue
                 r = ref._Run(a, b, ell, m)
-                mask = table.mask((a, b, ell))
+                mask = sum(1 << table.index.pos[Edge(a + t, b + t)] for t in range(ell))
                 expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
                 assert table.compatible_mask(mask) == expected
                 assert table.cover(mask) == r.cover_mask
@@ -499,6 +499,12 @@ def test_gap_spec_rejects_m_below_one(m):
 def test_gap_spec_rejects_negative_max_nodes():
     with pytest.raises(ValueError, match="max_nodes=-3"):
         GapSearchSpec(m=7, matching_size=2, anchors=(), max_nodes=-3)
+
+
+def test_gap_spec_rejects_negative_matching_size():
+    with pytest.raises(ValueError, match="matching_size=-1"):
+        GapSearchSpec(m=4, matching_size=-1)
+    assert search_gap_instance(GapSearchSpec(m=4, matching_size=0, anchors=())) is None
 
 
 def test_gap_search_on_one_position_finds_nothing():
