@@ -9,9 +9,16 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 * ``from_strings`` and ``local_search`` at rho 1 on balanced pairs
   (700, 70), (2000, 100) and (4000, 60), seed 2017;
 * ``local_search`` at rho 5 on the balanced pair (300, 10), seed 2017;
-* ``exact`` on dense alphabet-4 balanced pairs, n=40 (seed 7) and n=48
-  (seed 9);
+* ``exact`` (the lex-least witness search) on dense alphabet-4 balanced
+  pairs, n=40 (seed 7) and n=48 (seed 9);
+* ``exact_max_value`` (the value-only search ``bench --with-exact`` runs),
+  seeded with the rho-1 local search's matching as ``bench --rho 1`` seeds
+  it, on the same two pairs and on n=52 and n=60 (seed 7), which the
+  witness search takes 17 s and over a minute to finish; a checkout
+  without it writes no such rows;
 * the identity pair n=2000 through the ``solve`` and ``exact`` commands;
+* ``bench --rho 1 --with-exact --csv`` run 50 times on one dense n=24
+  alphabet-4 pair, rewriting the same CSV file each time;
 * the exhaustive gap searches with anchors (2, 8) and (3, 9) at m=18
   with 8 matching edges and at m=20 with 9, whose room of 7 edges no
   two-edge runs fill, and the m=26 search that ``make_fixtures.py`` runs.
@@ -34,8 +41,8 @@ directory.  The median over the alternated repeats is the figure to
 compare: on a shared machine the best of a few runs still moved by 40%
 between back-to-back runs of unchanged code, and runs of one checkout after
 the other saw different host load.  With one ``--src`` (by default this
-checkout) the script writes the one file.  Stdlib only; about two minutes
-per checkout on a 2-core x86-64 VM.
+checkout) the script writes the one file.  Stdlib only; about half a
+minute per checkout on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ def timed(run) -> tuple[float, object]:
 
 
 def rows(work: str):
-    from duomatch import DuoGraph, StringInstance, cli, instances, localsearch
+    from duomatch import DuoGraph, StringInstance, cli, exact, instances, localsearch
     from duomatch.core import Edge
     from duomatch.exact import exact_max_matching
 
@@ -118,6 +125,20 @@ def rows(work: str):
         yield {"name": f"exact balanced({n},4) seed {seed}", "s": t, "E": len(g.edges),
                "M": result.value, "nodes": result.nodes_explored}
 
+    value_pairs = ((40, 7), (48, 9), (52, 7), (60, 7)) if hasattr(exact, "exact_max_value") else ()
+    for n, seed in value_pairs:
+        pair = balanced_pair(n, 4, seed)
+
+        def solve_value(start, pair=pair):
+            g = graph_of(pair)
+            incumbent = localsearch.local_search(g, localsearch.SolverConfig(rho=1))[0]
+            start()
+            return g, exact.exact_max_value(g, incumbent)
+
+        t, (g, (value, nodes)) = timed(solve_value)
+        yield {"name": f"exact_max_value balanced({n},4) seed {seed}", "s": t,
+               "E": len(g.edges), "M": value, "nodes": nodes}
+
     ident = [f"x{t}" for t in range(2000)]
     path = os.path.join(work, "identity_n2000.duo")
     with open(path, "w", encoding="utf-8") as fh:
@@ -139,6 +160,24 @@ def rows(work: str):
         if command == "exact":
             row["nodes"] = exact_max_matching(g).nodes_explored
         yield row
+
+    pair = balanced_pair(24, 4, 2017)
+    path = os.path.join(work, "balanced_n24.duo")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join(pair[0]) + "\n" + " ".join(pair[1]) + "\n")
+    out = os.path.join(work, "balanced_n24.csv")
+
+    def rewrite_csv(start):
+        start()
+        for _ in range(50):
+            if cli.main(["bench", path, "--rho", "1", "--with-exact", "--csv", out]) != 0:
+                raise RuntimeError("bench failed")
+        with open(out, encoding="utf-8") as fh:
+            return fh.read().splitlines()[1].split(",")
+
+    t, row = timed(rewrite_csv)
+    yield {"name": "bench --with-exact --csv balanced(24,4) x50", "s": t, "E": int(row[3]),
+           "M": int(row[6])}
 
     anchors = (Edge(2, 8), Edge(3, 9))
     for spec in (instances.GapSearchSpec(m=18, matching_size=8, anchors=anchors),

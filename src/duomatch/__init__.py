@@ -23,7 +23,13 @@ from .core import (
     partition_from_matching,
     singleton_partition,
 )
-from .exact import BudgetExceededError, ExactResult, exact_max_matching, exact_min_partition_size
+from .exact import (
+    BudgetExceededError,
+    ExactResult,
+    exact_max_matching,
+    exact_max_value,
+    exact_min_partition_size,
+)
 from .localsearch import (
     IterationCapError,
     LocalOptCertificate,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .core import (
     _matching_on,
     partition_from_matching,
 )
-from .exact import BudgetExceededError, exact_max_matching
+from .exact import BudgetExceededError, exact_max_matching, exact_max_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,8 +50,7 @@ def cmd_solve(args) -> int:
                             seed=args.seed)
     matching, trace = localsearch.local_search(g, config)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_json_lines())
+        fileio.write_text(args.trace, trace.to_json_lines())
     lines = [f"{e}\n" for e in matching]
     lines.append(f"preserved {len(matching)}\n")
     if inst is not None:
@@ -185,13 +185,10 @@ def cmd_gen(args) -> int:
         spec = replace(first, seed=args.seed + offset)
         inst = instances.gen_random_kduo(spec)
         fname = spec.instance_id + ".duo"
-        with open(os.path.join(args.out, fname), "w", encoding="utf-8") as fh:
-            fh.write(fileio.format_instance(inst))
+        fileio.write_text(os.path.join(args.out, fname), fileio.format_instance(inst))
         entries.append({"id": spec.instance_id, "file": fname, **asdict(spec)})
-    manifest = os.path.join(args.out, "manifest.json")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"instances": entries}, fh, indent=2)
-        fh.write("\n")
+    fileio.write_text(os.path.join(args.out, "manifest.json"),
+                      json.dumps({"instances": entries}, indent=2) + "\n")
     print(f"wrote {len(entries)} instances to {args.out}")
     return EXIT_OK
 
@@ -207,34 +204,47 @@ def _parse_rhos(text: str) -> list[int]:
     return rhos
 
 
-def _bench_task(task: tuple[str, str | None, int, bool]) -> dict:
-    path, fmt, rho, with_exact = task
+def _bench_task(task: tuple[str, str | None, tuple[int, ...], bool, int | None]) -> list[dict]:
+    """The bench rows of one input file, one per width in ``rhos``.  With
+    ``with_exact`` the exact value is found once, after every width has run,
+    seeded with the largest local-search matching; when ``budget`` nodes do
+    not settle it, ``exact`` reads ``>=`` the best value found and ``ratio``
+    stays empty."""
+    path, fmt, rhos, with_exact, budget = task
     g, inst = fileio.load_problem(path, fmt)
-    config = localsearch.SolverConfig(rho=rho)
-    t0 = time.perf_counter()
-    matching, trace = localsearch.local_search(g, config)
-    ms = (time.perf_counter() - t0) * 1000.0
-    ls_value = len(matching)
-    row = {
-        "id": os.path.splitext(os.path.basename(path))[0],
-        "n": inst.n if inst is not None else g.m,
-        "k": inst.occurrence_cap() if inst is not None else "",
-        "E": len(g.edges),
-        "rho": rho,
-        "ls": ls_value,
-        "exact": "",
-        "ratio": "",
-        "iters": trace.iterations,
-        "ms": f"{ms:.3f}",
-    }
+    rows, matchings = [], []
+    for rho in rhos:
+        t0 = time.perf_counter()
+        matching, trace = localsearch.local_search(g, localsearch.SolverConfig(rho=rho))
+        ms = (time.perf_counter() - t0) * 1000.0
+        matchings.append(matching)
+        rows.append({
+            "id": os.path.splitext(os.path.basename(path))[0],
+            "n": inst.n if inst is not None else g.m,
+            "k": inst.occurrence_cap() if inst is not None else "",
+            "E": len(g.edges),
+            "rho": rho,
+            "ls": len(matching),
+            "exact": "",
+            "ratio": "",
+            "iters": trace.iterations,
+            "ms": f"{ms:.3f}",
+        })
     if with_exact:
-        opt = exact_max_matching(g).value
-        row["exact"] = opt
-        if opt == 0:  # an edgeless graph, which ratio_report rejects
-            row["ratio"] = "1/1"
-        else:
-            row["ratio"] = analysis.format_rational(analysis.ratio_report(ls_value, opt).ratio)
-    return row
+        try:
+            opt, _ = exact_max_value(g, max(matchings, key=len), budget)
+        except BudgetExceededError as exc:
+            for row in rows:
+                row["exact"] = f">={exc.best.value}"
+            return rows
+        for row in rows:
+            row["exact"] = opt
+            if opt == 0:  # an edgeless graph, which ratio_report rejects
+                row["ratio"] = "1/1"
+            else:
+                ratio = analysis.ratio_report(row["ls"], opt).ratio
+                row["ratio"] = analysis.format_rational(ratio)
+    return rows
 
 
 def _bench_inputs(paths: list[str]) -> list[str]:
@@ -257,6 +267,11 @@ def cmd_bench(args) -> int:
     for rho in rhos:
         if not 1 <= rho <= localsearch.MAX_RHO:
             raise ParseError(f"rho {rho} out of range")
+    if args.exact_budget is not None:
+        if not args.with_exact:
+            raise ParseError("--exact-budget needs --with-exact")
+        if args.exact_budget < 0:
+            raise ParseError(f"--exact-budget must be >= 0, got {args.exact_budget}")
     cpus = os.cpu_count() or 1
     threads = os.environ.get("DUO_THREADS", str(cpus))
     try:
@@ -265,28 +280,32 @@ def cmd_bench(args) -> int:
         workers = 0
     if workers < 1:
         raise ParseError(f"DUO_THREADS must be a positive integer, got {threads!r}")
-    tasks = [(path, args.format, rho, args.with_exact) for path in files for rho in rhos]
+    if args.with_exact:
+        # one task per file, so the exact search runs once for all widths
+        tasks = [(path, args.format, tuple(rhos), True, args.exact_budget) for path in files]
+    else:
+        tasks = [(path, args.format, (rho,), False, None) for path in files for rho in rhos]
     # the pool forks all its workers at once, so never ask for more than
     # there are tasks or cores
     workers = min(workers, len(tasks), cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_task, tasks))
+            rows = [row for batch in pool.map(_bench_task, tasks) for row in batch]
     else:
-        rows = [_bench_task(t) for t in tasks]
+        rows = [row for t in tasks for row in _bench_task(t)]
     rows.sort(key=lambda r: (r["id"], r["rho"]))
-    out = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
-    try:
-        writer = csv.DictWriter(
-            out,
-            fieldnames=["id", "n", "k", "E", "rho", "ls", "exact", "ratio", "iters", "ms"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
+    out = io.StringIO()
+    writer = csv.DictWriter(
+        out,
+        fieldnames=["id", "n", "k", "E", "rho", "ls", "exact", "ratio", "iters", "ms"],
+        lineterminator="\n",
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    if args.csv:
+        fileio.write_text(args.csv, out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 
@@ -363,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="instance files or directories")
     p.add_argument("--rho", default="5", help="single width, list, or range like 1..5")
     p.add_argument("--with-exact", action="store_true")
+    p.add_argument("--exact-budget", type=int, default=None,
+                   help="node budget of each input's exact search; a row it does not "
+                        "settle reads exact >=L with no ratio")
     p.add_argument("--csv", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 

@@ -8,12 +8,14 @@ Three file kinds, all line-oriented and read by the one line reader of
 * matching    one ``i j`` edge per line, relative to some graph
 
 Files are read as UTF-8; any malformed input, undecodable bytes included,
-raises :class:`~duomatch.core.ParseError`.
+raises :class:`~duomatch.core.ParseError`.  Every file the command line
+writes goes through :func:`write_text`.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 
 from .core import DuoGraph, Edge, ParseError, StringInstance, _content_lines, parse_instance
 
@@ -76,6 +78,26 @@ def _read(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting it in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length after
+    the write.  On ext4, a regular file truncated to zero and then rewritten
+    is flushed to disk when it is closed (``auto_da_alloc``), which costs far
+    more than the write itself.  Only a regular file is cut: character
+    devices such as ``/dev/null`` and pipes reject ``ftruncate``, and there
+    is no old tail to remove on them.  A new file gets the mode ``open()``
+    would give it (0o666 less the umask).
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def load_problem(path: str, fmt: str | None = None) -> tuple[DuoGraph, StringInstance | None]:

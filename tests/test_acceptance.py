@@ -27,7 +27,7 @@ from duomatch.analysis import (
 )
 from duomatch.cli import main
 from duomatch.core import DuoGraph, Edge, Matching, parse_instance
-from duomatch.exact import exact_max_matching
+from duomatch.exact import exact_max_matching, exact_max_value
 from duomatch.instances import (
     GRAPH_GAP_CAPS,
     STRING_GAP_CAPS,
@@ -41,6 +41,7 @@ from duomatch.instances import (
 )
 from duomatch.localsearch import SolverConfig, is_local_optimum, local_search
 
+import reference_exact
 from conftest import DEMO_OPT, DEMO_TEXT, edges
 from test_exact import enumerate_optimum
 
@@ -156,6 +157,20 @@ def test_ratio_guarantees_bulk():
         assert ratio_report(len(m1), opt_value, guarantee=GUARANTEE_RHO1).within_guarantee
         checked += 1
     assert checked > 150
+
+
+def test_value_search_matches_both_exact_searches_bulk():
+    """The value-only search, seeded with the rho-5 matching and with
+    nothing, against the witness search and the recursive reference."""
+    for g, m, opt_value in bulk_results():
+        assert reference_exact.exact_max_matching(g).value == opt_value
+        assert exact_max_value(g, m)[0] == opt_value
+        assert exact_max_value(g, Matching())[0] == opt_value
+    for spec in adversarial_specs():
+        g = DuoGraph.from_strings(gen_random_kduo(spec))
+        opt_value = exact_max_matching(g).value
+        assert reference_exact.exact_max_matching(g).value == opt_value
+        assert exact_max_value(g, local_search(g, SolverConfig(rho=5))[0])[0] == opt_value
 
 
 def test_solver_matches_enumeration():

@@ -20,7 +20,6 @@ from duomatch.cli import (
     main,
 )
 from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance
-from duomatch.exact import ExactResult
 
 from conftest import DEMO_TEXT, FIXTURES_DIR
 
@@ -482,6 +481,118 @@ def test_bench_usage_errors_carry_prefix(capsys, tmp_path, demo_file, monkeypatc
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--exact-budget", "10"], "error: --exact-budget needs --with-exact"),
+    (["--with-exact", "--exact-budget", "-1"], "error: --exact-budget must be >= 0, got -1"),
+], ids=["without-exact", "negative"])
+def test_bench_exact_budget_usage_errors(capsys, demo_file, flags, message):
+    assert run(capsys, "bench", demo_file, *flags) == (EXIT_USAGE, "", message + "\n")
+
+
+def test_bench_exact_budget_exhausted_rows(capsys, demo_file, monkeypatch):
+    """A budget of 0 stops the exact search at its root: each row reads
+    ``>=`` the local search's value and leaves the ratio empty."""
+    monkeypatch.setenv("DUO_THREADS", "1")
+    code, out, _ = run(capsys, "bench", demo_file, "--rho", "1..2", "--with-exact",
+                       "--exact-budget", "0")
+    assert code == EXIT_OK
+    assert strip_ms(out)[1:] == [
+        ["demo", "7", "2", "5", "1", "3", ">=3", "", "2"],
+        ["demo", "7", "2", "5", "2", "3", ">=3", "", "2"],
+    ]
+    code, ample, _ = run(capsys, "bench", demo_file, "--rho", "1..2", "--with-exact",
+                         "--exact-budget", "1000")
+    assert code == EXIT_OK
+    code, unbudgeted, _ = run(capsys, "bench", demo_file, "--rho", "1..2", "--with-exact")
+    assert strip_ms(ample) == strip_ms(unbudgeted)
+
+
+def test_bench_runs_the_exact_search_once_per_input(capsys, tmp_path, monkeypatch):
+    """Every width of an input shares one exact search, seeded with the
+    largest of its local-search matchings."""
+    out_dir = tmp_path / "batch"
+    run(capsys, "gen", "--n", "12", "--k", "3", "--alphabet", "4",
+        "--seed", "0", "--count", "3", "--out", str(out_dir))
+    monkeypatch.setenv("DUO_THREADS", "1")
+    seeds = []
+    value_search = cli.exact_max_value
+
+    def spy(g, incumbent, budget):
+        seeds.append(len(incumbent))
+        return value_search(g, incumbent, budget)
+
+    monkeypatch.setattr(cli, "exact_max_value", spy)
+    code, out, _ = run(capsys, "bench", str(out_dir), "--rho", "1..5", "--with-exact")
+    assert code == EXIT_OK
+    rows = strip_ms(out)[1:]
+    assert len(rows) == 15
+    assert seeds == [max(int(r[5]) for r in rows[i:i + 5]) for i in range(0, 15, 5)]
+
+
+def test_bench_csv_overwrites_a_longer_file(capsys, tmp_path, demo_file, monkeypatch):
+    monkeypatch.setenv("DUO_THREADS", "1")
+    csv_path = tmp_path / "out.csv"
+    csv_path.write_text("stale\n" * 1000)
+    code, _, _ = run(capsys, "bench", demo_file, "--with-exact", "--csv", str(csv_path))
+    assert code == EXIT_OK
+    text = csv_path.read_text()
+    assert "stale" not in text
+    assert strip_ms(text)[1:] == [["demo", "7", "2", "5", "5", "3", "3", "1/1", "2"]]
+
+
+def test_bench_csv_to_dev_null(capsys, demo_file):
+    assert run(capsys, "bench", demo_file, "--csv", os.devnull) == (EXIT_OK, "", "")
+
+
+def test_bench_csv_to_a_pipe(capsys, demo_file):
+    read_end, write_end = os.pipe()
+    try:
+        code, _, _ = run(capsys, "bench", demo_file, "--csv", f"/dev/fd/{write_end}")
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end) as fh:
+        text = fh.read()
+    assert code == EXIT_OK
+    assert strip_ms(text)[1:] == [["demo", "7", "2", "5", "5", "3", "", "", "2"]]
+
+
+def test_bench_csv_through_a_symlink(capsys, tmp_path, demo_file):
+    target = tmp_path / "real.csv"
+    target.write_text("stale\n" * 100)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run(capsys, "bench", demo_file, "--csv", str(link))[0] == EXIT_OK
+    assert link.is_symlink()
+    assert strip_ms(target.read_text())[1:] == [["demo", "7", "2", "5", "5", "3", "", "", "2"]]
+
+
+def test_bench_csv_to_a_directory_is_a_usage_error(capsys, tmp_path, demo_file):
+    code, out, err = run(capsys, "bench", demo_file, "--csv", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:")
+
+
+def test_solve_trace_overwrites_a_longer_file(capsys, tmp_path, demo_file):
+    fresh, stale = tmp_path / "fresh.jsonl", tmp_path / "stale.jsonl"
+    stale.write_text("{}\n" * 1000)
+    for path in (fresh, stale):
+        assert run(capsys, "solve", demo_file, "--trace", str(path))[0] == EXIT_OK
+    assert stale.read_bytes() == fresh.read_bytes()
+
+
+def test_gen_overwrites_longer_files(capsys, tmp_path):
+    args = ["gen", "--n", "9", "--k", "3", "--alphabet", "4", "--seed", "11", "--count", "2"]
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stale.mkdir()
+    names = ["kduo_n9_k3_a4_s11.duo", "kduo_n9_k3_a4_s12.duo", "manifest.json"]
+    for name in names:
+        (stale / name).write_text("x" * 5000)
+    for out_dir in (fresh, stale):
+        assert run(capsys, *args, "--out", str(out_dir))[0] == EXIT_OK
+    for name in names:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
 # ---------------------------------------------------------------- errors
 
 def test_missing_file_is_usage_error(capsys):
@@ -549,7 +660,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, demo_file, monkeypatc
     # an exact value below the search's is a defect, which ratio_report
     # rejects with ValueError; it must not read as bad input
     monkeypatch.setenv("DUO_THREADS", "1")
-    monkeypatch.setattr(cli, "exact_max_matching", lambda g: ExactResult(1, Matching(), 0))
+    monkeypatch.setattr(cli, "exact_max_value", lambda g, incumbent, budget: (1, 0))
     with pytest.raises(ValueError, match="ls <= opt"):
         main(["bench", demo_file, "--rho", "1", "--with-exact"])
 

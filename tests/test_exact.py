@@ -1,15 +1,27 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duomatch.core import DuoGraph, Edge, Matching, compatible, parse_instance
+from duomatch.core import (
+    DuoGraph,
+    Edge,
+    EdgeNotInGraphError,
+    Matching,
+    StringInstance,
+    compatible,
+    parse_instance,
+)
 from duomatch.exact import (
     BudgetExceededError,
+    ExactResult,
     exact_max_matching,
+    exact_max_value,
     exact_min_partition_size,
 )
+from duomatch.localsearch import SolverConfig, local_search
 
 import reference_exact as ref
 from conftest import DEMO_OPT, edges
@@ -135,3 +147,160 @@ def test_min_partition_identical_strings():
 def test_min_partition_in_range(inst):
     blocks = exact_min_partition_size(inst)
     assert 1 <= blocks <= inst.n
+
+
+# ------------------------------------------------------- value-only search
+
+def balanced_graph(n: int, alphabet: int, seed: int) -> DuoGraph:
+    """The duo graph of a balanced pair: ``n`` symbols over ``alphabet``
+    letters shuffled by ``random.Random(seed)``, then shuffled again."""
+    rng = random.Random(seed)
+    a = [f"s{t % alphabet}" for t in range(n)]
+    rng.shuffle(a)
+    b = a.copy()
+    rng.shuffle(b)
+    return DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
+
+
+@st.composite
+def graphs_with_incumbents(draw, max_m=6, max_edges=12):
+    """A small graph with a matching drawn from its lex-least optimum."""
+    g = draw(graphs(max_m=max_m, max_edges=max_edges))
+    _, lex_least = enumerate_optimum(g)
+    return g, Matching(draw(st.lists(st.sampled_from(lex_least), unique=True))
+                       if lex_least else ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_incumbents())
+def test_value_matches_subset_enumeration(case):
+    g, incumbent = case
+    value, nodes = exact_max_value(g, incumbent)
+    assert value == enumerate_optimum(g)[0]
+    assert nodes >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(string_pairs(max_n=12))
+def test_value_matches_reference_from_empty_and_local_search(inst):
+    g = DuoGraph.from_strings(inst)
+    want = ref.exact_max_matching(g).value
+    assert exact_max_value(g, Matching())[0] == want
+    assert exact_max_value(g, local_search(g, SolverConfig(rho=1))[0])[0] == want
+
+
+DENSE_PAIRS = [(24, 1), (24, 2), (28, 2), (32, 3), (36, 4), (40, 7), (44, 5), (48, 6), (48, 2)]
+
+
+@pytest.mark.parametrize("n, seed", DENSE_PAIRS)
+def test_value_matches_exact_on_dense_pairs(n, seed):
+    """Dense alphabet-4 pairs, seeded with nothing and with the rho-1 local
+    search; the recursive reference runs only at n=24, where it takes well
+    under a second (n=36 takes minutes)."""
+    g = balanced_graph(n, 4, seed)
+    want = exact_max_matching(g).value
+    if n == 24:
+        assert ref.exact_max_matching(g).value == want
+    assert exact_max_value(g, Matching())[0] == want
+    assert exact_max_value(g, local_search(g, SolverConfig(rho=1))[0])[0] == want
+
+
+def test_value_takes_one_node_when_the_incumbent_is_a_diagonal():
+    """Identity n=2000: 1999 pairwise compatible edges, so one clique per
+    edge, and the local search's matching of all of them ends the search
+    at the root."""
+    ident = tuple(f"x{t}" for t in range(2000))
+    g = DuoGraph.from_strings(StringInstance(ident, ident))
+    m, _ = local_search(g, SolverConfig(rho=1))
+    assert exact_max_value(g, m) == (1999, 1)
+
+
+def test_value_search_is_not_bound_by_the_recursion_limit():
+    """From the empty matching the identity pair takes one level per edge,
+    past Python's default recursion limit of 1000."""
+    ident = tuple(f"x{t}" for t in range(1100))
+    g = DuoGraph.from_strings(StringInstance(ident, ident))
+    assert exact_max_value(g, Matching()) == (1099, 1100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_incumbents(max_m=8, max_edges=20), st.data())
+def test_value_budget_transparent_or_carries_a_compatible_witness(case, data):
+    g, incumbent = case
+    value, nodes = exact_max_value(g, incumbent)
+    budget = data.draw(st.integers(0, nodes + 3))
+    if budget >= nodes:
+        assert exact_max_value(g, incumbent, budget) == (value, nodes)
+        return
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_max_value(g, incumbent, budget)
+    best = exc.value.best
+    assert exc.value.budget == budget
+    assert best.nodes_explored == budget + 1
+    assert len(incumbent) <= best.value == len(best.witness) <= value
+    assert Matching(best.witness) == best.witness
+    assert all(e in g for e in best.witness)
+
+
+def test_value_budget_on_a_dense_pair_carries_a_better_witness():
+    g = balanced_graph(48, 4, 9)
+    m, _ = local_search(g, SolverConfig(rho=1))
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_max_value(g, m, budget=500)
+    best = exc.value.best
+    assert best.nodes_explored == 501
+    assert len(m) < best.value == len(best.witness) <= 26
+    assert Matching(best.witness) == best.witness and all(e in g for e in best.witness)
+
+
+def test_value_budget_zero_returns_the_incumbent(demo_graph):
+    incumbent = Matching([Edge(2, 1)])
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_max_value(demo_graph, incumbent, 0)
+    assert exc.value.best == ExactResult(1, incumbent, 1)
+
+
+def test_value_rejects_bad_arguments(demo_graph):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        exact_max_value(demo_graph, Matching(), -1)
+    with pytest.raises(EdgeNotInGraphError):
+        exact_max_value(demo_graph, Matching([Edge(4, 4)]), None)
+
+
+@pytest.mark.parametrize("n, alphabet, seed", [
+    (60, 4, 7), (64, 4, 5), (80, 8, 1), (100, 8, 2), (120, 10, 3), (120, 12, 5),
+])
+def test_value_matches_milp(n, alphabet, seed):
+    """Balanced pairs past the witness search's reach (n=60 alphabet 4
+    takes it about a minute) against an integer program."""
+    pytest.importorskip("scipy")
+    from milp_oracle import milp_max_matching
+
+    g = balanced_graph(n, alphabet, seed)
+    optimum = milp_max_matching(g)
+    assert all(e in g for e in optimum)
+    assert exact_max_value(g, local_search(g, SolverConfig(rho=1))[0])[0] == len(optimum)
+
+
+def test_value_search_beats_the_witness_search_on_dense_n24():
+    """The 150 dense n=24 pairs of the bench-exact benchmark corpus build
+    (alphabet 4, edge count fixed at 33): seeded with the rho-1 matching,
+    the value search explores fewer nodes in total than the lex-least
+    witness search."""
+    rng = random.Random("bench-exact:1")
+    value_nodes = matching_nodes = 0
+    for _ in range(150):
+        while True:
+            a = [chr(ord("a") + t % 4) for t in range(24)]
+            rng.shuffle(a)
+            b = a.copy()
+            rng.shuffle(b)
+            g = DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
+            if len(g.edges) == 33:
+                break
+        full = exact_max_matching(g)
+        value, nodes = exact_max_value(g, local_search(g, SolverConfig(rho=1))[0])
+        assert value == full.value
+        value_nodes += nodes
+        matching_nodes += full.nodes_explored
+    assert value_nodes < matching_nodes

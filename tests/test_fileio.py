@@ -2,6 +2,8 @@
 reader: comment lines, blank lines, CRLF line ends and padding whitespace
 never change what is read, and malformed text raises ParseError only."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from duomatch.fileio import (
     format_matching,
     parse_graph,
     parse_matching_edges,
+    write_text,
 )
 
 from test_core import graphs
@@ -117,3 +120,38 @@ def test_malformed_text_raises_parse_error_only(parse, text):
 def test_malformed_examples(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+# ---------------------------------------------------------------- writing
+
+def test_write_text_overwrites_a_longer_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("x" * 10_000)
+    write_text(str(path), "näive\n")
+    assert path.read_bytes() == "näive\n".encode("utf-8")
+
+
+def test_write_text_creates_a_file_with_the_mode_open_gives(tmp_path):
+    ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+    write_text(str(ours), "a\n")
+    with open(theirs, "w", encoding="utf-8") as fh:
+        fh.write("a\n")
+    assert os.stat(ours).st_mode == os.stat(theirs).st_mode
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old old old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text(str(link), "new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+
+
+def test_write_text_to_a_device_skips_the_truncation():
+    write_text(os.devnull, "discarded\n")
+
+
+def test_write_text_to_a_directory_raises(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        write_text(str(tmp_path), "x")
