@@ -9,13 +9,15 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 * ``from_strings`` and ``local_search`` at rho 1 on balanced pairs
   (700, 70), (2000, 100) and (4000, 60), seed 2017;
 * ``local_search`` at rho 5 on the balanced pair (300, 10), seed 2017;
-* ``exact`` (the lex-least witness search) on dense alphabet-4 balanced
-  pairs, n=40 (seed 7) and n=48 (seed 9);
+* ``exact`` (``exact_max_matching``, the optimum with its lex-least
+  witness) on dense alphabet-4 balanced pairs, n=40 (seed 7), n=48
+  (seed 9), n=52 and n=60 (seed 7), each under a budget of 200,000 nodes;
+  a search that runs out is recorded as ``exhausted`` with its lower bound
+  as |M| (the include-first search of earlier checkouts needed 539k and
+  over 2M nodes at n=52 and n=60);
 * ``exact_max_value`` (the value-only search ``bench --with-exact`` runs),
   seeded with the rho-1 local search's matching as ``bench --rho 1`` seeds
-  it, on the same two pairs and on n=52 and n=60 (seed 7), which the
-  witness search takes 17 s and over a minute to finish; a checkout
-  without it writes no such rows;
+  it, on the same four pairs; a checkout without it writes no such rows;
 * the identity pair n=2000 through the ``solve`` and ``exact`` commands;
 * ``bench --rho 1 --with-exact --csv`` run 50 times on one dense n=24
   alphabet-4 pair, rewriting the same CSV file each time;
@@ -62,6 +64,7 @@ import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 REPEATS = 5
+WITNESS_BUDGET = 200_000
 
 
 def balanced_pair(n: int, alphabet: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -84,7 +87,7 @@ def timed(run) -> tuple[float, object]:
 def rows(work: str):
     from duomatch import DuoGraph, StringInstance, cli, exact, instances, localsearch
     from duomatch.core import Edge
-    from duomatch.exact import exact_max_matching
+    from duomatch.exact import BudgetExceededError, exact_max_matching
 
     def graph_of(pair):
         return DuoGraph.from_strings(StringInstance(*pair))
@@ -113,20 +116,23 @@ def rows(work: str):
         yield {"name": f"local_search rho={rho} balanced({n},{alphabet})", "s": t,
                "E": len(g.edges), "M": len(m)}
 
-    for n, seed in ((40, 7), (48, 9)):
+    dense_pairs = ((40, 7), (48, 9), (52, 7), (60, 7))
+    for n, seed in dense_pairs:
         pair = balanced_pair(n, 4, seed)
 
         def solve_exact(start, pair=pair):
             g = graph_of(pair)
             start()
-            return g, exact_max_matching(g)
+            try:
+                return g, exact_max_matching(g, budget=WITNESS_BUDGET), False
+            except BudgetExceededError as exc:
+                return g, exc.best, True
 
-        t, (g, result) = timed(solve_exact)
+        t, (g, result, exhausted) = timed(solve_exact)
         yield {"name": f"exact balanced({n},4) seed {seed}", "s": t, "E": len(g.edges),
-               "M": result.value, "nodes": result.nodes_explored}
+               "M": result.value, "nodes": result.nodes_explored, "exhausted": exhausted}
 
-    value_pairs = ((40, 7), (48, 9), (52, 7), (60, 7)) if hasattr(exact, "exact_max_value") else ()
-    for n, seed in value_pairs:
+    for n, seed in dense_pairs if hasattr(exact, "exact_max_value") else ():
         pair = balanced_pair(n, 4, seed)
 
         def solve_value(start, pair=pair):

@@ -1,31 +1,31 @@
 """Exact optimum by branch and bound.
 
-Serves as the oracle the heuristic is measured against.  Two searches run
-over the graph's conflict index (:attr:`DuoGraph.index`); both keep an
-explicit stack, so their depth is not limited by Python's recursion limit,
-and both take a node budget.
-
-:func:`exact_max_matching` returns the optimum and a witness.  It is an
-include-first depth-first search: edges are branched in lexicographic order,
-taking the lowest remaining candidate first, so the witness reported for the
-optimum value is the lexicographically smallest maximum matching.  Each node
-is bounded twice: by its size plus the number of surviving candidates, then
-by its size plus the number of cliques in a greedy clique cover of the
-candidates' conflict graph (a matching holds at most one edge per clique).
-A subtree is cut only when it cannot strictly beat the incumbent, so the
-bound changes how many nodes are visited, never the value or the witness.
-
-:func:`exact_max_value` returns the optimum value only, which is all
-``bench --with-exact`` needs.  A maximum matching is a maximum independent
-set of the conflict graph, so this is a colour-ordered search in the style
-of Tomita's MCQ/MCS maximum-clique solvers, run on the complement: each
-node covers its candidates greedily by conflict cliques, numbers each
-candidate with the clique it joined, and branches on the highest numbers
-first, cutting every candidate whose number cannot lift the node past the
+Serves as the oracle the heuristic is measured against.  A maximum matching
+is a maximum independent set of the conflict graph (:attr:`DuoGraph.index`),
+so one colour-ordered search in the style of Tomita's MCQ/MCS maximum-clique
+solvers, run on the complement, answers every question here: each node
+covers its candidates greedily by conflict cliques, numbers each candidate
+with the clique it joined, and branches on the highest numbers first,
+cutting every candidate whose number cannot lift the node past the
 incumbent.  The edges are first renumbered smallest-last (degeneracy order
 of the compatibility graph), which sets the order the covers are built in.
-It starts from a matching the caller already has, usually the local
-search's, so only subtrees that beat it are searched.
+The search keeps an explicit stack, so its depth is not limited by Python's
+recursion limit, and all its runs for one answer share one node budget.
+
+:func:`exact_max_value` returns the optimum value only, which is all
+``bench --with-exact`` needs.  It starts from a matching the caller already
+has, usually the local search's, so only subtrees that beat it are
+searched.
+
+:func:`exact_max_matching` also returns the lexicographically smallest
+maximum matching as its witness.  It starts from the lex greedy matching
+and runs the search once for the optimum and some maximum matching W.  It
+then fixes the witness edge by edge, lowest first: an edge of W is taken at
+no cost, and any other candidate only if the search finds the rest of a
+maximum matching among the later candidates compatible with it, a set that
+then replaces W.  Taking each lowest edge that still fits gives exactly the
+lex-least maximum matching, and when the greedy matching is already maximum
+no second search runs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DuoError, DuoGraph, Matching, StringInstance, _mask, _positions
+from .localsearch import greedy_maximal
 
 
 @dataclass(frozen=True)
@@ -50,65 +51,6 @@ class BudgetExceededError(DuoError):
         super().__init__(f"node budget {budget} exhausted; best found {best.value}")
         self.budget = budget
         self.best = best
-
-
-def _cover_within(conf: tuple[int, ...], rest: int, slack: int) -> bool:
-    """True when a greedy clique cover of ``rest`` uses at most ``slack``
-    cliques.  Each clique starts at the lowest uncovered edge and grows by
-    the lowest uncovered edge conflicting with every edge taken so far;
-    counting stops as soon as it passes ``slack``."""
-    count = 0
-    while rest:
-        count += 1
-        if count > slack:
-            return False
-        low = rest & -rest
-        rest ^= low
-        q = rest & conf[low.bit_length() - 1]
-        while q:
-            w = q & -q
-            rest ^= w
-            q &= conf[w.bit_length() - 1]
-    return True
-
-
-def exact_max_matching(g: DuoGraph, budget: int | None = None) -> ExactResult:
-    """Maximum pairwise-compatible edge set of ``g``.
-
-    ``budget`` caps explored nodes, the root included, so 0 stops at the
-    root; on exhaustion BudgetExceededError is raised with the incumbent
-    attached, and a negative budget raises ValueError.  Deterministic for a
-    given graph.
-    """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    conf = g.index.conf
-    best_mask, best = 0, 0
-    nodes = 1
-    if budget is not None and nodes > budget:
-        raise BudgetExceededError(budget, ExactResult(0, Matching(), nodes))
-    # frames (chosen, size, rest): rest holds the candidates not yet
-    # branched on at that node, all compatible with every chosen edge
-    stack = [(0, 0, (1 << len(g.edges)) - 1)]
-    while stack:
-        chosen, size, rest = stack.pop()
-        # best >= size always, so an empty rest is cut by the first test
-        if size + rest.bit_count() <= best or _cover_within(conf, rest, best - size):
-            continue
-        low = rest & -rest
-        rest ^= low
-        stack.append((chosen, size, rest))
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                budget, ExactResult(best, Matching._of_mask(g, best_mask), nodes)
-            )
-        chosen |= low
-        size += 1
-        if size > best:
-            best_mask, best = chosen, size
-        stack.append((chosen, size, rest & ~conf[low.bit_length() - 1]))
-    return ExactResult(best, Matching._of_mask(g, best_mask), nodes)
 
 
 def _smallest_last(conf: tuple[int, ...]) -> list[int]:
@@ -142,6 +84,142 @@ def _smallest_last(conf: tuple[int, ...]) -> list[int]:
     return order
 
 
+class _Search:
+    """The colour-ordered search over the edges of ``g`` renumbered
+    smallest-last: bit t of a mask here stands for edge ``order[t]``, and
+    ``bit[k]`` is the bit of edge k.  ``known`` is the largest matching
+    known, from the lex mask ``seed`` on; ``nodes`` counts the root and
+    every branch node of every :meth:`run`, and passing ``budget`` raises
+    BudgetExceededError with ``known`` attached."""
+
+    def __init__(self, g: DuoGraph, budget: int | None, seed: int) -> None:
+        self.g, self.budget = g, budget
+        self.nodes = 1
+        lex_conf = g.index.conf
+        self.order = _smallest_last(lex_conf)
+        self.bit = [0] * len(self.order)
+        for t, k in enumerate(self.order):
+            self.bit[k] = 1 << t
+        self.conf = [self.renumber(lex_conf[k]) for k in self.order]
+        self.known = self.renumber(seed)
+
+    def renumber(self, mask: int) -> int:
+        """The renumbered mask of the edges set in the lex mask ``mask``."""
+        bit, out = self.bit, 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= bit[low.bit_length() - 1]
+        return out
+
+    def matching(self, mask: int) -> Matching:
+        """The matching of the edges set in the renumbered ``mask``."""
+        return Matching._of_mask(self.g, sum(1 << self.order[t] for t in _positions(mask)))
+
+    def stop(self) -> BudgetExceededError:
+        """The budget error carrying ``known``."""
+        return BudgetExceededError(self.budget, ExactResult(
+            self.known.bit_count(), self.matching(self.known), self.nodes))
+
+    def run(self, cands: int, chosen: int, best: int, goal: int | None = None) -> int:
+        """The size of the largest matching that extends the renumbered
+        matching ``chosen`` by edges of ``cands``, all compatible with it,
+        or ``best`` if none has more edges; each larger one found becomes
+        ``known``, and the first found with ``goal`` edges ends the run."""
+        conf, budget, nodes = self.conf, self.budget, self.nodes
+
+        def cover(cands: int, size: int) -> list[tuple[int, int]]:
+            """The candidates worth branching on at a node of ``size`` edges,
+            with their clique numbers, lowest number first: greedy cliques
+            start at the lowest uncovered edge and grow by the lowest edge
+            conflicting with every edge taken, and a candidate on clique c
+            is worth branching on only if size + c can beat ``best``."""
+            worth = best - size + 1
+            out = []
+            c = 0
+            while cands:
+                c += 1
+                q = cands
+                while q:
+                    low = q & -q
+                    cands ^= low
+                    v = low.bit_length() - 1
+                    q &= conf[v]
+                    if c >= worth:
+                        out.append((v, c))
+            return out
+
+        # frames [size, cands, chosen, branch]: cands holds the candidates of
+        # the node not yet branched on, all compatible with the chosen edges,
+        # and branch the (edge, clique number) pairs left to branch on
+        size = chosen.bit_count()
+        stack = [[size, cands, chosen, cover(cands, size)]]
+        while stack:
+            frame = stack[-1]
+            size, cands, chosen, branch = frame
+            # branch is taken from its end, highest number first, so the first
+            # number that cannot beat the incumbent ends the node
+            if not branch or size + branch[-1][1] <= best:
+                stack.pop()
+                continue
+            v = branch.pop()[0]
+            bit = 1 << v
+            cands ^= bit
+            frame[1] = cands
+            nodes += 1
+            if budget is not None and nodes > budget:
+                self.nodes = nodes
+                raise self.stop()
+            chosen |= bit
+            size += 1
+            if size > best:
+                best, self.known = size, chosen
+                if best == goal:
+                    break
+            rest = cands & ~conf[v]
+            if size + rest.bit_count() > best:
+                stack.append([size, rest, chosen, cover(rest, size)])
+        self.nodes = nodes
+        return best
+
+
+def exact_max_matching(g: DuoGraph, budget: int | None = None) -> ExactResult:
+    """Maximum pairwise-compatible edge set of ``g``, with the lex-least
+    maximum matching as the witness.
+
+    ``budget`` caps explored nodes, the root included, so 0 stops at the
+    root; on exhaustion BudgetExceededError is raised with the largest
+    matching known attached, a maximum one once the witness is being fixed,
+    and a negative budget raises ValueError.  Deterministic for a given
+    graph.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget == 0:
+        raise BudgetExceededError(0, ExactResult(0, Matching(), 1))
+    seed = greedy_maximal(g)
+    search = _Search(g, budget, _mask(g, seed))
+    cands = (1 << len(g.edges)) - 1
+    value = search.run(cands, 0, len(seed))
+    conf, chosen = search.conf, 0
+    for bit in search.bit:
+        if chosen.bit_count() == value:
+            break
+        if not cands & bit:
+            continue
+        cands ^= bit
+        near = conf[bit.bit_length() - 1]
+        # an edge outside the known optimum stays only if the later
+        # candidates compatible with it complete a maximum matching; when
+        # it is the last edge needed, it completes one itself
+        if (not search.known & bit and chosen.bit_count() + 1 < value
+                and search.run(cands & ~near, chosen | bit, value - 1, value) < value):
+            continue
+        chosen |= bit
+        cands &= ~near
+    return ExactResult(value, search.matching(chosen), search.nodes)
+
+
 def exact_max_value(g: DuoGraph, incumbent: Matching,
                     budget: int | None = None) -> tuple[int, int]:
     """The size of a maximum matching of ``g`` and the nodes explored.
@@ -155,82 +233,10 @@ def exact_max_value(g: DuoGraph, incumbent: Matching,
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    seed = _mask(g, incumbent)
-    lex_conf = g.index.conf
-    order = _smallest_last(lex_conf)
-    # bit t of a mask below stands for edge order[t]
-    to_bit = [0] * len(order)
-    for t, k in enumerate(order):
-        to_bit[k] = 1 << t
-    conf = []
-    for k in order:
-        c, near = 0, lex_conf[k]
-        while near:
-            low = near & -near
-            near ^= low
-            c |= to_bit[low.bit_length() - 1]
-        conf.append(c)
-    best, best_chosen = len(incumbent), None
-    nodes = 1
-
-    def stop() -> BudgetExceededError:
-        if best_chosen is None:
-            mask = seed
-        else:
-            mask = sum(1 << order[t] for t in _positions(best_chosen))
-        return BudgetExceededError(budget, ExactResult(best, Matching._of_mask(g, mask), nodes))
-
-    def cover(cands: int, size: int) -> list[tuple[int, int]]:
-        """The candidates worth branching on at a node of ``size`` edges,
-        with their clique numbers, lowest number first: greedy cliques
-        start at the lowest uncovered edge and grow by the lowest edge
-        conflicting with every edge taken, and a candidate on clique c is
-        worth branching on only if size + c can beat ``best``."""
-        worth = best - size + 1
-        out = []
-        c = 0
-        while cands:
-            c += 1
-            q = cands
-            while q:
-                low = q & -q
-                cands ^= low
-                v = low.bit_length() - 1
-                q &= conf[v]
-                if c >= worth:
-                    out.append((v, c))
-        return out
-
-    if budget is not None and nodes > budget:
-        raise stop()
-    # frames [size, cands, chosen, branch]: cands holds the candidates of
-    # the node not yet branched on, all compatible with the chosen edges,
-    # and branch the (edge, clique number) pairs left to branch on
-    everything = (1 << len(order)) - 1
-    stack = [[0, everything, 0, cover(everything, 0)]]
-    while stack:
-        frame = stack[-1]
-        size, cands, chosen, branch = frame
-        # branch is taken from its end, highest number first, so the first
-        # number that cannot beat the incumbent ends the node
-        if not branch or size + branch[-1][1] <= best:
-            stack.pop()
-            continue
-        v = branch.pop()[0]
-        bit = 1 << v
-        cands ^= bit
-        frame[1] = cands
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise stop()
-        chosen |= bit
-        size += 1
-        if size > best:
-            best, best_chosen = size, chosen
-        rest = cands & ~conf[v]
-        if size + rest.bit_count() > best:
-            stack.append([size, rest, chosen, cover(rest, size)])
-    return best, nodes
+    search = _Search(g, budget, _mask(g, incumbent))
+    if budget == 0:
+        raise search.stop()
+    return search.run((1 << len(g.edges)) - 1, 0, len(incumbent)), search.nodes
 
 
 def exact_min_partition_size(inst: StringInstance, budget: int | None = None) -> int:
@@ -240,4 +246,4 @@ def exact_min_partition_size(inst: StringInstance, budget: int | None = None) ->
     n minus the maximum number of preserved duos.
     """
     g = DuoGraph.from_strings(inst)
-    return inst.n - exact_max_matching(g, budget=budget).value
+    return inst.n - exact_max_value(g, greedy_maximal(g), budget)[0]

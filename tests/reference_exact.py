@@ -3,10 +3,12 @@
 This is the exact search as first written: a recursive include-first DFS
 over the lex-ordered edges that rebuilds each child's candidate list with
 :func:`compatible` and bounds a node by its size plus its candidate count.
-:func:`duomatch.exact.exact_max_matching` runs the same search order over the
-conflict index with a stronger bound, and must return the same value and
-witness while visiting no more nodes.  The recursion goes one level per
-chosen edge, so keep inputs small.
+Branching lowest edge first makes the first maximum matching it reaches
+the lexicographically least one.  :func:`duomatch.exact.exact_max_matching`
+gets the same witness another way, from a colour-ordered search that first
+finds the optimum and then fixes the witness edge by edge, and must return
+the same value and witness while visiting no more nodes.  The recursion
+goes one level per chosen edge, so keep inputs small.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ def test_balanced_n200_smoke(capsys, tmp_path):
     code, out, _ = run(capsys, "exact", str(pair), "--budget", "5000")
     assert code == EXIT_BUDGET
     first, *edge_lines = out.splitlines()
-    assert first == "budget-exceeded lower-bound 83" and len(edge_lines) == 83
+    assert first == "budget-exceeded lower-bound 82" and len(edge_lines) == 82
     efile = tmp_path / "exact.matching"
     efile.write_text("\n".join(edge_lines) + "\n")
     code, out, _ = run(capsys, "verify", str(pair), str(efile))

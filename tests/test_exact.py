@@ -105,13 +105,14 @@ def test_budget_transparent_or_valid_incumbent(g, data):
     assert all(e in g for e in best.witness)
 
 
-def test_clique_bound_cuts_conflict_clique():
+def test_greedy_seed_ends_a_conflict_clique_at_the_root():
     """Edges sharing one A-position pairwise conflict, so one clique covers
-    them: after the first leaf no sibling can beat 1."""
+    them: the greedy seed already holds one edge, the lowest, and no
+    candidate can beat it."""
     g = DuoGraph(6, [Edge(1, j) for j in range(1, 7)])
     res = exact_max_matching(g)
     assert res.value == 1 and res.witness == Matching([Edge(1, 1)])
-    assert res.nodes_explored == 2
+    assert res.nodes_explored == 1
     assert ref.exact_max_matching(g).nodes_explored == 6
 
 
@@ -271,8 +272,7 @@ def test_value_rejects_bad_arguments(demo_graph):
     (60, 4, 7), (64, 4, 5), (80, 8, 1), (100, 8, 2), (120, 10, 3), (120, 12, 5),
 ])
 def test_value_matches_milp(n, alphabet, seed):
-    """Balanced pairs past the witness search's reach (n=60 alphabet 4
-    takes it about a minute) against an integer program."""
+    """Balanced pairs up to n=120 against an integer program."""
     pytest.importorskip("scipy")
     from milp_oracle import milp_max_matching
 
@@ -304,3 +304,51 @@ def test_value_search_beats_the_witness_search_on_dense_n24():
         value_nodes += nodes
         matching_nodes += full.nodes_explored
     assert value_nodes < matching_nodes
+
+
+# ------------------------------------------------- witness past n = 50
+
+PINNED_WITNESSES = {
+    # the lex-least maximum matchings returned by the include-first
+    # depth-first search this module ran before the colour-ordered one
+    (40, 7): [(1, 18), (3, 31), (4, 32), (6, 9), (7, 10), (8, 11), (10, 21), (12, 39),
+              (14, 29), (17, 23), (19, 27), (22, 36), (23, 37), (26, 25), (28, 5), (30, 1),
+              (31, 2), (33, 15), (34, 16), (37, 13), (39, 7)],
+    (48, 9): [(1, 4), (3, 29), (4, 30), (5, 31), (8, 34), (10, 12), (11, 13), (13, 18),
+              (14, 19), (16, 15), (17, 16), (19, 26), (21, 36), (23, 6), (24, 7), (25, 8),
+              (27, 23), (30, 41), (31, 42), (35, 47), (37, 10), (39, 39), (41, 21), (43, 44),
+              (44, 45), (46, 1)],
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_WITNESSES))
+def test_witness_on_dense_pairs_is_pinned(n, seed):
+    res = exact_max_matching(balanced_graph(n, 4, seed))
+    assert [(e.i, e.j) for e in res.witness] == PINNED_WITNESSES[n, seed]
+    assert res.value == len(res.witness)
+
+
+@pytest.mark.parametrize("n, seed, nodes", [(52, 7, 9168), (60, 7, 53588)])
+def test_witness_past_n50_matches_milp(n, seed, nodes):
+    """Dense alphabet-4 pairs the include-first search needed 539k and more
+    than 2M nodes for."""
+    g = balanced_graph(n, 4, seed)
+    res = exact_max_matching(g)
+    assert res.nodes_explored == nodes
+    assert Matching(res.witness) == res.witness and all(e in g for e in res.witness)
+    pytest.importorskip("scipy")
+    from milp_oracle import milp_max_matching
+
+    assert res.value == len(res.witness) == len(milp_max_matching(g))
+
+
+def test_budget_in_the_witness_phase_carries_an_optimum():
+    """On (48, 4, 9) the optimum is known after 29,654 of the 47,291 nodes,
+    so a budget of 40,000 runs out while the witness is being fixed and
+    reports a maximum matching."""
+    g = balanced_graph(48, 4, 9)
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_max_matching(g, budget=40_000)
+    best = exc.value.best
+    assert best.value == len(best.witness) == 26 and best.nodes_explored == 40_001
+    assert Matching(best.witness) == best.witness and all(e in g for e in best.witness)
