@@ -17,38 +17,41 @@ replacements take the first improvement found, and the incoming edge set is
 the lexicographically first one the backtracking reaches.
 
 All moves run as integer bitmask operations over the graph's shared
-:class:`~duomatch.core.ConflictIndex`, and replace and reduce share one swap
-enumerator.  For a rho-subset X of the matching, the entrants are the
-non-matching edges whose conflicts with the matching are non-empty and lie
-inside X.  The enumerator does not visit the subsets one by one.  It grows
-*cores*, compatible sets Y of entrants whose conflicts C inside the
-matching number at most rho, and reads off which X admit a move: for
-replace every X containing C of a core with |Y| = |C| + 1 (Hurkens and
-Schrijver's t-improvement argument makes such minimal cores connected
-through shared conflicts), for reduce every X containing the dropped edges
-of an accepted equal-size swap.  The first such X in scan order is C plus
-the earliest other matching edges, minimised over the cores, and only that
-X is searched for the incoming edges.  The number of subsets a plain scan
-visits is that X's rank in the scan order plus one, from the combinatorial
-number system.  So every trace, and every count in a
-:class:`LocalOptCertificate`, is the same as that of a plain scan that
-visits each subset in order and tests each graph edge against each kept
-edge.
+:class:`~duomatch.core.ConflictIndex`, and each step of the search makes
+one swap enumeration, which answers replace and reduce together.  For a
+rho-subset X of the matching, the entrants are the non-matching edges
+whose conflicts with the matching are non-empty and lie inside X.  The
+enumerator does not visit the subsets one by one.  It grows *cores*,
+compatible sets Y of entrants whose conflicts C inside the matching number
+at most rho, and reads off which X admit a move: for replace every X
+containing C of a core with |Y| = |C| + 1 (Hurkens and Schrijver's
+t-improvement argument makes such minimal cores connected through shared
+conflicts), for reduce every X containing the dropped edges of an accepted
+equal-size swap.  The first such X in scan order is C plus the earliest
+other matching edges, minimised over the cores, and only that X is
+searched for the incoming edges.  One walk over the cores records the
+first replace X and, while there is none, the first reduce X, so a step
+that ends the run, where neither move applies, walks the cores once.  The
+number of subsets a plain scan visits is that X's rank in the scan order
+plus one, from the combinatorial number system.  So every trace, and every
+count in a :class:`LocalOptCertificate`, is the same as that of a plain
+scan that visits each subset in order and tests each graph edge against
+each kept edge.
 
 One :class:`_SwapState` carries what the moves read: the matching's mask,
-size and singleton count, its free edges and its entrant map.
-:func:`local_search` keeps one state as the matching for the whole run and
-moves it after every step; a move updates the count from the changed edges
-and their parallel neighbours (:func:`_singleton_change`), and the free
-edges and entrants from the changed edges and their conflicts, not from
-the whole matching or graph.  The greedy extension scans the free edges
-only, and :func:`is_local_optimum` reads maximality off them.  Replace,
-reduce and :func:`is_local_optimum` all search from a state through one
-"replace, else reduce" method; the public :func:`replace_step` and
-:func:`reduce_step` build a fresh one.  Each step of the loop checks the
-edges it adds against the new mask, and a :class:`Matching` is built only
-for the run's result.  Reduce's acceptance test reads the changed edges
-only too.
+size and singleton count, its free edges, and its entrants as a map and a
+mask.  :func:`local_search` keeps one state as the matching for the whole
+run and moves it after every step; a move updates the count from the
+changed edges and their parallel neighbours (:func:`_singleton_change`),
+and the free edges and entrants from the changed edges and their
+conflicts, not from the whole matching or graph.  The greedy extension
+scans the free edges only, and :func:`is_local_optimum` reads maximality
+off them.  Replace, reduce and :func:`is_local_optimum` all search from a
+state through one "replace, else reduce" method; the public
+:func:`replace_step` and :func:`reduce_step` build a fresh one and ask it
+for their one move.  Each step of the loop checks the edges it adds
+against the new mask, and a :class:`Matching` is built only for the run's
+result.  Reduce's acceptance test reads the changed edges only too.
 """
 
 from __future__ import annotations
@@ -207,43 +210,58 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
 
 
 class _Surplus(Exception):
-    """An equal-size search met entrants that outnumber their conflicts."""
+    """A reduce-only search met entrants that outnumber their conflicts."""
 
 
-def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], rho: int,
-             gain: int, accept, reverse: bool) -> int | None:
-    """Mask of the first rho-subset X of the matching, in scan order, that
-    admits a swap gaining ``gain`` edges (1 or 0) whose result passes
-    ``accept``; None when no X does.
+def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: int,
+             replace: bool, lowers, reverse: bool) -> tuple[int | None, int | None]:
+    """The first rho-subset X of the matching, in scan order, that admits a
+    replace (searched with ``replace``), and the first that admits a reduce
+    (searched when ``lowers``, reduce's acceptance test, is given); each a
+    mask, or None when no X admits that move.  With both, the reduce X is
+    only sought while no replace is found, so it holds only when the
+    replace X is None.
 
     A swap drops X_out from the matching and takes in Y, pairwise-compatible
-    entrants (``inside`` maps each to its conflicts in the matching) whose
-    conflicts C lie within X_out, with |Y| = |X_out| + gain.  X admits a move
-    iff it contains the X_out of an accepted swap, and the first X holding a
-    given X_out is X_out plus the rho - |X_out| earliest other matching
-    edges; the answer is the earliest of these over all swaps.
+    entrants (``ent`` is their mask, and ``inside`` maps each to its
+    conflicts in the matching) whose conflicts C lie within X_out, with
+    |Y| = |X_out| + 1 for replace and |Y| = |X_out| for reduce.  X admits a
+    move iff it contains the X_out of an accepted swap, and the first X
+    holding a given X_out is X_out plus the rho - |X_out| earliest other
+    matching edges; the answer is the earliest of these over all swaps.
 
-    * Replace (gain 1, every result accepted): swaps with X_out = C and
-      |Y| = |C| + 1 suffice, since any Y with more edges than conflicts
-      holds one, and a minimal one is connected through shared conflicts.
-    * Reduce (gain 0, ``accept`` the singleton test): while no compatible Y
-      of at most rho entrants has more edges than conflicts, every swap has
-      X_out = C and splits into parts with no shared conflict, no parallel
-      pair and no common parallel neighbour in the matching.  Its singleton
-      change is the sum over the parts, so one part is an accepted swap by
-      itself, and cores connected through those links suffice.  Meeting a
-      Y with |Y| > |C|, which needs an improving replace, switches to
-      trying every compatible Y with X_out = C plus any |Y| - |C| other
-      matching edges.
+    * Replace: swaps with X_out = C and |Y| = |C| + 1 suffice, since any Y
+      with more edges than conflicts holds one, and a minimal one is
+      connected through shared conflicts.
+    * Reduce: while no compatible Y of at most rho entrants has more edges
+      than conflicts, every swap has X_out = C and splits into parts with
+      no shared conflict, no parallel pair and no common parallel
+      neighbour in the matching.  Its singleton change is the sum over the
+      parts, so one part is an accepted swap by itself, and cores connected
+      through those links suffice.  A reduce-only search that meets a Y
+      with |Y| > |C|, which needs an improving replace, switches to trying
+      every compatible Y with X_out = C plus any |Y| - |C| other matching
+      edges.
 
     Cores grow one entrant at a time, each set once, from its lowest entrant
-    through linked ones (Wernicke's ESU scheme).  A core whose C already
-    gives an X no earlier than the best so far is not grown, since more
-    entrants only enlarge C.
+    through linked ones (Wernicke's ESU scheme): through near links when
+    reduce is sought at width 2 or more, else through conflict links only.
+    A core with |Y| = |C| + 1 gives a replace and is not grown.  A core with
+    |Y| = |C| that passes ``lowers`` gives a reduce; it is not grown in a
+    reduce-only search, and in a search for both it is, since a replace may
+    lie above it.  Both at once is one enumeration, and it finds the same X
+    as the two apart: near-connected sets include the conflict-connected
+    minimal replace cores, and with no replace no core has a surplus.  A
+    core whose C already gives an X no earlier than the best one that cuts
+    the search (the replace X, or in a reduce-only search the reduce X) is
+    not grown, since more entrants only enlarge C.
     """
     conf, par = g.index.conf, g.index.par
-    ent = sum(1 << k for k in inside)
-    best = None
+    # best cuts the search: the first replace X, or in a reduce-only search
+    # the first reduce X; lower is the first reduce X of a search for both
+    best = lower = None
+    # |Y| - |C| at which a core may give a move; below it a core only grows
+    need = 0 if lowers else 1
 
     def x_of(out: int) -> int:
         rest = m_mask & ~out
@@ -253,83 +271,107 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], rho: int,
             rest ^= low
         return out
 
-    def beats_best(x: int) -> bool:
-        d = x ^ best
+    def before(x: int, y: int) -> bool:
+        """Whether X ``x`` comes before X ``y`` in scan order."""
+        d = x ^ y
         return d > 0 and bool(x & (1 << (d.bit_length() - 1) if reverse else d & -d))
 
     def conflict_links(k: int) -> int:
-        out = 0
-        for x in _positions(inside[k]):
-            out |= conf[x]
+        out, rest = 0, inside[k]
+        while rest:
+            low = rest & -rest
+            out |= conf[low.bit_length() - 1]
+            rest ^= low
         return out & ent
 
     def near_links(k: int) -> int:
-        own = inside[k] | 1 << k
+        own = rest = inside[k] | 1 << k
         near = own
-        for u in _positions(own):
-            near |= par[u]
-        for u in _positions(near & m_mask & ~own):
-            near |= par[u]
-        out = near
-        for x in _positions(near & m_mask):
-            out |= conf[x]
+        while rest:
+            low = rest & -rest
+            near |= par[low.bit_length() - 1]
+            rest ^= low
+        rest = near & m_mask & ~own
+        while rest:
+            low = rest & -rest
+            near |= par[low.bit_length() - 1]
+            rest ^= low
+        out, rest = near, near & m_mask
+        while rest:
+            low = rest & -rest
+            out |= conf[low.bit_length() - 1]
+            rest ^= low
         return out & ent
 
     def every_link(k: int) -> int:
         return ent
 
-    def admits(y: int, c: int, ny: int) -> bool:
-        """Record the moves core (y, c) gives; True when it may grow."""
-        nonlocal best
-        extra = ny - c.bit_count() - gain
-        if extra < 0:
+    def admits(y: int, c: int, ny: int, extra: int) -> bool:
+        """Record the moves core (y, c) with |Y| - |C| = ``extra`` >= need
+        gives; True when it may grow."""
+        nonlocal best, lower
+        if replace:
+            if extra:
+                best = x_of(c)
+                return False
+            if best is None:
+                x = x_of(c)
+                if (lower is None or before(x, lower)) and lowers(m_mask & ~c | y):
+                    lower = x
             return True
-        if extra == 0:
-            if accept(m_mask & ~c | y):
+        if not extra:
+            if lowers(m_mask & ~c | y):
                 best = x_of(c)
                 return False
             return True
-        if ny - gain > rho:
+        if ny > rho:
             return False
         if link is not every_link:
             raise _Surplus
         for extras in combinations([1 << k for k in _positions(m_mask & ~c)], extra):
             out = c | sum(extras)
             x = x_of(out)
-            if (best is None or beats_best(x)) and accept(m_mask & ~out | y):
+            if (best is None or before(x, best)) and lowers(m_mask & ~out | y):
                 best = x
         return True
 
-    def links(k: int) -> int:
-        found = cache.get(k)
-        if found is None:
-            found = cache[k] = link(k)
-        return found
-
     def grow(y: int, c: int, ny: int, ext: int, ok: int, seen: int, above: int) -> None:
+        ny += 1
         while ext:
             w = ext & -ext
             ext ^= w
             k = w.bit_length() - 1
             cw = c | inside[k]
-            if cw.bit_count() > rho or best is not None and not beats_best(x_of(cw)):
+            nc = cw.bit_count()
+            if nc > rho or best is not None and not before(x_of(cw), best):
                 continue
-            if admits(y | w, cw, ny + 1):
-                lw = links(k)
+            if ny - nc < need or admits(y | w, cw, ny, ny - nc):
+                lw = cache.get(k)
+                if lw is None:
+                    lw = cache[k] = link(k)
                 okw = ok & ~conf[k]
-                grow(y | w, cw, ny + 1, (ext | lw & ~seen & above) & okw, okw, seen | lw, above)
+                grow(y | w, cw, ny, (ext | lw & ~seen & above) & okw, okw, seen | lw, above)
 
     def search() -> None:
-        for v in _positions(ent):
-            bit, c = 1 << v, inside[v]
-            if best is not None and not beats_best(x_of(c)) or not admits(bit, c, 1):
+        rest = ent
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            c = inside[v]
+            if best is not None and not before(x_of(c), best):
                 continue
-            lv = links(v)
-            above = ent & -(bit << 1)
-            grow(bit, c, 1, lv & above & ~conf[v], ~conf[v], lv | bit, above)
+            if 1 - c.bit_count() >= need and not admits(bit, c, 1, 1 - c.bit_count()):
+                continue
+            lv = cache.get(v)
+            if lv is None:
+                lv = cache[v] = link(v)
+            grow(bit, c, 1, lv & rest & ~conf[v], ~conf[v], lv | bit, rest)
 
     cache: dict[int, int] = {}
-    link = conflict_links if gain else near_links
+    # at width 1 a reduce core is one entrant and every core that may grow
+    # shares its one conflict, so conflict links suffice for both moves
+    link = near_links if lowers and rho > 1 else conflict_links
     try:
         search()
     except _Surplus:
@@ -338,7 +380,7 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], rho: int,
     # as in _first_subset: grow's closure holds grow, and through it the
     # cores' masks, the acceptance test and the graph
     del grow
-    return best
+    return (best, lower) if replace else (None, best)
 
 
 def _rank(m_mask: int, x: int, reverse: bool) -> int:
@@ -388,9 +430,10 @@ def _singleton_change(par: tuple[int, ...], before: int, after: int) -> int:
 class _SwapState:
     """The matching a search is at, with what its moves read: its mask,
     size and singleton count; ``free``, the mask of the edges outside it
-    with no conflict in it; and ``inside``, which maps each entrant (a
+    with no conflict in it; ``inside``, which maps each entrant (a
     non-matching edge whose conflicts with the matching are non-empty and
-    number at most rho) to those conflicts.  For a maximal matching
+    number at most rho) to those conflicts; and ``ent``, the mask of the
+    entrants.  For a maximal matching
     ``free`` is 0 and no other edge can enter a swap.
 
     :meth:`move` is the only update, and a fresh state is the move from the
@@ -416,25 +459,33 @@ class _SwapState:
         self.mask = self.size = self.singles = 0
         self.free = (1 << len(g.edges)) - 1
         self.inside: dict[int, int] = {}
+        self.ent = 0
         self.move(m_mask)
 
     def move(self, mask: int) -> None:
         """Make ``mask`` the matching."""
         conf, inside, rho = self.g.index.conf, self.inside, self.rho
-        changed = near = self.mask ^ mask
-        for k in _positions(changed):
-            near |= conf[k]
+        near = rest = self.mask ^ mask
+        while rest:
+            low = rest & -rest
+            near |= conf[low.bit_length() - 1]
+            rest ^= low
         self.singles += _singleton_change(self.g.index.par, self.mask, mask)
         self.mask, self.size = mask, mask.bit_count()
-        self.free &= ~near
-        for k in _positions(near):
+        free, ent, rest = self.free & ~near, self.ent & ~near, near
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = low.bit_length() - 1
             c = conf[k] & mask
-            if c and not mask >> k & 1 and c.bit_count() <= rho:
+            if c and not mask & low and c.bit_count() <= rho:
                 inside[k] = c
+                ent |= low
             else:
                 inside.pop(k, None)
-                if not c and not mask >> k & 1:
-                    self.free |= 1 << k
+                if not c and not mask & low:
+                    free |= low
+        self.free, self.ent = free, ent
 
     def extend(self) -> int:
         """The mask of the matching extended greedily over ``free`` in scan
@@ -455,49 +506,59 @@ class _SwapState:
         so each call costs O(rho), not O(|M|)."""
         return _singleton_change(self.g.index.par, self.mask, mask) < 0
 
-    def swap(self, gain: int, accept) -> tuple[int | None, int]:
-        """The swap enumerator behind replace (``gain`` 1, every result
-        accepted) and reduce (``gain`` 0, ``accept`` :meth:`lowers`).
-
-        Returns the mask of the first matching of size + ``gain`` edges
-        within swap distance rho that passes ``accept``, or None, together
-        with the number of rho-subsets of the matching a plain scan visits
-        to find it.  When the matching has at most rho edges every
-        compatible subset of the graph is a candidate and the count is 0.
-        Otherwise the rho-subsets X are ordered lexicographically over the
-        matching in scan order, and the pool X plus the entrants whose
-        conflicts lie inside X is searched in scan order for the incoming
-        edges.  :func:`_first_x` finds the first X that admits a move
-        straight from the cores of the matching, so only that X is
-        searched; the count is its rank plus 1, or C(|M|, rho) when no X
-        admits a move.
-        """
-        conf, rho, reverse, m_mask = self.g.index.conf, self.rho, self.reverse, self.mask
-        if self.size <= rho:
-            return _first_subset((1 << len(conf)) - 1, conf, self.size + gain, 0, accept, reverse), 0
-        inside = self.inside
-        x = _first_x(self.g, m_mask, inside, rho, gain, accept, reverse) if inside else None
-        if x is None:
-            return None, comb(self.size, rho)
-        entering = sum(1 << k for k, c in inside.items() if not c & ~x)
-        found = _first_subset(x | entering, conf, rho + gain, m_mask & ~x, accept, reverse)
+    def _swap_in(self, x: int, gain: int, accept) -> int:
+        """The first matching of size + ``gain`` edges that keeps the
+        matching outside the rho-subset ``x`` and passes ``accept``: the
+        pool X plus the entrants whose conflicts lie inside X, searched in
+        scan order for the incoming edges.  Those entrants conflict with
+        some edge of X, so only the conflicts of X are read."""
+        conf, inside = self.g.index.conf, self.inside
+        near = entering = 0
+        for k in _positions(x):
+            near |= conf[k]
+        for k in _positions(near & self.ent):
+            if not inside[k] & ~x:
+                entering |= 1 << k
+        found = _first_subset(x | entering, conf, self.rho + gain, self.mask & ~x, accept,
+                              self.reverse)
         if found is None:
             raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
-        return found, _rank(m_mask, x, reverse) + 1
+        return found
 
-    def reduce(self) -> tuple[int | None, int]:
-        """:meth:`swap` for reduce; no move and a count of 0 when the
-        matching has no singleton to lose."""
-        return self.swap(0, self.lowers) if self.singles else (None, 0)
+    def improve(self, replace: bool, reduce: bool) -> tuple[int | None, int, int]:
+        """The first replace (with ``replace``), else the first reduce (with
+        ``reduce``, when the matching has a singleton to lose), from one
+        enumeration of the matching's cores.
 
-    def improve(self, use_reduce: bool) -> tuple[int | None, int, int]:
-        """The first replace, else (with ``use_reduce``) the first reduce:
-        the mask found or None, and the replace and reduce scan counts."""
-        found, replace_scanned = self.swap(1, _grows)
-        reduce_scanned = 0
-        if found is None and use_reduce:
-            found, reduce_scanned = self.reduce()
-        return found, replace_scanned, reduce_scanned
+        Returns the mask of the matching the move reaches, or None, and the
+        numbers of rho-subsets of the matching a plain scan visits for
+        replace and for reduce: up to and including the subset that yields
+        the move, C(|M|, rho) when no subset does, and 0 for a move not
+        searched.  When the matching has at most rho edges every compatible
+        subset of the graph is a candidate and both counts are 0.
+        Otherwise the rho-subsets X are ordered lexicographically over the
+        matching in scan order, and :func:`_first_x` finds the first X that
+        admits a replace, and while none does the first that admits a
+        reduce, straight from the cores of the matching; only that X is
+        searched (:meth:`_swap_in`), and its count is its rank plus 1.
+        """
+        conf, rho, reverse, m_mask = self.g.index.conf, self.rho, self.reverse, self.mask
+        lowers = self.lowers if reduce and self.singles else None
+        if self.size <= rho:
+            every = (1 << len(conf)) - 1
+            found = _first_subset(every, conf, self.size + 1, 0, _grows, reverse) if replace else None
+            if found is None and lowers:
+                found = _first_subset(every, conf, self.size, 0, lowers, reverse)
+            return found, 0, 0
+        first, lower = (_first_x(self.g, m_mask, self.inside, self.ent, rho, replace, lowers, reverse)
+                        if self.ent else (None, None))
+        if first is not None:
+            return self._swap_in(first, 1, _grows), _rank(m_mask, first, reverse) + 1, 0
+        replace_scanned = comb(self.size, rho) if replace else 0
+        if lower is not None:
+            return (self._swap_in(lower, 0, lowers), replace_scanned,
+                    _rank(m_mask, lower, reverse) + 1)
+        return None, replace_scanned, comb(self.size, rho) if lowers else 0
 
 
 def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
@@ -512,7 +573,7 @@ def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
     X in the replacement realizes every narrower swap, so widths below rho
     need no separate pass.
     """
-    found = _SwapState(g, rho, scan_order, _mask(g, matching)).swap(1, _grows)[0]
+    found = _SwapState(g, rho, scan_order, _mask(g, matching)).improve(True, False)[0]
     return None if found is None else Matching._of_mask(g, found)
 
 
@@ -524,7 +585,7 @@ def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
     matching has at most rho edges, otherwise rho-for-rho swaps drawn from
     each dropped subset's entrant pool.
     """
-    found = _SwapState(g, rho, scan_order, _mask(g, matching)).reduce()[0]
+    found = _SwapState(g, rho, scan_order, _mask(g, matching)).improve(False, True)[0]
     return None if found is None else Matching._of_mask(g, found)
 
 
@@ -570,7 +631,7 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
         extended = state.extend()
         if extended != state.mask:
             record(PHASE_GREEDY, extended)
-        found = state.improve(config.use_reduce)[0]
+        found = state.improve(True, config.use_reduce)[0]
         if found is None:
             record(PHASE_TERMINATE, state.mask)
             return Matching._of_mask(g, state.mask), SearchTrace(tuple(steps))
@@ -594,7 +655,7 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
     if state.free:
         k = (state.free & -state.free).bit_length() - 1
         raise NotMaximalError(f"edge {g.edges[k]} extends the matching")
-    found, replace_scanned, reduce_scanned = state.improve(config.use_reduce)
+    found, replace_scanned, reduce_scanned = state.improve(True, config.use_reduce)
     return found is None, LocalOptCertificate(
         config.rho, config.use_reduce, state.size, state.singles,
         state.size <= config.rho, replace_scanned, reduce_scanned,

@@ -20,6 +20,7 @@ from duomatch.cli import (
     main,
 )
 from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance
+from duomatch.exact import BudgetExceededError, exact_max_matching
 
 from conftest import DEMO_TEXT, FIXTURES_DIR
 
@@ -150,14 +151,19 @@ def test_bench_large_identity(capsys, tmp_path, identity_2000, monkeypatch):
 def test_balanced_n200_smoke(capsys, tmp_path):
     """Balanced pair (200, 8), seed 2017: solve's matching verifies as a
     rho-5 local optimum, and a budgeted exact stops with a lower bound whose
-    edges verify as a compatible matching."""
+    edges verify as a compatible matching: the rho-1 local search's 86
+    edges, where the branch and bound's own matching has 82."""
     s = [f"s{i % 8}" for i in range(200)]
     rng = random.Random(2017)
     rng.shuffle(s)
     t = list(s)
     rng.shuffle(t)
     text = f"{' '.join(s)}\n{' '.join(t)}\n"
-    assert len(DuoGraph.from_strings(parse_instance(text)).edges) == 618
+    g = DuoGraph.from_strings(parse_instance(text))
+    assert len(g.edges) == 618
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_max_matching(g, budget=5000)
+    assert exc.value.best.value == 82
     pair = tmp_path / "balanced.duo"
     pair.write_text(text)
 
@@ -173,7 +179,7 @@ def test_balanced_n200_smoke(capsys, tmp_path):
     code, out, _ = run(capsys, "exact", str(pair), "--budget", "5000")
     assert code == EXIT_BUDGET
     first, *edge_lines = out.splitlines()
-    assert first == "budget-exceeded lower-bound 82" and len(edge_lines) == 82
+    assert first == "budget-exceeded lower-bound 86" and len(edge_lines) == 86
     efile = tmp_path / "exact.matching"
     efile.write_text("\n".join(edge_lines) + "\n")
     code, out, _ = run(capsys, "verify", str(pair), str(efile))

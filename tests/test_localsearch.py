@@ -422,7 +422,7 @@ def test_reduce_acceptance_reads_changed_edges_exactly(case):
     state = localsearch._SwapState(g, 1, SCAN_LEX, m_mask)
     assert state.singles == singles_count(m)
     if state.singles == 0:
-        assert state.reduce() == (None, 0)
+        assert state.improve(False, True) == (None, 0, 0)
     else:
         assert state.lowers(mask) == (singles_count(edges_of(mask)) < singles_count(m))
 
@@ -446,11 +446,11 @@ def mask_walks(draw):
 @settings(max_examples=300, deadline=None)
 @given(mask_walks())
 def test_swap_state_moves_match_a_rebuild(case):
-    """After every move the carried entrant map, free edges and singleton
-    count are those rebuilt from scratch on the new mask: every edge
-    outside the mask whose conflicts with it are non-empty and at most rho
-    in number, mapped to them; every edge outside the mask with no conflict
-    in it; and singleton_partition's count."""
+    """After every move the carried entrant map and mask, free edges and
+    singleton count are those rebuilt from scratch on the new mask: every
+    edge outside the mask whose conflicts with it are non-empty and at most
+    rho in number, mapped to them; every edge outside the mask with no
+    conflict in it; and singleton_partition's count."""
     g, rho, walk = case
     conf = g.index.conf
     state = localsearch._SwapState(g, rho, SCAN_LEX)
@@ -464,6 +464,7 @@ def test_swap_state_moves_match_a_rebuild(case):
             if not c and not mask >> k & 1:
                 free |= 1 << k
         assert state.inside == inside
+        assert state.ent == sum(1 << k for k in inside)
         assert state.free == free
         edges_in = [g.edges[k] for k in localsearch._positions(mask)]
         assert (state.mask, state.size, state.singles) == (mask, len(edges_in), singles_count(edges_in))
@@ -529,6 +530,87 @@ def test_deep_first_hit_counts_match_reference(seed, n, alphabet, replace_count,
     assert replace_count == reference_scan(g, m, 5, SCAN_LEX, True)[1]
     if reduce_count:
         assert reduce_count == reference_scan(g, m, 5, SCAN_LEX, False)[1]
+
+
+def reference_improve(g: DuoGraph, m: Matching, rho: int, scan_order: str,
+                      use_reduce: bool) -> tuple[Matching | None, int, int]:
+    """Replace, else reduce, by the reference scans run one after the
+    other: the matching reached or None, and the subsets each scan visits
+    (0 for a scan not run and in the whole-graph branch)."""
+    small = len(m) <= rho
+    found = ref.replace_step(g, m, rho, scan_order)
+    replace_scanned = 0 if small else reference_scan(g, m, rho, scan_order, True)[1]
+    if found is not None or not use_reduce or not singles_count(m.edges):
+        return found, replace_scanned, 0
+    return (ref.reduce_step(g, m, rho, scan_order), replace_scanned,
+            0 if small else reference_scan(g, m, rho, scan_order, False)[1])
+
+
+def improve_states(g: DuoGraph, cfg: SolverConfig):
+    """The matchings a run asks for a move on, one per iteration: the
+    matching before each step of the reference trace that is not greedy."""
+    current: set[Edge] = set()
+    for step in ref.local_search(g, cfg)[1].steps:
+        if step.phase != PHASE_GREEDY:
+            yield Matching(sorted(current))
+        current = current.difference(step.removed).union(step.added)
+
+
+def assert_improve_matches_reference(g: DuoGraph, cfg: SolverConfig) -> set[str]:
+    """One enumeration per state gives the move and both counts of the
+    reference's replace-then-reduce, on every state of a run; returns the
+    kinds of answer seen."""
+    seen = set()
+    for m in improve_states(g, cfg):
+        state = localsearch._SwapState(g, cfg.rho, cfg.scan_order, localsearch._mask(g, m))
+        found, replace_scanned, reduce_scanned = state.improve(True, cfg.use_reduce)
+        ours = (None if found is None else Matching._of_mask(g, found), replace_scanned,
+                reduce_scanned)
+        assert ours == reference_improve(g, m, cfg.rho, cfg.scan_order, cfg.use_reduce)
+        seen.add("none" if found is None else
+                 PHASE_REPLACE if len(ours[0]) > len(m) else PHASE_REDUCE)
+    return seen
+
+
+def test_one_enumeration_matches_replace_then_reduce_on_dense_pairs():
+    """Seeded dense alphabet-4 pairs at every width and both scan orders,
+    on every state a run reaches: replaces, reduces and terminal states."""
+    rng = random.Random(1806)
+    seen = set()
+    for t in range(6):
+        n = 16 + t % 3
+        a = ["abcd"[s % 4] for s in range(n)]
+        rng.shuffle(a)
+        b = a.copy()
+        rng.shuffle(b)
+        g = DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
+        for rho in range(1, 6):
+            for order in (SCAN_LEX, SCAN_REVERSE_LEX):
+                seen |= assert_improve_matches_reference(g, SolverConfig(rho=rho, scan_order=order))
+    assert seen == {"none", PHASE_REPLACE, PHASE_REDUCE}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_m=10, max_edges=30), st.integers(1, 5), scan_orders, st.booleans())
+def test_one_enumeration_matches_replace_then_reduce(g, rho, scan_order, use_reduce):
+    assert_improve_matches_reference(
+        g, SolverConfig(rho=rho, scan_order=scan_order, use_reduce=use_reduce))
+
+
+def test_a_terminal_state_enumerates_its_cores_once(monkeypatch):
+    """Certifying a terminal matching that has singletons, so that both
+    moves are searched, walks its cores once, where a replace scan and
+    then a reduce scan walked them twice."""
+    g = drawn_pair(83, 30, "abcdef")
+    m = local_search(g, SolverConfig(rho=5))[0]
+    calls = []
+    first_x = localsearch._first_x
+    monkeypatch.setattr(localsearch, "_first_x",
+                        lambda *args: calls.append(args) or first_x(*args))
+    ok, cert = is_local_optimum(g, m, SolverConfig(rho=5))
+    assert ok and cert.singletons > 0 and len(m) > 5
+    assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == comb(len(m), 5)
+    assert len(calls) == 1
 
 
 def test_reduce_beside_an_improving_replace_drops_more_than_the_conflicts():
