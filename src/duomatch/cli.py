@@ -359,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", parents=[fmt], help="branch-and-bound optimum")
     p.add_argument("input")
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget; when it runs out, print a lower bound and a "
-                        "matching that large instead of the optimum")
+                   help="node budget of the branch and bound; when it runs out, print a "
+                        "lower bound and a matching that large instead of the optimum: the "
+                        "larger of the search's best and a rho-1 local search, which runs "
+                        "outside the budget")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", parents=[fmt], help="check a matching file against a graph")

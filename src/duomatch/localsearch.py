@@ -215,12 +215,13 @@ class _Surplus(Exception):
 
 def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: int,
              replace: bool, lowers, reverse: bool) -> tuple[int | None, int | None]:
-    """The first rho-subset X of the matching, in scan order, that admits a
-    replace (searched with ``replace``), and the first that admits a reduce
-    (searched when ``lowers``, reduce's acceptance test, is given); each a
-    mask, or None when no X admits that move.  With both, the reduce X is
-    only sought while no replace is found, so it holds only when the
-    replace X is None.
+    """``(replace_x, reduce_x)``: the first rho-subset X of the matching, in
+    scan order, that admits a replace (searched with ``replace``), and the
+    first that admits a reduce (searched when ``lowers``, reduce's
+    acceptance test, is given); each a mask, or None when no X admits that
+    move or it is not searched.  At least one of the two must be searched.
+    With both, the reduce X is only sought while no replace is found, so it
+    is the answer only when the replace X is None.
 
     A swap drops X_out from the matching and takes in Y, pairwise-compatible
     entrants (``ent`` is their mask, and ``inside`` maps each to its
@@ -252,14 +253,13 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     lie above it.  Both at once is one enumeration, and it finds the same X
     as the two apart: near-connected sets include the conflict-connected
     minimal replace cores, and with no replace no core has a surplus.  A
-    core whose C already gives an X no earlier than the best one that cuts
-    the search (the replace X, or in a reduce-only search the reduce X) is
-    not grown, since more entrants only enlarge C.
+    core whose C already gives an X no earlier than ``cut`` is not grown,
+    since more entrants only enlarge C: ``cut`` is the replace X when
+    replace is searched, else the reduce X.
     """
+    assert replace or lowers, "neither move is searched"
     conf, par = g.index.conf, g.index.par
-    # best cuts the search: the first replace X, or in a reduce-only search
-    # the first reduce X; lower is the first reduce X of a search for both
-    best = lower = None
+    replace_x = reduce_x = cut = None
     # |Y| - |C| at which a core may give a move; below it a core only grows
     need = 0 if lowers else 1
 
@@ -277,11 +277,9 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
         return d > 0 and bool(x & (1 << (d.bit_length() - 1) if reverse else d & -d))
 
     def conflict_links(k: int) -> int:
-        out, rest = 0, inside[k]
-        while rest:
-            low = rest & -rest
-            out |= conf[low.bit_length() - 1]
-            rest ^= low
+        out = 0
+        for x in _positions(inside[k]):
+            out |= conf[x]
         return out & ent
 
     def near_links(k: int) -> int:
@@ -309,19 +307,19 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     def admits(y: int, c: int, ny: int, extra: int) -> bool:
         """Record the moves core (y, c) with |Y| - |C| = ``extra`` >= need
         gives; True when it may grow."""
-        nonlocal best, lower
+        nonlocal replace_x, reduce_x, cut
         if replace:
             if extra:
-                best = x_of(c)
+                replace_x = cut = x_of(c)
                 return False
-            if best is None:
+            if replace_x is None:
                 x = x_of(c)
-                if (lower is None or before(x, lower)) and lowers(m_mask & ~c | y):
-                    lower = x
+                if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~c | y):
+                    reduce_x = x
             return True
         if not extra:
             if lowers(m_mask & ~c | y):
-                best = x_of(c)
+                reduce_x = cut = x_of(c)
                 return False
             return True
         if ny > rho:
@@ -331,8 +329,8 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
         for extras in combinations([1 << k for k in _positions(m_mask & ~c)], extra):
             out = c | sum(extras)
             x = x_of(out)
-            if (best is None or before(x, best)) and lowers(m_mask & ~out | y):
-                best = x
+            if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~out | y):
+                reduce_x = cut = x
         return True
 
     def grow(y: int, c: int, ny: int, ext: int, ok: int, seen: int, above: int) -> None:
@@ -343,7 +341,7 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
             k = w.bit_length() - 1
             cw = c | inside[k]
             nc = cw.bit_count()
-            if nc > rho or best is not None and not before(x_of(cw), best):
+            if nc > rho or cut is not None and not before(x_of(cw), cut):
                 continue
             if ny - nc < need or admits(y | w, cw, ny, ny - nc):
                 lw = cache.get(k)
@@ -359,7 +357,7 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
             rest ^= bit
             v = bit.bit_length() - 1
             c = inside[v]
-            if best is not None and not before(x_of(c), best):
+            if cut is not None and not before(x_of(c), cut):
                 continue
             if 1 - c.bit_count() >= need and not admits(bit, c, 1, 1 - c.bit_count()):
                 continue
@@ -380,7 +378,7 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     # as in _first_subset: grow's closure holds grow, and through it the
     # cores' masks, the acceptance test and the graph
     del grow
-    return (best, lower) if replace else (None, best)
+    return replace_x, reduce_x
 
 
 def _rank(m_mask: int, x: int, reverse: bool) -> int:
@@ -465,26 +463,21 @@ class _SwapState:
     def move(self, mask: int) -> None:
         """Make ``mask`` the matching."""
         conf, inside, rho = self.g.index.conf, self.inside, self.rho
-        near = rest = self.mask ^ mask
-        while rest:
-            low = rest & -rest
-            near |= conf[low.bit_length() - 1]
-            rest ^= low
+        changed = near = self.mask ^ mask
+        for k in _positions(changed):
+            near |= conf[k]
         self.singles += _singleton_change(self.g.index.par, self.mask, mask)
         self.mask, self.size = mask, mask.bit_count()
-        free, ent, rest = self.free & ~near, self.ent & ~near, near
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k = low.bit_length() - 1
+        free, ent = self.free & ~near, self.ent & ~near
+        for k in _positions(near):
             c = conf[k] & mask
-            if c and not mask & low and c.bit_count() <= rho:
+            if c and not mask >> k & 1 and c.bit_count() <= rho:
                 inside[k] = c
-                ent |= low
+                ent |= 1 << k
             else:
                 inside.pop(k, None)
-                if not c and not mask & low:
-                    free |= low
+                if not c and not mask >> k & 1:
+                    free |= 1 << k
         self.free, self.ent = free, ent
 
     def extend(self) -> int:
@@ -544,20 +537,23 @@ class _SwapState:
         """
         conf, rho, reverse, m_mask = self.g.index.conf, self.rho, self.reverse, self.mask
         lowers = self.lowers if reduce and self.singles else None
+        if not (replace or lowers):
+            return None, 0, 0
         if self.size <= rho:
             every = (1 << len(conf)) - 1
             found = _first_subset(every, conf, self.size + 1, 0, _grows, reverse) if replace else None
             if found is None and lowers:
                 found = _first_subset(every, conf, self.size, 0, lowers, reverse)
             return found, 0, 0
-        first, lower = (_first_x(self.g, m_mask, self.inside, self.ent, rho, replace, lowers, reverse)
-                        if self.ent else (None, None))
-        if first is not None:
-            return self._swap_in(first, 1, _grows), _rank(m_mask, first, reverse) + 1, 0
+        replace_x, reduce_x = (
+            _first_x(self.g, m_mask, self.inside, self.ent, rho, replace, lowers, reverse)
+            if self.ent else (None, None))
+        if replace_x is not None:
+            return self._swap_in(replace_x, 1, _grows), _rank(m_mask, replace_x, reverse) + 1, 0
         replace_scanned = comb(self.size, rho) if replace else 0
-        if lower is not None:
-            return (self._swap_in(lower, 0, lowers), replace_scanned,
-                    _rank(m_mask, lower, reverse) + 1)
+        if reduce_x is not None:
+            return (self._swap_in(reduce_x, 0, lowers), replace_scanned,
+                    _rank(m_mask, reduce_x, reverse) + 1)
         return None, replace_scanned, comb(self.size, rho) if lowers else 0
 
 

@@ -629,6 +629,21 @@ def test_reduce_beside_an_improving_replace_drops_more_than_the_conflicts():
     assert set(m.edges) - set(result.edges) == {Edge(8, 1), Edge(10, 9)}
 
 
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_reduce_step_on_a_matching_without_singletons_searches_nothing(monkeypatch, rho):
+    """With no singleton to lose, reduce returns None without walking the
+    cores, also where two compatible entrants share their one conflict
+    (3, 3), a surplus that a reduce-only search would otherwise meet."""
+    g = DuoGraph(12, edges([(1, 1), (2, 2), (3, 3), (4, 10), (10, 4)]))
+    m = Matching(edges([(1, 1), (2, 2), (3, 3)]))
+    assert not singleton_partition(m.edges)[0]
+    assert ref.reduce_step(g, m, rho) is None
+    calls = []
+    monkeypatch.setattr(localsearch, "_first_x", lambda *args: calls.append(args))
+    assert reduce_step(g, m, rho) is None
+    assert calls == []
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_m=10, max_edges=30), st.integers(1, 5), scan_orders)
 def test_reduce_where_no_replace_applies_matches_reference(g, rho, scan_order):
