@@ -257,7 +257,6 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     since more entrants only enlarge C: ``cut`` is the replace X when
     replace is searched, else the reduce X.
     """
-    assert replace or lowers, "neither move is searched"
     conf, par = g.index.conf, g.index.par
     replace_x = reduce_x = cut = None
     # |Y| - |C| at which a core may give a move; below it a core only grows
