@@ -47,9 +47,11 @@ and the free edges and entrants from the changed edges and their
 conflicts, not from the whole matching or graph.  The greedy extension
 scans the free edges only, and :func:`is_local_optimum` reads maximality
 off them.  Replace, reduce and :func:`is_local_optimum` all search from a
-state through one "replace, else reduce" method; the public
-:func:`replace_step` and :func:`reduce_step` build a fresh one and ask it
-for their one move.  Each step of the loop checks the edges it adds
+state through one "replace, else reduce" method.  The public
+:func:`replace_step` asks a fresh state for a replace alone, and
+:func:`reduce_step` asks it for replace, else reduce; only where that finds
+a replace does it walk every compatible set of entrants once more for the
+first reduce.  Each step of the loop checks the edges it adds
 against the new mask, and a :class:`Matching` is built only for the run's
 result.  Reduce's acceptance test reads the changed edges only too.
 """
@@ -209,19 +211,14 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
     return found
 
 
-class _Surplus(Exception):
-    """A reduce-only search met entrants that outnumber their conflicts."""
-
-
 def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: int,
-             replace: bool, lowers, reverse: bool) -> tuple[int | None, int | None]:
+             lowers, reverse: bool, every: bool) -> tuple[int | None, int | None]:
     """``(replace_x, reduce_x)``: the first rho-subset X of the matching, in
-    scan order, that admits a replace (searched with ``replace``), and the
-    first that admits a reduce (searched when ``lowers``, reduce's
-    acceptance test, is given); each a mask, or None when no X admits that
-    move or it is not searched.  At least one of the two must be searched.
-    With both, the reduce X is only sought while no replace is found, so it
-    is the answer only when the replace X is None.
+    scan order, that admits a replace, and while none does, the first that
+    admits a reduce under ``lowers``, reduce's acceptance test (None: reduce
+    is not sought); each a mask, or None.  With ``every``, the walk
+    :func:`reduce_step` runs beside an improving replace, only the reduce X
+    is sought.
 
     A swap drops X_out from the matching and takes in Y, pairwise-compatible
     entrants (``ent`` is their mask, and ``inside`` maps each to its
@@ -234,28 +231,26 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     * Replace: swaps with X_out = C and |Y| = |C| + 1 suffice, since any Y
       with more edges than conflicts holds one, and a minimal one is
       connected through shared conflicts.
-    * Reduce: while no compatible Y of at most rho entrants has more edges
-      than conflicts, every swap has X_out = C and splits into parts with
-      no shared conflict, no parallel pair and no common parallel
-      neighbour in the matching.  Its singleton change is the sum over the
-      parts, so one part is an accepted swap by itself, and cores connected
-      through those links suffice.  A reduce-only search that meets a Y
-      with |Y| > |C|, which needs an improving replace, switches to trying
-      every compatible Y with X_out = C plus any |Y| - |C| other matching
-      edges.
+    * Reduce, while no replace applies: no compatible Y of at most rho
+      entrants has more edges than conflicts, so every swap has X_out = C
+      and splits into parts with no shared conflict, no parallel pair and
+      no common parallel neighbour in the matching.  Its singleton change
+      is the sum over the parts, so one part is an accepted swap by itself,
+      and cores connected through those links suffice.
+    * Reduce with ``every``: a Y with |Y| > |C| gives swaps with X_out = C
+      plus any |Y| - |C| other matching edges, so every compatible Y is a
+      core and each such X_out is tried.
 
     Cores grow one entrant at a time, each set once, from its lowest entrant
-    through linked ones (Wernicke's ESU scheme): through near links when
-    reduce is sought at width 2 or more, else through conflict links only.
-    A core with |Y| = |C| + 1 gives a replace and is not grown.  A core with
-    |Y| = |C| that passes ``lowers`` gives a reduce; it is not grown in a
-    reduce-only search, and in a search for both it is, since a replace may
-    lie above it.  Both at once is one enumeration, and it finds the same X
-    as the two apart: near-connected sets include the conflict-connected
-    minimal replace cores, and with no replace no core has a surplus.  A
-    core whose C already gives an X no earlier than ``cut`` is not grown,
-    since more entrants only enlarge C: ``cut`` is the replace X when
-    replace is searched, else the reduce X.
+    through linked ones (Wernicke's ESU scheme): through every entrant with
+    ``every``, else through near links when reduce is sought at width 2 or
+    more, else through conflict links only.  Without ``every``, a core with
+    |Y| = |C| + 1 gives a replace and is not grown, and an accepted core
+    with |Y| = |C| gives a reduce and grows on, since a replace may lie
+    above it; near-connected sets include the conflict-connected minimal
+    replace cores.  A core whose C already gives an X no earlier than
+    ``cut`` is not grown, since more entrants only enlarge C: ``cut`` is the
+    replace X, or with ``every`` the reduce X.
     """
     conf, par = g.index.conf, g.index.par
     replace_x = reduce_x = cut = None
@@ -307,7 +302,7 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
         """Record the moves core (y, c) with |Y| - |C| = ``extra`` >= need
         gives; True when it may grow."""
         nonlocal replace_x, reduce_x, cut
-        if replace:
+        if not every:
             if extra:
                 replace_x = cut = x_of(c)
                 return False
@@ -316,17 +311,12 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
                 if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~c | y):
                     reduce_x = x
             return True
-        if not extra:
-            if lowers(m_mask & ~c | y):
-                reduce_x = cut = x_of(c)
-                return False
-            return True
         if ny > rho:
             return False
-        if link is not every_link:
-            raise _Surplus
-        for extras in combinations([1 << k for k in _positions(m_mask & ~c)], extra):
-            out = c | sum(extras)
+        # a core with a surplus also drops ``extra`` other matching edges
+        pads = combinations([1 << k for k in _positions(m_mask & ~c)], extra) if extra else [()]
+        for pad in pads:
+            out = c | sum(pad)
             x = x_of(out)
             if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~out | y):
                 reduce_x = cut = x
@@ -368,12 +358,8 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     cache: dict[int, int] = {}
     # at width 1 a reduce core is one entrant and every core that may grow
     # shares its one conflict, so conflict links suffice for both moves
-    link = near_links if lowers and rho > 1 else conflict_links
-    try:
-        search()
-    except _Surplus:
-        link, cache = every_link, {}
-        search()
+    link = every_link if every else near_links if lowers and rho > 1 else conflict_links
+    search()
     # as in _first_subset: grow's closure holds grow, and through it the
     # cores' masks, the acceptance test and the graph
     del grow
@@ -517,15 +503,14 @@ class _SwapState:
             raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
         return found
 
-    def improve(self, replace: bool, reduce: bool) -> tuple[int | None, int, int]:
-        """The first replace (with ``replace``), else the first reduce (with
-        ``reduce``, when the matching has a singleton to lose), from one
-        enumeration of the matching's cores.
+    def improve(self, reduce: bool) -> tuple[int | None, int, int]:
+        """The first replace, else, with ``reduce`` and a singleton to lose,
+        the first reduce, from one enumeration of the matching's cores.
 
         Returns the mask of the matching the move reaches, or None, and the
         numbers of rho-subsets of the matching a plain scan visits for
         replace and for reduce: up to and including the subset that yields
-        the move, C(|M|, rho) when no subset does, and 0 for a move not
+        the move, C(|M|, rho) when no subset does, and 0 for a reduce not
         searched.  When the matching has at most rho edges every compatible
         subset of the graph is a candidate and both counts are 0.
         Otherwise the rho-subsets X are ordered lexicographically over the
@@ -536,20 +521,18 @@ class _SwapState:
         """
         conf, rho, reverse, m_mask = self.g.index.conf, self.rho, self.reverse, self.mask
         lowers = self.lowers if reduce and self.singles else None
-        if not (replace or lowers):
-            return None, 0, 0
         if self.size <= rho:
             every = (1 << len(conf)) - 1
-            found = _first_subset(every, conf, self.size + 1, 0, _grows, reverse) if replace else None
+            found = _first_subset(every, conf, self.size + 1, 0, _grows, reverse)
             if found is None and lowers:
                 found = _first_subset(every, conf, self.size, 0, lowers, reverse)
             return found, 0, 0
         replace_x, reduce_x = (
-            _first_x(self.g, m_mask, self.inside, self.ent, rho, replace, lowers, reverse)
+            _first_x(self.g, m_mask, self.inside, self.ent, rho, lowers, reverse, False)
             if self.ent else (None, None))
         if replace_x is not None:
             return self._swap_in(replace_x, 1, _grows), _rank(m_mask, replace_x, reverse) + 1, 0
-        replace_scanned = comb(self.size, rho) if replace else 0
+        replace_scanned = comb(self.size, rho)
         if reduce_x is not None:
             return (self._swap_in(reduce_x, 0, lowers), replace_scanned,
                     _rank(m_mask, reduce_x, reverse) + 1)
@@ -568,7 +551,7 @@ def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
     X in the replacement realizes every narrower swap, so widths below rho
     need no separate pass.
     """
-    found = _SwapState(g, rho, scan_order, _mask(g, matching)).improve(True, False)[0]
+    found = _SwapState(g, rho, scan_order, _mask(g, matching)).improve(False)[0]
     return None if found is None else Matching._of_mask(g, found)
 
 
@@ -578,9 +561,22 @@ def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
 
     Mirrors :func:`replace_step`: an exhaustive same-size search when the
     matching has at most rho edges, otherwise rho-for-rho swaps drawn from
-    each dropped subset's entrant pool.
+    each dropped subset's entrant pool.  A matching without singletons has
+    none.  Otherwise the answer is that of the search's "replace, else
+    reduce" step when it is a reduce or None; where that step finds a
+    replace, one further walk over every compatible set of entrants
+    (:func:`_first_x` with ``every``) finds the first reduce.
     """
-    found = _SwapState(g, rho, scan_order, _mask(g, matching)).improve(False, True)[0]
+    state = _SwapState(g, rho, scan_order, _mask(g, matching))
+    found = state.improve(True)[0] if state.singles else None
+    if found is not None and found.bit_count() > state.size:
+        if state.size <= rho:
+            found = _first_subset((1 << len(g.edges)) - 1, g.index.conf, state.size, 0,
+                                  state.lowers, state.reverse)
+        else:
+            x = _first_x(g, state.mask, state.inside, state.ent, rho, state.lowers,
+                         state.reverse, True)[1]
+            found = None if x is None else state._swap_in(x, 0, state.lowers)
     return None if found is None else Matching._of_mask(g, found)
 
 
@@ -626,7 +622,7 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
         extended = state.extend()
         if extended != state.mask:
             record(PHASE_GREEDY, extended)
-        found = state.improve(True, config.use_reduce)[0]
+        found = state.improve(config.use_reduce)[0]
         if found is None:
             record(PHASE_TERMINATE, state.mask)
             return Matching._of_mask(g, state.mask), SearchTrace(tuple(steps))
@@ -650,7 +646,7 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
     if state.free:
         k = (state.free & -state.free).bit_length() - 1
         raise NotMaximalError(f"edge {g.edges[k]} extends the matching")
-    found, replace_scanned, reduce_scanned = state.improve(True, config.use_reduce)
+    found, replace_scanned, reduce_scanned = state.improve(config.use_reduce)
     return found is None, LocalOptCertificate(
         config.rho, config.use_reduce, state.size, state.singles,
         state.size <= config.rho, replace_scanned, reduce_scanned,

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -445,3 +447,17 @@ def test_partition_block_count_identity(inst):
     blocks = partition_from_matching(inst, m)
     assert len(blocks) == inst.n - len(m)
     assert tuple(s for b in blocks for s in b) == inst.a
+
+
+# ---------------------------------------------------------------- the package
+
+def test_package_enforces_invariants_without_assert():
+    """``python -O`` strips ``assert`` statements, so the package checks
+    its invariants with explicit errors: no module holds an ``assert``."""
+    package = Path(__file__).resolve().parent.parent / "src" / "duomatch"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -413,7 +413,8 @@ def near_masks(draw):
 def test_reduce_acceptance_reads_changed_edges_exactly(case):
     """The singleton change read off the changed edges equals a full
     recount, and reduce's test on the swap state accepts exactly the masks
-    with fewer singletons than the matching."""
+    with fewer singletons than the matching; with no singleton to lose,
+    reduce returns None without searching."""
     g, m, mask = case
     m_mask = localsearch._mask(g, m)
     edges_of = lambda bits: [g.edges[k] for k in localsearch._positions(bits)]
@@ -422,7 +423,12 @@ def test_reduce_acceptance_reads_changed_edges_exactly(case):
     state = localsearch._SwapState(g, 1, SCAN_LEX, m_mask)
     assert state.singles == singles_count(m)
     if state.singles == 0:
-        assert state.improve(False, True) == (None, 0, 0)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_first_x", "_first_subset"):
+                mp.setattr(localsearch, name, lambda *args: calls.append(args))
+            assert reduce_step(g, m, 1) is None
+        assert calls == []
     else:
         assert state.lowers(mask) == (singles_count(edges_of(mask)) < singles_count(m))
 
@@ -563,7 +569,7 @@ def assert_improve_matches_reference(g: DuoGraph, cfg: SolverConfig) -> set[str]
     seen = set()
     for m in improve_states(g, cfg):
         state = localsearch._SwapState(g, cfg.rho, cfg.scan_order, localsearch._mask(g, m))
-        found, replace_scanned, reduce_scanned = state.improve(True, cfg.use_reduce)
+        found, replace_scanned, reduce_scanned = state.improve(cfg.use_reduce)
         ours = (None if found is None else Matching._of_mask(g, found), replace_scanned,
                 reduce_scanned)
         assert ours == reference_improve(g, m, cfg.rho, cfg.scan_order, cfg.use_reduce)
@@ -629,11 +635,64 @@ def test_reduce_beside_an_improving_replace_drops_more_than_the_conflicts():
     assert set(m.edges) - set(result.edges) == {Edge(8, 1), Edge(10, 9)}
 
 
+def balanced_pair(n: int, alphabet: int, seed: int) -> DuoGraph:
+    rng = random.Random(seed)
+    a = [f"s{t % alphabet}" for t in range(n)]
+    rng.shuffle(a)
+    b = a.copy()
+    rng.shuffle(b)
+    return DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
+
+
+def test_reduce_beside_an_improving_replace_walks_every_entrant(monkeypatch):
+    """Where a replace applies, reduce answers from a second walk, over
+    every compatible set of entrants: on greedy matchings with singletons
+    of seeded dense (alphabet 4) and balanced pairs, at widths 3 to 5 and
+    in both scan orders, it returns the reference scan's reduce, found or
+    not."""
+    first_x = localsearch._first_x
+    walks = []
+    monkeypatch.setattr(localsearch, "_first_x",
+                        lambda *args: walks.append(args[-1]) or first_x(*args))
+    cases, found = 0, set()
+    for n, alphabet, seed in ((18, 4, 9), (20, 4, 2), (20, 5, 9), (24, 6, 11), (30, 6, 4),
+                              (30, 6, 7)):
+        g = balanced_pair(n, alphabet, seed)
+        for order in (SCAN_LEX, SCAN_REVERSE_LEX):
+            m = greedy_maximal(g, config=SolverConfig(scan_order=order))
+            for rho in (3, 4, 5):
+                if (len(m) <= rho or not singles_count(m.edges)
+                        or ref.replace_step(g, m, rho, order) is None):
+                    continue
+                walks.clear()
+                expected = ref.reduce_step(g, m, rho, order)
+                assert reduce_step(g, m, rho, order) == expected
+                assert walks == [False, True]
+                cases += 1
+                found.add(expected is not None)
+    assert cases == 35 and found == {False, True}
+
+
+def test_reduce_where_no_replace_applies_walks_the_cores_once(monkeypatch):
+    """On a matching that admits no replace, reduce's answer is that of the
+    search's one "replace, else reduce" walk, here a deep reduce."""
+    g = drawn_pair(83, 30, "abcdef")
+    m = local_search(g, SolverConfig(rho=1))[0]
+    assert len(m) > 5 and replace_step(g, m, 5) is None
+    first_x = localsearch._first_x
+    walks = []
+    monkeypatch.setattr(localsearch, "_first_x",
+                        lambda *args: walks.append(args[-1]) or first_x(*args))
+    result = reduce_step(g, m, 5)
+    assert walks == [False]
+    assert result == ref.reduce_step(g, m, 5) is not None
+
+
 @pytest.mark.parametrize("rho", [1, 2, 3])
 def test_reduce_step_on_a_matching_without_singletons_searches_nothing(monkeypatch, rho):
     """With no singleton to lose, reduce returns None without walking the
     cores, also where two compatible entrants share their one conflict
-    (3, 3), a surplus that a reduce-only search would otherwise meet."""
+    (3, 3), so that the matching admits a replace."""
     g = DuoGraph(12, edges([(1, 1), (2, 2), (3, 3), (4, 10), (10, 4)]))
     m = Matching(edges([(1, 1), (2, 2), (3, 3)]))
     assert not singleton_partition(m.edges)[0]
