@@ -29,7 +29,9 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   alphabet-4 pair, rewriting the same CSV file each time;
 * the exhaustive gap searches with anchors (2, 8) and (3, 9) at m=18
   with 8 matching edges and at m=20 with 9, whose room of 7 edges no
-  two-edge runs fill, and the m=26 search that ``make_fixtures.py`` runs.
+  two-edge runs fill, the exhaustive unanchored search at m=17 with 8
+  edges, as in ROADMAP item 4(b)'s table, and the m=26 search that
+  ``make_fixtures.py`` runs.
 
 A balanced pair (n, a, seed) is ``s = [f"s{i % a}" for i in range(n)]``
 shuffled by ``random.Random(seed)``, then a copy of it shuffled again by the
@@ -207,13 +209,15 @@ def rows(work: str):
     anchors = (Edge(2, 8), Edge(3, 9))
     for spec in (instances.GapSearchSpec(m=18, matching_size=8, anchors=anchors),
                  instances.GapSearchSpec(m=20, matching_size=9, anchors=anchors),
+                 instances.GapSearchSpec(m=17, matching_size=8, anchors=()),
                  instances.GapSearchSpec(m=26)):
         def gap(start, spec=spec):
             start()
             return instances.search_gap_instance(spec)
 
         t, found = timed(gap)
-        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}", "s": t,
+        anchored = "" if spec.anchors else " unanchored"
+        yield {"name": f"gap_search m={spec.m} size={spec.matching_size}{anchored}", "s": t,
                "found": found is not None}
 
 

@@ -227,8 +227,9 @@ class GapSearchSpec:
     so the default keeps the space small, and raising it widens the search
     at a steep cost.  ``anchors`` may hold edges or ``(i, j)`` tuples, in
     any order and with repeats; the spec keeps them as a sorted tuple of
-    distinct edges.  ``m`` must be at least 1, and ``matching_size`` and
-    ``max_nodes`` at least 0 (ValueError otherwise).
+    distinct edges.  ``m`` must be at least 1, ``max_run_length`` at least
+    2, and ``matching_size`` and ``max_nodes`` at least 0 (ValueError
+    otherwise).
     """
 
     m: int
@@ -239,7 +240,8 @@ class GapSearchSpec:
     max_nodes: int = 5_000_000
 
     def __post_init__(self) -> None:
-        for field, least in (("m", 1), ("matching_size", 0), ("max_nodes", 0)):
+        for field, least in (("m", 1), ("matching_size", 0), ("max_run_length", 2),
+                             ("max_nodes", 0)):
             value = getattr(self, field)
             if value < least:
                 raise ValueError(f"GapSearchSpec needs {field} >= {least}, got {field}={value}")
@@ -365,23 +367,25 @@ def _diag_caps_hold(covers: int, fields: _CoverFields, caps, hint: int = 0) -> i
     inside it, or None when every cap holds.
 
     ``hint``, 0 or an earlier failing X of at most min(len(caps), ne) edge
-    bits, is tested first; the gap search passes the previous leaf's
-    witness, and most leaves fail on it.  Otherwise the scan looks only at
-    unions of covers: a failing X of width t contains the union U of the
-    covers inside it, U has the same count and at most t bits, and U padded
-    to any width t' >= |U| fails if its count exceeds caps[t'-1].  The
-    unions are grown depth first from the covers of at most min(len(caps),
-    ne) bits, highest mask first, which picks witnesses on the latest runs'
-    edges; those most often fail the next leaf too.
+    bits, is tested first, before the scan below is set up: the gap search
+    passes the previous leaf's witness, and most leaves fail on it.
+    Otherwise the scan looks only at unions of covers: a failing X of width
+    t contains the union U of the covers inside it, U has the same count
+    and at most t bits, and U padded to any width t' >= |U| fails if its
+    count exceeds caps[t'-1].  The unions are grown depth first from the
+    covers of at most min(len(caps), ne) bits, highest mask first, which
+    picks witnesses on the latest runs' edges; those most often fail the
+    next leaf too.
     """
     low, guards, ones = fields.low, fields.guards, fields.ones
     nonzero = ((covers + low) & guards).bit_count()
+    if hint and nonzero - ((covers & (low ^ hint * ones)) + low & guards).bit_count() \
+            > caps[hint.bit_count() - 1]:
+        return hint
 
     def inside(x: int) -> int:
         return nonzero - ((covers & (low ^ x * ones)) + low & guards).bit_count()
 
-    if hint and inside(hint) > caps[hint.bit_count() - 1]:
-        return hint
     top = min(len(caps), fields.ne)
     if not top:
         return None
@@ -455,10 +459,25 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     short enough to fit, taken lowest bit first.  Each node also carries the
     chosen edges as grid bits and their per-position covers, packed by
     :class:`_CoverFields`: a child adds its run's precomputed spread,
-    shifted to the run's edge indices.  A complete leaf hands them to
-    :func:`_diag_caps_hold` with the last leaf's failing X as the hint;
-    only a leaf that passes builds its matching and runs the checklist,
-    which must agree.
+    shifted to the run's edge indices (each run's spread is shifted once
+    per edge count, not once per child).
+
+    A candidate that fills the remaining room is a complete leaf, and one
+    that leaves a room of 1 edge, which no run fills, is a node without
+    children; its parent visits both in place instead of recursing.  The
+    parent hands each stretch of such candidates between its other
+    children, in bit order, to one leaf routine.  At L = 2 the stretch is
+    the parent's whole candidate set, and so it is at L = 3 when the room
+    is 2 or 3.  The routine counts the stretch's nodes in one step, or,
+    when the budget runs out inside it, visits the nodes before that one
+    and raises there, so SearchBudgetError fires at the same node as in a
+    search that counts node by node.  Only the complete leaves that cover
+    every position the parent left uncovered (the AND of ``covering[p]``
+    over those positions) go to :func:`_diag_caps_hold`, with the last
+    leaf's failing X as the hint.  A leaf that passes builds its matching
+    and runs the checklist, which must agree.  When the anchors fill the
+    target the root itself is the one leaf, of an empty run, and goes
+    through the same routine.
     """
     m = spec.m
     optimum = Matching(Edge(i, i) for i in range(1, m + 1))
@@ -480,31 +499,72 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     if any(conf[e] & chosen or not par[e] & chosen for e in _positions(chosen)):
         return None
 
-    runs, masks, run_covers = table.runs, table.masks, table.covers
+    runs, run_covers = table.runs, table.covers
     fields = _CoverFields(m, target)
     covering = [0] * (m + 1)
+    # fits[room]: the runs of at most room edges; ends[room]: those of
+    # exactly room edges.  A child on a run of room edges is a complete leaf,
+    # and one on a run of room - 1 edges leaves a room of 1, which no run
+    # fills: neither has children
     fits = [0] * (target + 1)
+    ends = [0] * (target + 1)
     spreads = []
     for k, (_, _, ell) in enumerate(runs):
         for p in _positions(run_covers[k]):
             covering[p] |= 1 << k
         for room in range(ell, target + 1):
             fits[room] |= 1 << k
-        spreads.append(fields.spread(table.edge_covers[e] for e in _positions(masks[k])))
+        ends[ell] |= 1 << k
+        spreads.append(fields.spread(table.edge_covers[e] for e in _positions(table.masks[k])))
+    # index len(runs) is the empty run: the root's only leaf when the
+    # anchors fill the target
+    empty = len(runs)
+    masks = table.masks + [0]
+    spreads.append(0)
+    # shifted[count]: every run's spread shifted to follow count edges,
+    # built when a node at that count first needs it
+    shifted: list[list[int] | None] = [None] * target
+    caps, caps_hold, max_nodes = spec.caps, _diag_caps_hold, spec.max_nodes
 
     nodes = 0
     witness = 0
 
-    def verdict(chosen: int, covers: int) -> GapInstance | None:
-        nonlocal witness
-        failing = _diag_caps_hold(covers, fields, spec.caps, witness)
-        if failing is not None:
+    def leaves(chosen: int, covers: int, shift: list[int], batch: int,
+               fill: int) -> GapInstance | None:
+        """Visit the children without children ``batch`` of one parent in
+        bit order, whose runs' packed covers ``shift`` holds at the parent's
+        edge count.  Only those in ``fill``, the runs that fill the
+        parent's room and cover every position it left uncovered, get the
+        cap test."""
+        nonlocal nodes, witness
+        left = max_nodes - nodes
+        short = batch.bit_count() > left
+        if short:
+            # the budget runs out inside the batch: visit the nodes before
+            # the first one past it, then raise there
+            past = batch
+            for _ in range(left):
+                past &= past - 1
+            batch ^= past
+        nodes += batch.bit_count()
+        hits = batch & fill
+        while hits:
+            low = hits & -hits
+            k = low.bit_length() - 1
+            failing = caps_hold(covers | shift[k], fields, caps, witness)
+            if failing is None:
+                return certified(chosen | masks[k])
             witness = failing
-            return None
+            hits ^= low
+        if short:
+            raise SearchBudgetError(f"gap search exceeded {max_nodes} nodes")
+        return None
+
+    def certified(chosen: int) -> GapInstance:
         edges = [table.grid[e] for e in _positions(chosen)]
         matching = Matching(edges)
         graph = DuoGraph(m, list(optimum.edges) + edges)
-        report = swap_resistance_checklist(graph, matching, optimum, spec.caps)
+        report = swap_resistance_checklist(graph, matching, optimum, caps)
         if not report.passed:
             raise InvariantError("fast cap test disagrees with the checklist")
         return GapInstance(graph, matching, optimum, report)
@@ -513,40 +573,56 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             allowed: int, excluded: int) -> GapInstance | None:
         nonlocal nodes
         nodes += 1
-        if nodes > spec.max_nodes:
-            raise SearchBudgetError(f"gap search exceeded {spec.max_nodes} nodes")
+        if nodes > max_nodes:
+            raise SearchBudgetError(f"gap search exceeded {max_nodes} nodes")
         uncovered = full_mask & ~cover
-        if count == target:
-            if uncovered:
-                return None
-            return verdict(chosen, covers)
+        room = target - count
         # a run of length ell >= 2 covers at most 2*ell + 4 <= 4*ell positions
-        if uncovered.bit_count() > 4 * (target - count):
+        if uncovered.bit_count() > 4 * room:
             return None
         pool = covering[(uncovered & -uncovered).bit_length() - 1] if uncovered else table.all
-        cands = pool & allowed & fits[target - count] & ~excluded
-        skipped = 0
-        while cands:
-            low = cands & -cands
+        cands = pool & allowed & fits[room] & ~excluded
+        batch = cands & (ends[room] | ends[room - 1])
+        fill = ends[room]
+        if batch:
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                fill &= covering[low.bit_length() - 1]
+                rest ^= low
+        shift = shifted[count]
+        if shift is None:
+            shift = shifted[count] = [spread << count for spread in spreads]
+        inner = cands ^ batch
+        while inner:
+            low = inner & -inner
+            before = batch & (low - 1)
+            if before:
+                found = leaves(chosen, covers, shift, before, fill)
+                if found is not None:
+                    return found
+                batch ^= before
             k = low.bit_length() - 1
             found = rec(
                 chosen | masks[k],
                 count + runs[k][2],
                 cover | run_covers[k],
-                covers | spreads[k] << count,
+                covers | shift[k],
                 allowed & table.row(k),
-                excluded | skipped,
+                excluded | cands & (low - 1),
             )
             if found is not None:
                 return found
-            skipped |= low
-            cands ^= low
-        return None
+            inner ^= low
+        return leaves(chosen, covers, shift, batch, fill) if batch else None
 
+    cover = table.cover(chosen)
     covers = fields.spread(table.edge_covers[e] for e in _positions(chosen))
     try:
-        return rec(chosen, seed_count, table.cover(chosen), covers,
-                   table.compatible_mask(chosen), 0)
+        if seed_count == target:
+            return leaves(chosen, covers, spreads, 1 << empty,
+                          0 if full_mask & ~cover else 1 << empty)
+        return rec(chosen, seed_count, cover, covers, table.compatible_mask(chosen), 0)
     finally:
         # rec's closure holds rec: clearing it frees the search's tables on
         # return rather than at the next full garbage collection

@@ -398,13 +398,8 @@ def fillable(spec) -> bool:
     return room in sums
 
 
-def assert_search_matches_reference(spec):
-    """Same result and the same leaf tests as the search as first written.
-    Node counts are compared through the budget, except on a spec whose
-    room cannot be filled, which the search rejects before its first node
-    and the reference exhausts without reaching a leaf."""
-    stats: dict = {}
-    expected = ref.search_gap_instance(spec, stats)
+def counted_search(spec):
+    """The search's result and the number of leaf cap tests it made."""
     verdicts = []
     real = instances._diag_caps_hold
 
@@ -415,13 +410,28 @@ def assert_search_matches_reference(spec):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(instances, "_diag_caps_hold", counting)
         got = search_gap_instance(spec)
+    return got, len(verdicts)
+
+
+def assert_same_instance(got, expected):
     assert (got is None) == (expected is None)
     if got is not None:
         assert got.matching == expected.matching
         assert got.optimum == expected.optimum
         assert (got.graph.m, got.graph.edges) == (expected.graph.m, expected.graph.edges)
         assert got.checklist == expected.checklist
-    assert len(verdicts) == stats["verdicts"]
+
+
+def assert_search_matches_reference(spec):
+    """Same result and the same leaf tests as the search as first written.
+    Node counts are compared through the budget, except on a spec whose
+    room cannot be filled, which the search rejects before its first node
+    and the reference exhausts without reaching a leaf."""
+    stats: dict = {}
+    expected = ref.search_gap_instance(spec, stats)
+    got, verdicts = counted_search(spec)
+    assert_same_instance(got, expected)
+    assert verdicts == stats["verdicts"]
     if not fillable(spec):
         assert expected is None and stats["verdicts"] == 0
         assert search_gap_instance(replace(spec, max_nodes=1)) is None
@@ -459,10 +469,47 @@ GAP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("spec", GAP_CASES, ids=lambda s: f"m{s.m}-size{s.matching_size}-"
-                         f"a{len(s.anchors)}-L{s.max_run_length}")
+def gap_case_id(spec) -> str:
+    return f"m{spec.m}-size{spec.matching_size}-a{len(spec.anchors)}-L{spec.max_run_length}"
+
+
+@pytest.mark.parametrize("spec", GAP_CASES, ids=gap_case_id)
 def test_gap_search_matches_reference(spec):
     assert_search_matches_reference(spec)
+
+
+@pytest.mark.parametrize("spec", [s for s in GAP_CASES if fillable(s)], ids=gap_case_id)
+def test_gap_search_raises_at_every_budget_the_reference_does(spec):
+    """Every budget from 0 to one past the reference's node count, so that
+    each leaf boundary of a batch counted in one step is a budget somewhere.
+    The reference counts each node before its budget check, so it raises
+    exactly below its node count.  The specs whose room no runs fill are
+    left out: the search returns None on them before its first node."""
+    stats: dict = {}
+    expected = ref.search_gap_instance(spec, stats)
+    nodes = stats["nodes"]
+    assert nodes <= 1500
+    for budget in range(nodes + 2):
+        budgeted = replace(spec, max_nodes=budget)
+        if budget < nodes:
+            with pytest.raises(SearchBudgetError):
+                search_gap_instance(budgeted)
+        else:
+            assert_same_instance(search_gap_instance(budgeted), expected)
+
+
+def test_gap_search_matches_reference_on_certify_m18():
+    """certify's anchored m=18 size-8 search, nearly all of whose nodes are
+    leaves.  The reference takes about 1.5 s, so it runs once and its node
+    count gives the budgets at which the search must and must not raise."""
+    spec = GapSearchSpec(m=18, matching_size=8, anchors=(Edge(2, 8), Edge(3, 9)))
+    stats: dict = {}
+    assert ref.search_gap_instance(spec, stats) is None
+    assert stats == {"nodes": 20_234, "verdicts": 15_889}
+    assert counted_search(spec) == (None, 15_889)
+    with pytest.raises(SearchBudgetError):
+        search_gap_instance(replace(spec, max_nodes=20_233))
+    assert search_gap_instance(replace(spec, max_nodes=20_234)) is None
 
 
 @st.composite
@@ -499,6 +546,13 @@ def test_gap_spec_rejects_m_below_one(m):
 def test_gap_spec_rejects_negative_max_nodes():
     with pytest.raises(ValueError, match="max_nodes=-3"):
         GapSearchSpec(m=7, matching_size=2, anchors=(), max_nodes=-3)
+
+
+@pytest.mark.parametrize("longest", [1, 0, -2])
+def test_gap_spec_rejects_max_run_length_below_two(longest):
+    """A bound below 2 admits no run at all."""
+    with pytest.raises(ValueError, match=f"max_run_length={longest}"):
+        GapSearchSpec(m=7, matching_size=2, anchors=(), max_run_length=longest)
 
 
 def test_gap_spec_rejects_negative_matching_size():
