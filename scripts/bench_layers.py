@@ -11,10 +11,6 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 * ``local_search`` at rho 5 on the balanced pairs (300, 10) and
   (1000, 30), seed 2017, so that the width-5 core enumeration is timed at
   |E| 958 and 1106;
-* ``reduce_step`` at rho 5 on the greedy matching of the balanced pair
-  (400, 40), seed 7 (|E| 87, |M| 56): the matching admits a replace and no
-  reduce, so the call ends in the walk over every compatible set of
-  entrants, whose slowest input found so far this is;
 * ``exact`` (``exact_max_matching``, the optimum with its lex-least
   witness) on dense alphabet-4 balanced pairs, n=40 (seed 7), n=48
   (seed 9), n=52 and n=60 (seed 7), each under a budget of 200,000 nodes;
@@ -124,18 +120,6 @@ def rows(work: str):
         t, (g, m) = timed(search)
         yield {"name": f"local_search rho={rho} balanced({n},{alphabet})", "s": t,
                "E": len(g.edges), "M": len(m)}
-
-    pair = balanced_pair(400, 40, 7)
-
-    def reduce_beside_replace(start):
-        g = graph_of(pair)
-        m = localsearch.greedy_maximal(g)
-        start()
-        return g, m, localsearch.reduce_step(g, m, 5)
-
-    t, (g, m, found) = timed(reduce_beside_replace)
-    yield {"name": "reduce_step rho=5 balanced(400,40) seed 7", "s": t, "E": len(g.edges),
-           "M": len(m), "found": found is not None}
 
     dense_pairs = ((40, 7), (48, 9), (52, 7), (60, 7))
     for n, seed in dense_pairs:

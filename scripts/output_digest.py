@@ -9,8 +9,8 @@ SHA-256 per input and flag set:
   ``--scan-order reverse-lex --seed 3``, and with ``--rho 1 --no-reduce``
   (the plain hill climber);
 * the ``LocalOptCertificate`` of the greedy matching at rho 1 to 5;
-* ``replace_step`` and ``reduce_step`` of the greedy matching at rho 1 to 5,
-  in both scan orders;
+* ``improve_step`` of the greedy matching at rho 1 to 5, in both scan
+  orders, with reduce off and on;
 * ``exact`` stdout;
 * ``tokens`` exit code, stdout and stderr for the greedy matching against
   the exact witness, and with the two roles swapped;
@@ -151,8 +151,9 @@ def digests(paths: list[str]):
             certs.append(repr(localsearch.is_local_optimum(g, greedy, cfg)))
         yield f"certificates {name}", sha("\n".join(certs).encode())
         moves = [
-            repr(step(g, greedy, rho, order))
-            for step in (localsearch.replace_step, localsearch.reduce_step)
+            repr(localsearch.improve_step(g, greedy, localsearch.SolverConfig(
+                rho=rho, scan_order=order, use_reduce=use_reduce)))
+            for use_reduce in (False, True)
             for rho in range(1, 6)
             for order in (localsearch.SCAN_LEX, localsearch.SCAN_REVERSE_LEX)
         ]

@@ -37,10 +37,9 @@ from .localsearch import (
     SolverConfig,
     TraceStep,
     greedy_maximal,
+    improve_step,
     is_local_optimum,
     local_search,
-    reduce_step,
-    replace_step,
 )
 from .analysis import (
     GUARANTEE_RHO1,

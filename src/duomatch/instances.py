@@ -113,13 +113,9 @@ def string_gap_fixture() -> tuple[StringInstance, Matching]:
     matching = Matching(
         [Edge(2, 7), Edge(7, 2), Edge(3, 8), Edge(8, 3), Edge(4, 9), Edge(9, 4)]
     )
-    if singletons_of(matching):
+    if singleton_partition(matching.edges)[0]:
         raise InvariantError("string gap fixture matching must be all parallel")
     return inst, matching
-
-
-def singletons_of(matching: Matching) -> frozenset[Edge]:
-    return singleton_partition(matching.edges)[0]
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,11 @@ changed edges and their parallel neighbours (:func:`_singleton_change`),
 and the free edges and entrants from the changed edges and their
 conflicts, not from the whole matching or graph.  The greedy extension
 scans the free edges only, and :func:`is_local_optimum` reads maximality
-off them.  Replace, reduce and :func:`is_local_optimum` all search from a
-state through one "replace, else reduce" method.  The public
-:func:`replace_step` asks a fresh state for a replace alone, and
-:func:`reduce_step` asks it for replace, else reduce; only where that finds
-a replace does it walk every compatible set of entrants once more for the
-first reduce.  Each step of the loop checks the edges it adds
-against the new mask, and a :class:`Matching` is built only for the run's
-result.  Reduce's acceptance test reads the changed edges only too.
+off them.  The loop, :func:`improve_step` and :func:`is_local_optimum` all
+search from a state through one "replace, else reduce" method.  Each step
+of the loop checks the edges it adds against the new mask, and a
+:class:`Matching` is built only for the run's result.  Reduce's acceptance
+test reads the changed edges only too.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .core import (DuoError, DuoGraph, Edge, InvariantError, Matching, NotMaximalError,
@@ -212,13 +208,11 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
 
 
 def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: int,
-             lowers, reverse: bool, every: bool) -> tuple[int | None, int | None]:
+             lowers, reverse: bool) -> tuple[int | None, int | None]:
     """``(replace_x, reduce_x)``: the first rho-subset X of the matching, in
     scan order, that admits a replace, and while none does, the first that
     admits a reduce under ``lowers``, reduce's acceptance test (None: reduce
-    is not sought); each a mask, or None.  With ``every``, the walk
-    :func:`reduce_step` runs beside an improving replace, only the reduce X
-    is sought.
+    is not sought); each a mask, or None.
 
     A swap drops X_out from the matching and takes in Y, pairwise-compatible
     entrants (``ent`` is their mask, and ``inside`` maps each to its
@@ -237,23 +231,19 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
       no common parallel neighbour in the matching.  Its singleton change
       is the sum over the parts, so one part is an accepted swap by itself,
       and cores connected through those links suffice.
-    * Reduce with ``every``: a Y with |Y| > |C| gives swaps with X_out = C
-      plus any |Y| - |C| other matching edges, so every compatible Y is a
-      core and each such X_out is tried.
 
     Cores grow one entrant at a time, each set once, from its lowest entrant
-    through linked ones (Wernicke's ESU scheme): through every entrant with
-    ``every``, else through near links when reduce is sought at width 2 or
-    more, else through conflict links only.  Without ``every``, a core with
-    |Y| = |C| + 1 gives a replace and is not grown, and an accepted core
-    with |Y| = |C| gives a reduce and grows on, since a replace may lie
-    above it; near-connected sets include the conflict-connected minimal
-    replace cores.  A core whose C already gives an X no earlier than
-    ``cut`` is not grown, since more entrants only enlarge C: ``cut`` is the
-    replace X, or with ``every`` the reduce X.
+    through linked ones (Wernicke's ESU scheme): through near links when
+    reduce is sought at width 2 or more, else through conflict links only.
+    A core with |Y| = |C| + 1 gives a replace and is not grown, and an
+    accepted core with |Y| = |C| gives a reduce and grows on, since a
+    replace may lie above it; near-connected sets include the
+    conflict-connected minimal replace cores.  Once a replace X is found, a
+    core whose C already gives an X no earlier than it is not grown, since
+    more entrants only enlarge C.
     """
     conf, par = g.index.conf, g.index.par
-    replace_x = reduce_x = cut = None
+    replace_x = reduce_x = None
     # |Y| - |C| at which a core may give a move; below it a core only grows
     need = 0 if lowers else 1
 
@@ -295,31 +285,17 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
             rest ^= low
         return out & ent
 
-    def every_link(k: int) -> int:
-        return ent
-
-    def admits(y: int, c: int, ny: int, extra: int) -> bool:
-        """Record the moves core (y, c) with |Y| - |C| = ``extra`` >= need
+    def admits(y: int, c: int, extra: int) -> bool:
+        """Record the move core (y, c) with |Y| - |C| = ``extra`` >= need
         gives; True when it may grow."""
-        nonlocal replace_x, reduce_x, cut
-        if not every:
-            if extra:
-                replace_x = cut = x_of(c)
-                return False
-            if replace_x is None:
-                x = x_of(c)
-                if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~c | y):
-                    reduce_x = x
-            return True
-        if ny > rho:
+        nonlocal replace_x, reduce_x
+        if extra:
+            replace_x = x_of(c)
             return False
-        # a core with a surplus also drops ``extra`` other matching edges
-        pads = combinations([1 << k for k in _positions(m_mask & ~c)], extra) if extra else [()]
-        for pad in pads:
-            out = c | sum(pad)
-            x = x_of(out)
-            if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~out | y):
-                reduce_x = cut = x
+        if replace_x is None:
+            x = x_of(c)
+            if (reduce_x is None or before(x, reduce_x)) and lowers(m_mask & ~c | y):
+                reduce_x = x
         return True
 
     def grow(y: int, c: int, ny: int, ext: int, ok: int, seen: int, above: int) -> None:
@@ -330,9 +306,9 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
             k = w.bit_length() - 1
             cw = c | inside[k]
             nc = cw.bit_count()
-            if nc > rho or cut is not None and not before(x_of(cw), cut):
+            if nc > rho or replace_x is not None and not before(x_of(cw), replace_x):
                 continue
-            if ny - nc < need or admits(y | w, cw, ny, ny - nc):
+            if ny - nc < need or admits(y | w, cw, ny - nc):
                 lw = cache.get(k)
                 if lw is None:
                     lw = cache[k] = link(k)
@@ -346,9 +322,9 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
             rest ^= bit
             v = bit.bit_length() - 1
             c = inside[v]
-            if cut is not None and not before(x_of(c), cut):
+            if replace_x is not None and not before(x_of(c), replace_x):
                 continue
-            if 1 - c.bit_count() >= need and not admits(bit, c, 1, 1 - c.bit_count()):
+            if 1 - c.bit_count() >= need and not admits(bit, c, 1 - c.bit_count()):
                 continue
             lv = cache.get(v)
             if lv is None:
@@ -358,7 +334,7 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     cache: dict[int, int] = {}
     # at width 1 a reduce core is one entrant and every core that may grow
     # shares its one conflict, so conflict links suffice for both moves
-    link = every_link if every else near_links if lowers and rho > 1 else conflict_links
+    link = near_links if lowers and rho > 1 else conflict_links
     search()
     # as in _first_subset: grow's closure holds grow, and through it the
     # cores' masks, the acceptance test and the graph
@@ -528,7 +504,7 @@ class _SwapState:
                 found = _first_subset(every, conf, self.size, 0, lowers, reverse)
             return found, 0, 0
         replace_x, reduce_x = (
-            _first_x(self.g, m_mask, self.inside, self.ent, rho, lowers, reverse, False)
+            _first_x(self.g, m_mask, self.inside, self.ent, rho, lowers, reverse)
             if self.ent else (None, None))
         if replace_x is not None:
             return self._swap_in(replace_x, 1, _grows), _rank(m_mask, replace_x, reverse) + 1, 0
@@ -539,44 +515,22 @@ class _SwapState:
         return None, replace_scanned, comb(self.size, rho) if lowers else 0
 
 
-def replace_step(g: DuoGraph, matching: Matching, rho: int = 5,
-                 scan_order: str = SCAN_LEX) -> Matching | None:
-    """First-improvement size gain, or None when no rho-swap grows the
-    matching.
+def improve_step(g: DuoGraph, matching: Matching,
+                 config: SolverConfig = SolverConfig()) -> Matching | None:
+    """The move :func:`local_search` makes at ``matching``: the first
+    replace, else, with ``config.use_reduce`` and a singleton to lose, the
+    first reduce; None when neither applies.
 
+    Mirrors :func:`is_local_optimum` but accepts a non-maximal matching.
     When the matching has at most rho edges the whole graph is searched for
-    any matching one edge larger.  Otherwise the first rho-subset X of the
-    matching, in scan order, whose pool of X plus its eligible entrants
-    holds rho + 1 pairwise-compatible edges gives the swap; keeping some of
-    X in the replacement realizes every narrower swap, so widths below rho
-    need no separate pass.
+    a matching one edge larger, else for one of equal size with fewer
+    singletons.  Otherwise the first rho-subset X of the matching, in scan
+    order, whose pool of X plus its eligible entrants holds a move gives
+    it; keeping some of X in the new edges realizes every narrower swap, so
+    widths below rho need no separate pass.
     """
-    found = _SwapState(g, rho, scan_order, _mask(g, matching)).improve(False)[0]
-    return None if found is None else Matching._of_mask(g, found)
-
-
-def reduce_step(g: DuoGraph, matching: Matching, rho: int = 5,
-                scan_order: str = SCAN_LEX) -> Matching | None:
-    """Equal-size swap that strictly lowers the singleton count, or None.
-
-    Mirrors :func:`replace_step`: an exhaustive same-size search when the
-    matching has at most rho edges, otherwise rho-for-rho swaps drawn from
-    each dropped subset's entrant pool.  A matching without singletons has
-    none.  Otherwise the answer is that of the search's "replace, else
-    reduce" step when it is a reduce or None; where that step finds a
-    replace, one further walk over every compatible set of entrants
-    (:func:`_first_x` with ``every``) finds the first reduce.
-    """
-    state = _SwapState(g, rho, scan_order, _mask(g, matching))
-    found = state.improve(True)[0] if state.singles else None
-    if found is not None and found.bit_count() > state.size:
-        if state.size <= rho:
-            found = _first_subset((1 << len(g.edges)) - 1, g.index.conf, state.size, 0,
-                                  state.lowers, state.reverse)
-        else:
-            x = _first_x(g, state.mask, state.inside, state.ent, rho, state.lowers,
-                         state.reverse, True)[1]
-            found = None if x is None else state._swap_in(x, 0, state.lowers)
+    state = _SwapState(g, config.rho, config.scan_order, _mask(g, matching))
+    found = state.improve(config.use_reduce)[0]
     return None if found is None else Matching._of_mask(g, found)
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from duomatch.core import DuoGraph, Edge, InvariantError, Matching, compatible
+from duomatch.core import (DuoGraph, Edge, InvariantError, Matching, compatible,
+                           singleton_partition)
 from duomatch.instances import (
     GRAPH_GAP_CAPS,
     ChecklistItem,
@@ -30,7 +31,6 @@ from duomatch.instances import (
     GapSearchSpec,
     SearchBudgetError,
     SubsetBudgetError,
-    singletons_of,
 )
 
 
@@ -102,7 +102,7 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     )
     items.append(ChecklistItem("maximal", not blocking, len(blocking), 0, blocking[:3]))
 
-    singles = tuple(sorted(singletons_of(matching)))
+    singles = tuple(sorted(singleton_partition(matching.edges)[0]))
     items.append(ChecklistItem("all-parallel", not singles, len(singles), 0, singles[:3]))
 
     widths = [t for t in range(1, len(caps) + 1) if t <= len(matching)]

@@ -171,7 +171,8 @@ def test_search_rejects_checklist_disagreement(monkeypatch):
 
 
 def test_string_gap_fixture_rejects_singletons(monkeypatch):
-    monkeypatch.setattr(instances, "singletons_of", lambda m: frozenset(m.edges[:1]))
+    monkeypatch.setattr(instances, "singleton_partition",
+                        lambda es: (frozenset(es[:1]), frozenset(es[1:])))
     with pytest.raises(InvariantError, match="all parallel"):
         string_gap_fixture()
 

@@ -34,10 +34,9 @@ from duomatch.localsearch import (
     NotMaximalError,
     SolverConfig,
     greedy_maximal,
+    improve_step,
     is_local_optimum,
     local_search,
-    reduce_step,
-    replace_step,
 )
 
 from conftest import DEMO_OPT, edges
@@ -52,8 +51,23 @@ def maximal_for(g: DuoGraph) -> Matching:
     return greedy_maximal(g)
 
 
+def step(g: DuoGraph, m: Matching, rho: int, scan_order: str = SCAN_LEX,
+         use_reduce: bool = True) -> Matching | None:
+    return improve_step(g, m, SolverConfig(rho=rho, scan_order=scan_order, use_reduce=use_reduce))
+
+
+def reference_step(g: DuoGraph, m: Matching, rho: int, scan_order: str = SCAN_LEX,
+                   use_reduce: bool = True) -> Matching | None:
+    """The reference scans' move: their replace, else, with ``use_reduce``,
+    their reduce."""
+    found = ref.replace_step(g, m, rho, scan_order)
+    if found is None and use_reduce:
+        found = ref.reduce_step(g, m, rho, scan_order)
+    return found
+
+
 def oracle_replace(g: DuoGraph, m: Matching, rho: int) -> bool:
-    """Reference for replace_step on a maximal matching: a one-larger
+    """Reference for the replace move on a maximal matching: a one-larger
     compatible subset exists, within removal distance rho unless the
     whole-graph branch applies."""
     m_set = set(m.edges)
@@ -114,21 +128,22 @@ def test_greedy_is_maximal(g):
 # ---------------------------------------------------------------- replace
 
 def test_replace_exhaustive_branch_demo(demo_graph):
-    grown = replace_step(demo_graph, Matching([Edge(2, 1)]), rho=5)
+    grown = improve_step(demo_graph, Matching([Edge(2, 1)]))
     assert grown is not None and len(grown) == 2
     assert grown.edges == (Edge(1, 5), Edge(3, 2))
 
 
 def test_replace_none_at_optimum(demo_graph):
     opt = Matching(edges(DEMO_OPT))
-    assert replace_step(demo_graph, opt, rho=5) is None
+    assert step(demo_graph, opt, 5, use_reduce=False) is None
 
 
 @settings(max_examples=50, deadline=None)
 @given(graphs(max_m=6, max_edges=11), st.integers(1, 5))
 def test_replace_agrees_with_oracle(g, rho):
     m = maximal_for(g)
-    result = replace_step(g, m, rho)
+    result = step(g, m, rho, use_reduce=False)
+    assert result == reference_step(g, m, rho, use_reduce=False)
     assert (result is not None) == oracle_replace(g, m, rho)
     if result is not None:
         assert len(result) == len(m) + 1
@@ -139,14 +154,25 @@ def test_replace_agrees_with_oracle(g, rho):
 # ---------------------------------------------------------------- reduce
 
 def test_reduce_none_without_singletons(demo_graph):
-    assert reduce_step(demo_graph, Matching([Edge(2, 1), Edge(3, 2)]), rho=5) is None
+    """A matching without singletons gets no reduce: with reduce on, the
+    step is the replace alone, through the whole-graph branch (rho 5) and
+    through the subset scan (rho 1)."""
+    m = Matching([Edge(2, 1), Edge(3, 2)])
+    for rho in (1, 5):
+        found = step(demo_graph, m, rho)
+        assert found == step(demo_graph, m, rho, use_reduce=False)
+        assert found == ref.replace_step(demo_graph, m, rho)
 
 
 @settings(max_examples=50, deadline=None)
 @given(graphs(max_m=6, max_edges=11), st.integers(1, 5))
 def test_reduce_agrees_with_oracle(g, rho):
-    m = maximal_for(g)
-    result = reduce_step(g, m, rho)
+    """On the terminal matching of a search without reduce, which admits
+    no replace, the step is reduce's."""
+    m = local_search(g, SolverConfig(rho=rho, use_reduce=False))[0]
+    assert not oracle_replace(g, m, rho)
+    result = step(g, m, rho)
+    assert result == ref.reduce_step(g, m, rho)
     assert (result is not None) == oracle_reduce(g, m, rho)
     if result is not None:
         assert len(result) == len(m)
@@ -161,9 +187,14 @@ def test_reduce_fires_on_constructed_case():
                      Edge(1, 8), Edge(4, 5), Edge(7, 2)])
     m = Matching([Edge(1, 8), Edge(4, 5), Edge(7, 2)])
     assert singles_count(m.edges) == 3
-    swapped = reduce_step(g, m, rho=3)
-    assert swapped is not None
-    assert singles_count(swapped.edges) < 3
+    # at width 2 no replace applies, so the step is a reduce; at width 3
+    # the whole-graph branch takes both stacked pairs, a replace, first
+    assert step(g, m, 2, use_reduce=False) is None
+    swapped = step(g, m, 2)
+    assert swapped == reference_step(g, m, 2) is not None
+    assert len(swapped) == 3 and singles_count(swapped.edges) < 3
+    assert step(g, m, 3) == reference_step(g, m, 3) == Matching(
+        edges([(1, 4), (2, 5), (4, 1), (5, 2)]))
 
 
 # ---------------------------------------------------------------- full loop
@@ -319,7 +350,7 @@ def test_exact_optimum_resists_replace(g):
     res = exact_max_matching(g)
     if len(res.witness) == 0:
         return
-    assert replace_step(g, res.witness, rho=5) is None
+    assert step(g, res.witness, 5, use_reduce=False) is None
     ok, _ = is_local_optimum(g, res.witness, SolverConfig(use_reduce=False))
     assert ok
 
@@ -342,14 +373,15 @@ def test_config_validation():
        st.none() | st.integers(0, 2**16))
 def test_moves_match_reference(g, rho, scan_order, cut, seed):
     """The moves return the very matching the plain scans return, on
-    maximal matchings and on prefixes of them."""
+    maximal matchings and on prefixes of them, with reduce off and on."""
     cfg = SolverConfig(rho=rho, scan_order=scan_order, seed=seed)
     full = greedy_maximal(g, config=cfg)
     assert full == ref.greedy_maximal(g, config=cfg)
     for m in (full, Matching(full.edges[:cut])):
         assert greedy_maximal(g, m, cfg) == ref.greedy_maximal(g, m, cfg)
-        assert replace_step(g, m, rho, scan_order) == ref.replace_step(g, m, rho, scan_order)
-        assert reduce_step(g, m, rho, scan_order) == ref.reduce_step(g, m, rho, scan_order)
+        for use_reduce in (False, True):
+            assert (step(g, m, rho, scan_order, use_reduce)
+                    == reference_step(g, m, rho, scan_order, use_reduce))
 
 
 def seeded_string_pairs(count: int):
@@ -413,8 +445,8 @@ def near_masks(draw):
 def test_reduce_acceptance_reads_changed_edges_exactly(case):
     """The singleton change read off the changed edges equals a full
     recount, and reduce's test on the swap state accepts exactly the masks
-    with fewer singletons than the matching; with no singleton to lose,
-    reduce returns None without searching."""
+    with fewer singletons than the matching; with no singleton to lose, the
+    step seeks no reduce: every search it makes accepts replaces only."""
     g, m, mask = case
     m_mask = localsearch._mask(g, m)
     edges_of = lambda bits: [g.edges[k] for k in localsearch._positions(bits)]
@@ -423,12 +455,15 @@ def test_reduce_acceptance_reads_changed_edges_exactly(case):
     state = localsearch._SwapState(g, 1, SCAN_LEX, m_mask)
     assert state.singles == singles_count(m)
     if state.singles == 0:
-        calls = []
+        first_x, first_subset = localsearch._first_x, localsearch._first_subset
+        lowers, accepts = [], []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_first_x", "_first_subset"):
-                mp.setattr(localsearch, name, lambda *args: calls.append(args))
-            assert reduce_step(g, m, 1) is None
-        assert calls == []
+            mp.setattr(localsearch, "_first_x",
+                       lambda *args: lowers.append(args[5]) or first_x(*args))
+            mp.setattr(localsearch, "_first_subset",
+                       lambda *args: accepts.append(args[4]) or first_subset(*args))
+            assert step(g, m, 1) == ref.replace_step(g, m, 1)
+        assert set(lowers) <= {None} and set(accepts) <= {localsearch._grows}
     else:
         assert state.lowers(mask) == (singles_count(edges_of(mask)) < singles_count(m))
 
@@ -619,88 +654,38 @@ def test_a_terminal_state_enumerates_its_cores_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_reduce_beside_an_improving_replace_drops_more_than_the_conflicts():
-    """A standalone reduce on a matching that still admits a replace may
-    drop a matching edge that no incoming edge conflicts with."""
-    g = DuoGraph.from_strings(StringInstance(tuple("bacaddddbadadd"), tuple("dbdddacaaddbda")))
-    m = greedy_maximal(g)
-    assert m.edges == tuple(edges([(2, 6), (3, 7), (5, 3), (6, 4), (8, 1), (10, 9)]))
-    assert replace_step(g, m, rho=2) is not None
-    result = reduce_step(g, m, rho=2)
-    assert result == ref.reduce_step(g, m, 2)
-    assert result.edges == tuple(edges([(2, 6), (3, 7), (5, 3), (6, 4), (12, 9), (13, 10)]))
-    added = set(result.edges) - set(m.edges)
-    conflicts = {x for x in m.edges if any(not compatible(x, y) for y in added)}
-    assert conflicts == {Edge(10, 9)}
-    assert set(m.edges) - set(result.edges) == {Edge(8, 1), Edge(10, 9)}
-
-
-def balanced_pair(n: int, alphabet: int, seed: int) -> DuoGraph:
-    rng = random.Random(seed)
-    a = [f"s{t % alphabet}" for t in range(n)]
-    rng.shuffle(a)
-    b = a.copy()
-    rng.shuffle(b)
-    return DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
-
-
-def test_reduce_beside_an_improving_replace_walks_every_entrant(monkeypatch):
-    """Where a replace applies, reduce answers from a second walk, over
-    every compatible set of entrants: on greedy matchings with singletons
-    of seeded dense (alphabet 4) and balanced pairs, at widths 3 to 5 and
-    in both scan orders, it returns the reference scan's reduce, found or
-    not."""
-    first_x = localsearch._first_x
-    walks = []
-    monkeypatch.setattr(localsearch, "_first_x",
-                        lambda *args: walks.append(args[-1]) or first_x(*args))
-    cases, found = 0, set()
-    for n, alphabet, seed in ((18, 4, 9), (20, 4, 2), (20, 5, 9), (24, 6, 11), (30, 6, 4),
-                              (30, 6, 7)):
-        g = balanced_pair(n, alphabet, seed)
-        for order in (SCAN_LEX, SCAN_REVERSE_LEX):
-            m = greedy_maximal(g, config=SolverConfig(scan_order=order))
-            for rho in (3, 4, 5):
-                if (len(m) <= rho or not singles_count(m.edges)
-                        or ref.replace_step(g, m, rho, order) is None):
-                    continue
-                walks.clear()
-                expected = ref.reduce_step(g, m, rho, order)
-                assert reduce_step(g, m, rho, order) == expected
-                assert walks == [False, True]
-                cases += 1
-                found.add(expected is not None)
-    assert cases == 35 and found == {False, True}
-
-
 def test_reduce_where_no_replace_applies_walks_the_cores_once(monkeypatch):
-    """On a matching that admits no replace, reduce's answer is that of the
-    search's one "replace, else reduce" walk, here a deep reduce."""
+    """On a matching that admits no replace, the step's one "replace, else
+    reduce" walk finds the reduce, here a deep one."""
     g = drawn_pair(83, 30, "abcdef")
     m = local_search(g, SolverConfig(rho=1))[0]
-    assert len(m) > 5 and replace_step(g, m, 5) is None
+    assert len(m) > 5 and step(g, m, 5, use_reduce=False) is None
     first_x = localsearch._first_x
-    walks = []
+    calls = []
     monkeypatch.setattr(localsearch, "_first_x",
-                        lambda *args: walks.append(args[-1]) or first_x(*args))
-    result = reduce_step(g, m, 5)
-    assert walks == [False]
+                        lambda *args: calls.append(args) or first_x(*args))
+    result = step(g, m, 5)
+    assert len(calls) == 1
     assert result == ref.reduce_step(g, m, 5) is not None
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
 def test_reduce_step_on_a_matching_without_singletons_searches_nothing(monkeypatch, rho):
-    """With no singleton to lose, reduce returns None without walking the
-    cores, also where two compatible entrants share their one conflict
-    (3, 3), so that the matching admits a replace."""
+    """With no singleton to lose, the step seeks no reduce: it walks the
+    cores for a replace alone below width 3 and searches the whole graph at
+    width 3.  Two compatible entrants share their one conflict (3, 3), so
+    that the matching admits a replace."""
     g = DuoGraph(12, edges([(1, 1), (2, 2), (3, 3), (4, 10), (10, 4)]))
     m = Matching(edges([(1, 1), (2, 2), (3, 3)]))
     assert not singleton_partition(m.edges)[0]
     assert ref.reduce_step(g, m, rho) is None
-    calls = []
-    monkeypatch.setattr(localsearch, "_first_x", lambda *args: calls.append(args))
-    assert reduce_step(g, m, rho) is None
-    assert calls == []
+    first_x = localsearch._first_x
+    lowers = []
+    monkeypatch.setattr(localsearch, "_first_x",
+                        lambda *args: lowers.append(args[5]) or first_x(*args))
+    found = step(g, m, rho)
+    assert lowers == ([None] if rho < 3 else [])
+    assert found == ref.replace_step(g, m, rho) is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -709,7 +694,8 @@ def test_reduce_where_no_replace_applies_matches_reference(g, rho, scan_order):
     """Reduce on a matching that no replace improves, where the search
     calls it and cores linked through parallel neighbours decide it."""
     m = local_search(g, SolverConfig(rho=rho, scan_order=scan_order, use_reduce=False))[0]
-    assert reduce_step(g, m, rho, scan_order) == ref.reduce_step(g, m, rho, scan_order)
+    assert ref.replace_step(g, m, rho, scan_order) is None
+    assert step(g, m, rho, scan_order) == ref.reduce_step(g, m, rho, scan_order)
 
 
 @pytest.mark.parametrize("m, g_edges, matching, rho, result, count", [
@@ -727,8 +713,8 @@ def test_reduce_cores_linked_through_parallel_neighbours(m, g_edges, matching, r
     """Singleton counts do not add up over swaps that touch a common
     parallel pair, so such swaps must be grown as one core."""
     g, mat = DuoGraph(m, edges(g_edges)), Matching(edges(matching))
-    assert replace_step(g, mat, rho) is None
-    assert reduce_step(g, mat, rho) == ref.reduce_step(g, mat, rho) == Matching(edges(result))
+    assert step(g, mat, rho, use_reduce=False) is None
+    assert step(g, mat, rho) == ref.reduce_step(g, mat, rho) == Matching(edges(result))
     assert is_local_optimum(g, mat, SolverConfig(rho=rho))[1].reduce_subsets_scanned == count
 
 
