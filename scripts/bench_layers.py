@@ -26,8 +26,13 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 * the exhaustive gap searches with anchors (2, 8) and (3, 9) at m=18
   with 8 matching edges and at m=20 with 9, whose room of 7 edges no
   two-edge runs fill, the exhaustive unanchored search at m=17 with 8
-  edges, as in ROADMAP item 4(b)'s table, and the m=26 search that
-  ``make_fixtures.py`` runs.
+  edges, as in ROADMAP item 5(b)'s table, and the m=26 search that
+  ``make_fixtures.py`` runs;
+* the unanchored gap search at m=22 with 10 edges under a budget of
+  1,000,000 nodes, recorded as ``certified``, ``exhausted`` or ``budget``
+  with the nodes it visited (from ``stats``; a checkout whose search takes
+  no ``stats`` records no ``nodes``), which gives item 5(b)'s table a
+  nodes-per-second yardstick.
 
 A balanced pair (n, a, seed) is ``s = [f"s{i % a}" for i in range(n)]``
 shuffled by ``random.Random(seed)``, then a copy of it shuffled again by the
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -69,6 +75,7 @@ import time
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 REPEATS = 5
 WITNESS_BUDGET = 200_000
+GAP_BUDGET = 1_000_000
 
 
 def balanced_pair(n: int, alphabet: int, seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -203,6 +210,26 @@ def rows(work: str):
         anchored = "" if spec.anchors else " unanchored"
         yield {"name": f"gap_search m={spec.m} size={spec.matching_size}{anchored}", "s": t,
                "found": found is not None}
+
+    spec = instances.GapSearchSpec(m=22, matching_size=10, anchors=(), max_nodes=GAP_BUDGET)
+    stats: dict = {}
+    counted = "stats" in inspect.signature(instances.search_gap_instance).parameters
+
+    def budgeted_gap(start):
+        start()
+        try:
+            found = instances.search_gap_instance(spec, stats) if counted \
+                else instances.search_gap_instance(spec)
+        except instances.SearchBudgetError:
+            return "budget"
+        return "exhausted" if found is None else "certified"
+
+    t, outcome = timed(budgeted_gap)
+    row = {"name": f"gap_search m={spec.m} size={spec.matching_size} unanchored "
+                   f"max_nodes={GAP_BUDGET}", "s": t, "outcome": outcome}
+    if counted:
+        row["nodes"] = stats["nodes"]
+    yield row
 
 
 def child(src: str) -> None:

@@ -12,9 +12,10 @@ constructions that pin the locality gap of the search:
 
 The checklist itself quantifies swap resistance on one conflict index: after
 removing any t matching edges, how many optimum edges fit alongside the rest.
-The gap search reads its tables off the conflict index of the m x m grid: the
-anchors, run compatibility, the diagonal positions each run covers and the
-packed covers its leaf test counts.
+The gap search reads its tables off the m x m grid: the anchors, the
+diagonal positions each run covers and the packed covers its leaf test counts
+come from the grid's conflict index, and run compatibility from per-row and
+per-column run masks.
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ class GapInstance:
 
 
 class _RunTable:
-    """The candidate runs of the gap search, read off one conflict index.
+    """The candidate runs of the gap search on the m x m grid.
 
-    The index covers the m x m grid, which holds the diagonal optimum and
+    ``index``, the grid's conflict index, covers the diagonal optimum and
     every run edge.  A run (i, j, ell) is the ell parallel edges (i + t,
     j + t); ``runs`` lists every off-diagonal run of 2 to ``longest`` edges
     inside 1..m in lexicographic (i, j, ell) order, and ``masks[k]`` holds
@@ -264,11 +265,15 @@ class _RunTable:
     :meth:`cover` ORs them over a mask, and ``covers[k]`` is run k's.
 
     A run's hits are the edges it holds, conflicts with or runs parallel
-    to: the OR of ``conf | par`` and the edge itself over its edges.  Two
-    runs may coexist as distinct maximal runs of one matching iff neither
-    holds a hit of the other, which rules out a shared edge, a conflicting
-    cross pair and a head-to-tail continuation alike.  ``row(k)``, built on
-    first use, is the mask of the runs compatible with run k.
+    to.  Two runs may coexist as distinct maximal runs of one matching iff
+    neither holds a hit of the other, which rules out a shared edge, a
+    conflicting cross pair and a head-to-tail continuation alike.  On the
+    full grid the hits of edge (a, b) are exactly the edges on A-rows
+    a-1..a+1 and B-columns b-1..b+1, so ``on_row[r]`` and ``on_col[c]``,
+    for r, c in 0..m+1, hold the runs with an edge on that row or column
+    (rows and columns 0 and m+1 stay empty), and ``rows[k]``, the mask of
+    the runs compatible with run k, is the complement of their OR over
+    rows i-1..i+ell and columns j-1..j+ell.
     """
 
     def __init__(self, m: int, longest: int):
@@ -285,12 +290,23 @@ class _RunTable:
         self.masks = [sum(1 << pos[Edge(i + t, j + t)] for t in range(ell))
                       for i, j, ell in self.runs]
         self.covers = [self.cover(mask) for mask in self.masks]
-        through = [0] * len(self.grid)
-        for k, mask in enumerate(self.masks):
-            for e in _positions(mask):
-                through[e] |= 1 << k
-        self._through = through
-        self._rows: list[int | None] = [None] * len(self.runs)
+        self.on_row = on_row = [0] * (m + 2)
+        self.on_col = on_col = [0] * (m + 2)
+        for k, (i, j, ell) in enumerate(self.runs):
+            for t in range(ell):
+                on_row[i + t] |= 1 << k
+                on_col[j + t] |= 1 << k
+        self.rows = [self._apart(range(i - 1, i + ell + 1), range(j - 1, j + ell + 1))
+                     for i, j, ell in self.runs]
+
+    def _apart(self, rows, cols) -> int:
+        """Mask of the candidate runs with no edge on ``rows`` or ``cols``."""
+        near = 0
+        for r in rows:
+            near |= self.on_row[r]
+        for c in cols:
+            near |= self.on_col[c]
+        return self.all & ~near
 
     def cover(self, mask: int) -> int:
         covered = 0
@@ -301,20 +317,9 @@ class _RunTable:
     def compatible_mask(self, mask: int) -> int:
         """Mask of the candidate runs compatible with every run whose edges
         ``mask`` holds: those through none of their hits."""
-        conf, par = self.index.conf, self.index.par
-        hit = mask
-        for e in _positions(mask):
-            hit |= conf[e] | par[e]
-        near = 0
-        for e in _positions(hit):
-            near |= self._through[e]
-        return self.all & ~near
-
-    def row(self, k: int) -> int:
-        row = self._rows[k]
-        if row is None:
-            row = self._rows[k] = self.compatible_mask(self.masks[k])
-        return row
+        edges = [self.grid[e] for e in _positions(mask)]
+        return self._apart({a + d for a, _ in edges for d in (-1, 0, 1)},
+                           {b + d for _, b in edges for d in (-1, 0, 1)})
 
 
 class _CoverFields:
@@ -352,7 +357,7 @@ class _CoverFields:
         return [covers >> self.width * k & edges for k in range(self.m)]
 
 
-def _diag_caps_hold(covers: int, fields: _CoverFields, caps, hint: int = 0) -> int | None:
+def _diag_caps_hold(covers: int, fields: _CoverFields, caps) -> int | None:
     """Swap caps against the diagonal optimum, via coverage multiplicities.
 
     A diagonal edge (p, p) enters after removing the matching edges X
@@ -362,22 +367,16 @@ def _diag_caps_hold(covers: int, fields: _CoverFields, caps, hint: int = 0) -> i
     mask of t <= len(caps) bits with more than caps[t-1] positions covered
     inside it, or None when every cap holds.
 
-    ``hint``, 0 or an earlier failing X of at most min(len(caps), ne) edge
-    bits, is tested first, before the scan below is set up: the gap search
-    passes the previous leaf's witness, and most leaves fail on it.
-    Otherwise the scan looks only at unions of covers: a failing X of width
-    t contains the union U of the covers inside it, U has the same count
-    and at most t bits, and U padded to any width t' >= |U| fails if its
-    count exceeds caps[t'-1].  The unions are grown depth first from the
-    covers of at most min(len(caps), ne) bits, highest mask first, which
-    picks witnesses on the latest runs' edges; those most often fail the
-    next leaf too.
+    The scan looks only at unions of covers: a failing X of width t
+    contains the union U of the covers inside it, U has the same count and
+    at most t bits, and U padded to any width t' >= |U| fails if its count
+    exceeds caps[t'-1].  The unions are grown depth first from the covers
+    of at most min(len(caps), ne) bits, highest mask first, which picks
+    witnesses on the latest runs' edges; those most often fail the next
+    leaf too (see :func:`_first_passing`).
     """
     low, guards, ones = fields.low, fields.guards, fields.ones
     nonzero = ((covers + low) & guards).bit_count()
-    if hint and nonzero - ((covers & (low ^ hint * ones)) + low & guards).bit_count() \
-            > caps[hint.bit_count() - 1]:
-        return hint
 
     def inside(x: int) -> int:
         return nonzero - ((covers & (low ^ x * ones)) + low & guards).bit_count()
@@ -413,6 +412,41 @@ def _diag_caps_hold(covers: int, fields: _CoverFields, caps, hint: int = 0) -> i
     return x
 
 
+def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverFields, caps,
+                   witness: int) -> tuple[int, int]:
+    """The gap search's cap test of a stretch of complete leaves.
+
+    Leaf k of ``hits``, taken lowest bit first, has the packed covers
+    ``covers | shift[k]`` and covers every one of the ``fields.m``
+    positions.  ``witness``, 0 or the last failing X of at most
+    min(len(caps), fields.ne) edge bits, is tried first on each leaf: X
+    fails a leaf that covers every position iff fewer than m - caps[|X|-1]
+    of its fields hold an edge outside X, so no leaf's count of non-empty
+    fields is needed.  X's spread over the fields and that bound are worked
+    out once for the stretch and again only when the witness changes.  A
+    leaf that survives X gets the full scan of :func:`_diag_caps_hold`,
+    whose failing X becomes the witness.
+    Returns the first k whose leaf passes every cap, or -1, and the witness
+    as it stands after the last leaf tested.
+    """
+    m, low, guards, ones = fields.m, fields.low, fields.guards, fields.ones
+    spread = low ^ witness * ones
+    least = m - caps[witness.bit_count() - 1] if witness else 0
+    while hits:
+        bit = hits & -hits
+        k = bit.bit_length() - 1
+        leaf = covers | shift[k]
+        if ((leaf & spread) + low & guards).bit_count() >= least:
+            failing = _diag_caps_hold(leaf, fields, caps)
+            if failing is None:
+                return k, witness
+            witness = failing
+            spread = low ^ witness * ones
+            least = m - caps[witness.bit_count() - 1]
+        hits ^= bit
+    return -1, witness
+
+
 def _fillable(room: int, longest: int) -> bool:
     """Whether ``room`` edges are a sum of run lengths 2..``longest``."""
     if room == 0:
@@ -420,7 +454,7 @@ def _fillable(room: int, longest: int) -> bool:
     return room >= 2 and (longest >= 3 or (longest == 2 and room % 2 == 0))
 
 
-def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
+def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapInstance | None:
     """Backtracking reconstruction of the graph-family worst case.
 
     The diagonal edges (i, i) form the optimum; the search assembles an
@@ -431,7 +465,10 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     in lexicographic (i, j, length) order and lex-earlier alternatives are
     excluded deeper down, so each run set is visited once and the result is
     deterministic.  Returns None when the space is exhausted, raises
-    SearchBudgetError when ``max_nodes`` runs out first.
+    SearchBudgetError when ``max_nodes`` runs out first.  When ``stats`` is
+    given, its ``"nodes"`` and ``"verdicts"`` entries receive the nodes
+    visited and the complete leaves cap-tested, on return or raise; the
+    node that runs past the budget is counted.
 
     Before the first node, and before any table is built, a spec whose room
     (``matching_size`` minus the anchor edges) is no sum of candidate run
@@ -447,10 +484,10 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
 
     The search runs on masks over the candidate runs of a
     :class:`_RunTable`, whose rows, run edges and diagonal covers are all
-    read off one conflict index of the m x m grid.  ``covering[p]`` holds
-    the runs covering position p, ``allowed`` the runs compatible with every
-    chosen run (the AND of their rows; the anchor runs' come from the same
-    index) and ``excluded`` the lex-earlier alternatives.  A node's
+    read off the m x m grid.  ``covering[p]`` holds the runs covering
+    position p, ``allowed`` the runs compatible with every chosen run (the
+    AND of their rows; the anchor runs' mask comes from the same row and
+    column masks) and ``excluded`` the lex-earlier alternatives.  A node's
     candidates are ``covering[p] & allowed & ~excluded`` among the runs
     short enough to fit, taken lowest bit first.  Each node also carries the
     chosen edges as grid bits and their per-position covers, packed by
@@ -469,15 +506,17 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     and raises there, so SearchBudgetError fires at the same node as in a
     search that counts node by node.  Only the complete leaves that cover
     every position the parent left uncovered (the AND of ``covering[p]``
-    over those positions) go to :func:`_diag_caps_hold`, with the last
-    leaf's failing X as the hint.  A leaf that passes builds its matching
-    and runs the checklist, which must agree.  When the anchors fill the
+    over those positions) go to :func:`_first_passing`, which tries the
+    last leaf's failing X on each before any full scan.  A leaf that passes
+    builds its matching and runs the checklist, which must agree.  When the anchors fill the
     target the root itself is the one leaf, of an empty run, and goes
     through the same routine.
     """
     m = spec.m
     optimum = Matching(Edge(i, i) for i in range(1, m + 1))
     target = spec.matching_size
+    if stats is not None:
+        stats.update(nodes=0, verdicts=0)
     full_mask = ((1 << m) - 1) << 1
 
     for a in spec.anchors:
@@ -495,7 +534,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     if any(conf[e] & chosen or not par[e] & chosen for e in _positions(chosen)):
         return None
 
-    runs, run_covers = table.runs, table.covers
+    runs, run_covers, rows = table.runs, table.covers, table.rows
     fields = _CoverFields(m, target)
     covering = [0] * (m + 1)
     # fits[room]: the runs of at most room edges; ends[room]: those of
@@ -520,9 +559,10 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
     # shifted[count]: every run's spread shifted to follow count edges,
     # built when a node at that count first needs it
     shifted: list[list[int] | None] = [None] * target
-    caps, caps_hold, max_nodes = spec.caps, _diag_caps_hold, spec.max_nodes
+    caps, max_nodes = spec.caps, spec.max_nodes
 
     nodes = 0
+    verdicts = 0
     witness = 0
 
     def leaves(chosen: int, covers: int, shift: list[int], batch: int,
@@ -532,7 +572,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         edge count.  Only those in ``fill``, the runs that fill the
         parent's room and cover every position it left uncovered, get the
         cap test."""
-        nonlocal nodes, witness
+        nonlocal nodes, verdicts, witness
         left = max_nodes - nodes
         short = batch.bit_count() > left
         if short:
@@ -544,15 +584,15 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
             batch ^= past
         nodes += batch.bit_count()
         hits = batch & fill
-        while hits:
-            low = hits & -hits
-            k = low.bit_length() - 1
-            failing = caps_hold(covers | shift[k], fields, caps, witness)
-            if failing is None:
-                return certified(chosen | masks[k])
-            witness = failing
-            hits ^= low
+        k, witness = _first_passing(covers, shift, hits, fields, caps, witness)
+        if k >= 0:
+            # the nodes after leaf k were never visited
+            nodes -= (batch >> k + 1).bit_count()
+            verdicts += (hits & (2 << k) - 1).bit_count()
+            return certified(chosen | masks[k])
+        verdicts += hits.bit_count()
         if short:
+            nodes += 1
             raise SearchBudgetError(f"gap search exceeded {max_nodes} nodes")
         return None
 
@@ -604,7 +644,7 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
                 count + runs[k][2],
                 cover | run_covers[k],
                 covers | shift[k],
-                allowed & table.row(k),
+                allowed & rows[k],
                 excluded | cands & (low - 1),
             )
             if found is not None:
@@ -623,3 +663,5 @@ def search_gap_instance(spec: GapSearchSpec) -> GapInstance | None:
         # rec's closure holds rec: clearing it frees the search's tables on
         # return rather than at the next full garbage collection
         rec = None
+        if stats is not None:
+            stats.update(nodes=nodes, verdicts=verdicts)

@@ -314,26 +314,40 @@ def test_checklist_counts_one_entrant_scan_per_subset(monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_run_table_rows_match_runs_compatible(m):
-    """Rows, anchor masks, run covers and spreads read off the grid's
-    conflict index agree with the run helpers as first written."""
-    table = instances._RunTable(m, 3)
+    """Rows, anchor masks, run covers and spreads read off the grid agree
+    with the run helpers as first written, at L = 2, 3 and 4, with runs and
+    anchors on the first and last rows and columns."""
+    for longest in (2, 3, 4):
+        assert_run_table_matches_runs(m, longest)
+
+
+def assert_run_table_matches_runs(m, longest):
+    table = instances._RunTable(m, longest)
     assert table.runs == sorted((i, j, ell) for i in range(1, m + 1) for j in range(1, m + 1)
-                                for ell in (2, 3) if i != j and max(i, j) + ell - 1 <= m)
+                                for ell in range(2, longest + 1)
+                                if i != j and max(i, j) + ell - 1 <= m)
     assert table.all == (1 << len(table.runs)) - 1
+    if m >= 3:
+        # runs start on row and column 1 and end on row and column m
+        assert 1 in {i for i, _, _ in table.runs} & {j for _, j, _ in table.runs}
+        assert m in ({i + ell - 1 for i, _, ell in table.runs}
+                     & {j + ell - 1 for _, j, ell in table.runs})
     runs = [ref._Run(i, j, ell, m) for i, j, ell in table.runs]
-    fields = instances._CoverFields(m, 3)
+    fields = instances._CoverFields(m, longest)
     for k, r in enumerate(runs):
         expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
-        assert table.row(k) == expected
+        assert table.rows[k] == expected
         assert table.covers[k] == r.cover_mask
         spread = sum(1 << fields.width * (p - 1) + t for t, e in enumerate(r.edges)
                      for p in {e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1} if 1 <= p <= m)
         covers = [table.edge_covers[e] for e in _positions(table.masks[k])]
         assert fields.spread(covers) == spread
-    # anchor runs of any length need not be in the table
+    # anchor runs of any length need not be in the table; each is also
+    # paired with the anchor before it, as two anchor runs
+    last = None
     for i, j in combinations(range(1, m + 1), 2):
         for a, b in ((i, j), (j, i)):
-            for ell in (1, 4):
+            for ell in (1, longest + 1):
                 if max(a, b) + ell - 1 > m:
                     continue
                 r = ref._Run(a, b, ell, m)
@@ -341,6 +355,9 @@ def test_run_table_rows_match_runs_compatible(m):
                 expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
                 assert table.compatible_mask(mask) == expected
                 assert table.cover(mask) == r.cover_mask
+                if last is not None:
+                    assert table.compatible_mask(mask | last[0]) == expected & last[1]
+                last = mask, expected
 
 
 @st.composite
@@ -358,8 +375,9 @@ def leaf_cases(draw):
 # no union of covers has two bits, so only {(2, 4)} padded to two edges beats the cap 0
 @example((4, [Edge(3, 4), Edge(2, 4), Edge(4, 3)], (3, 0), 0))
 def test_leaf_witness_contract(case):
-    """The leaf test's verdict matches the reference with no hint, a
-    failing hint and a holding one, and every X it returns fails its cap."""
+    """The full scan's verdict matches the reference, and so does the
+    search's leaf test with no hint, a failing hint and a holding one;
+    every X either returns fails its cap."""
     m, edges, caps, pick = case
     ne = len(edges)
     masks = [0] * m
@@ -367,11 +385,16 @@ def test_leaf_witness_contract(case):
         for p in (e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1):
             if 1 <= p <= m:
                 masks[p - 1] |= 1 << x
-    fields = instances._CoverFields(m, ne)
-    covers = sum(c << fields.width * k for k, c in enumerate(masks))
+
+    def pack(fields, masks):
+        return sum(c << fields.width * k for k, c in enumerate(masks))
 
     def inside(x):
         return sum(1 for c in masks if c and not c & ~x)
+
+    def assert_fails(x):
+        assert 0 < x.bit_count() <= len(caps) and not x >> ne
+        assert inside(x) > caps[x.bit_count() - 1]
 
     subsets = [sum(1 << x for x in xs) for t in range(1, min(len(caps), ne) + 1)
                for xs in combinations(range(ne), t)]
@@ -379,13 +402,28 @@ def test_leaf_witness_contract(case):
     holding = [x for x in subsets if inside(x) <= caps[x.bit_count() - 1]]
     holds = ref._diag_caps_hold(edges, m, caps)
     assert holds == (not failing)
+    fields = instances._CoverFields(m, ne)
+    got = instances._diag_caps_hold(pack(fields, masks), fields, caps)
+    assert (got is None) == holds
+    if got is not None:
+        assert_fails(got)
+    # the search's leaves cover every position: the leaf test gets the
+    # positions with a non-empty cover, which are the ones that count
+    covered = [c for c in masks if c]
+    fields = instances._CoverFields(len(covered), ne)
+    leaf = pack(fields, covered)
     hints = [0] + [xs[pick % len(xs)] for xs in (failing, holding) if xs]
     for hint in hints:
-        got = instances._diag_caps_hold(covers, fields, caps, hint)
-        assert (got is None) == holds
-        if got is not None:
-            assert 0 < got.bit_count() <= len(caps) and not got >> ne
-            assert inside(got) > caps[got.bit_count() - 1]
+        # one leaf, then the same leaf twice, the second tried on the
+        # first one's witness
+        for hits in (1, 3):
+            k, witness = instances._first_passing(leaf, [0, 0], hits, fields, caps, hint)
+            assert (k == 0) == holds
+            if holds:
+                assert witness == hint
+            else:
+                assert k == -1
+                assert_fails(witness)
 
 
 def fillable(spec) -> bool:
@@ -399,21 +437,6 @@ def fillable(spec) -> bool:
     return room in sums
 
 
-def counted_search(spec):
-    """The search's result and the number of leaf cap tests it made."""
-    verdicts = []
-    real = instances._diag_caps_hold
-
-    def counting(*args):
-        verdicts.append(1)
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instances, "_diag_caps_hold", counting)
-        got = search_gap_instance(spec)
-    return got, len(verdicts)
-
-
 def assert_same_instance(got, expected):
     assert (got is None) == (expected is None)
     if got is not None:
@@ -424,30 +447,36 @@ def assert_same_instance(got, expected):
 
 
 def assert_search_matches_reference(spec):
-    """Same result and the same leaf tests as the search as first written.
-    Node counts are compared through the budget, except on a spec whose
-    room cannot be filled, which the search rejects before its first node
-    and the reference exhausts without reaching a leaf."""
+    """Same result, nodes and leaf tests as the search as first written,
+    also at budgets around its node count, and the same result without
+    ``stats``.  A spec whose room cannot be filled is the exception: the
+    search rejects it before its first node, and the reference exhausts it
+    without reaching a leaf."""
     stats: dict = {}
     expected = ref.search_gap_instance(spec, stats)
-    got, verdicts = counted_search(spec)
+    counts: dict = {}
+    got = search_gap_instance(spec, counts)
     assert_same_instance(got, expected)
-    assert verdicts == stats["verdicts"]
+    assert_same_instance(search_gap_instance(spec), expected)
     if not fillable(spec):
         assert expected is None and stats["verdicts"] == 0
+        assert counts == {"nodes": 0, "verdicts": 0}
         assert search_gap_instance(replace(spec, max_nodes=1)) is None
         return
+    assert counts == stats
     nodes = stats["nodes"]
     for budget in sorted({1, nodes // 3, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1, 0}):
         budgeted = replace(spec, max_nodes=budget)
         outcomes = []
         for search in (search_gap_instance, ref.search_gap_instance):
+            counts = {}
             try:
-                search(budgeted)
-                outcomes.append(False)
+                search(budgeted, counts)
+                outcomes.append((False, counts))
             except SearchBudgetError:
-                outcomes.append(True)
-        assert outcomes == [budget < nodes] * 2
+                outcomes.append((True, counts))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (budget < nodes)
 
 
 GAP_CASES = [
@@ -492,11 +521,15 @@ def test_gap_search_raises_at_every_budget_the_reference_does(spec):
     assert nodes <= 1500
     for budget in range(nodes + 2):
         budgeted = replace(spec, max_nodes=budget)
+        counts: dict = {}
         if budget < nodes:
             with pytest.raises(SearchBudgetError):
-                search_gap_instance(budgeted)
+                search_gap_instance(budgeted, counts)
+            assert counts["nodes"] == budget + 1
+            assert counts["verdicts"] <= stats["verdicts"]
         else:
-            assert_same_instance(search_gap_instance(budgeted), expected)
+            assert_same_instance(search_gap_instance(budgeted, counts), expected)
+            assert counts == stats
 
 
 def test_gap_search_matches_reference_on_certify_m18():
@@ -507,7 +540,9 @@ def test_gap_search_matches_reference_on_certify_m18():
     stats: dict = {}
     assert ref.search_gap_instance(spec, stats) is None
     assert stats == {"nodes": 20_234, "verdicts": 15_889}
-    assert counted_search(spec) == (None, 15_889)
+    counts: dict = {}
+    assert search_gap_instance(spec, counts) is None
+    assert counts == stats
     with pytest.raises(SearchBudgetError):
         search_gap_instance(replace(spec, max_nodes=20_233))
     assert search_gap_instance(replace(spec, max_nodes=20_234)) is None
