@@ -32,7 +32,14 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   1,000,000 nodes, recorded as ``certified``, ``exhausted`` or ``budget``
   with the nodes it visited (from ``stats``; a checkout whose search takes
   no ``stats`` records no ``nodes``), which gives item 5(b)'s table a
-  nodes-per-second yardstick.
+  nodes-per-second yardstick.;
+* ``swap_resistance_checklist`` with ``GRAPH_GAP_CAPS`` on the
+  ``graph_gap_26`` fixture against its diagonal optimum, and on the rho-5
+  local search's matching of the balanced pair (100, 5), seed 7 (|M| 57),
+  against the rho-1 one, each recorded as ``passed`` or ``failed`` (its
+  swap items; the rho-5 matching has singletons) or ``budget`` (a checkout
+  whose checklist walks every subset of up to 5 edges raises
+  ``SubsetBudgetError`` on the second).
 
 A balanced pair (n, a, seed) is ``s = [f"s{i % a}" for i in range(n)]``
 shuffled by ``random.Random(seed)``, then a copy of it shuffled again by the
@@ -96,8 +103,8 @@ def timed(run) -> tuple[float, object]:
 
 
 def rows(work: str):
-    from duomatch import DuoGraph, StringInstance, cli, exact, instances, localsearch
-    from duomatch.core import Edge
+    from duomatch import DuoGraph, StringInstance, cli, exact, fileio, instances, localsearch
+    from duomatch.core import Edge, Matching
     from duomatch.exact import BudgetExceededError, exact_max_matching
 
     def graph_of(pair):
@@ -230,6 +237,31 @@ def rows(work: str):
     if counted:
         row["nodes"] = stats["nodes"]
     yield row
+
+    fixture = os.path.join(ROOT, "fixtures", "graph_gap_26")
+    with open(fixture + ".mcbm", encoding="utf-8") as fh:
+        g = fileio.parse_graph(fh.read())
+    with open(fixture + ".matching", encoding="utf-8") as fh:
+        matching = Matching(fileio.parse_matching_edges(fh.read()))
+    cases = [("graph_gap_26", g, matching, Matching(Edge(p, p) for p in range(1, g.m + 1)))]
+    g = graph_of(balanced_pair(100, 5, 7))
+    cases.append(("rho-5 balanced(100,5,7) vs rho-1", g,
+                  localsearch.local_search(g, localsearch.SolverConfig(rho=5))[0],
+                  localsearch.local_search(g, localsearch.SolverConfig(rho=1))[0]))
+    for label, g, matching, optimum in cases:
+        def check(start, g=g, matching=matching, optimum=optimum):
+            start()
+            try:
+                report = instances.swap_resistance_checklist(g, matching, optimum,
+                                                             instances.GRAPH_GAP_CAPS)
+            except instances.SubsetBudgetError:
+                return "budget"
+            swaps = [it.passed for it in report.items if it.name.startswith("swap-")]
+            return "passed" if all(swaps) else "failed"
+
+        t, outcome = timed(check)
+        yield {"name": f"checklist {label}", "s": t, "E": len(g.edges), "M": len(matching),
+               "outcome": outcome}
 
 
 def child(src: str) -> None:

@@ -12,6 +12,10 @@ constructions that pin the locality gap of the search:
 
 The checklist itself quantifies swap resistance on one conflict index: after
 removing any t matching edges, how many optimum edges fit alongside the rest.
+Only unions of the optimum edges' blocker masks need a look, so the checklist
+and the gap search's leaf test share one depth-first scan of those unions
+(:func:`_unions`) in place of a walk over every t-subset; the checklist's
+budget counts the unions it visits.
 The gap search reads its tables off the m x m grid: the anchors, the
 diagonal positions each run covers and the packed covers its leaf test counts
 come from the grid's conflict index, and run compatibility from per-row and
@@ -22,8 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .core import (
     DuoError,
@@ -143,13 +145,6 @@ class ChecklistReport:
         raise KeyError(name)
 
 
-def _entrants(blockers: list[int], kept: int) -> int:
-    """Optimum edges that fit alongside the ``kept`` matching edges: those
-    whose blocker mask (see :func:`swap_resistance_checklist`) misses
-    ``kept``."""
-    return [b & kept for b in blockers].count(0)
-
-
 def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching,
                               caps=GRAPH_GAP_CAPS,
                               subset_budget: int = 2_000_000) -> ChecklistReport:
@@ -158,7 +153,7 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     Items: the matching is maximal in g; it has no singleton edge; and for
     each removal width t the worst-case number of optimum edges compatible
     with the remainder stays within caps[t-1].  At most ``subset_budget``
-    subsets are scanned in total, else SubsetBudgetError.
+    unions of blocker masks are visited in total, else SubsetBudgetError.
 
     Both scans read one :func:`~duomatch.core._index` over the edges of
     g, the matching and the optimum, which need not lie in g.  The blocking
@@ -169,11 +164,21 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     order and is set when that edge equals or conflicts with the optimum
     edge.  After removing X, the optimum edge enters iff its blocker mask
     lies inside X.
+
+    So the count for X is the number of empty blocker masks plus the
+    non-empty ones inside X, and it equals the count for the union U of
+    those inside X, which has at most |X| bits.  swap-t is the largest count
+    over the unions of at most t bits that :func:`_unions` visits, with the
+    blocker masks packed as the fields of one :class:`_CoverFields`.  The
+    witness is the first t-subset in ``itertools.combinations`` order that
+    reaches it: every t-subset holding such a U does, and the first of
+    those is U padded with its lowest clear bits (:func:`_pad`); of two
+    t-subsets the one holding their lowest differing bit comes first.
     """
     items: list[ChecklistItem] = []
     m_edges = matching.edges
     pos, conf, par = _index(tuple(sorted({*g.edges, *m_edges, *optimum.edges})))
-    # dense matching-edge bits keep the per-subset masks short
+    # dense matching-edge bits keep the blocker masks short
     dense = {pos[f]: x for x, f in enumerate(m_edges)}
     m_mask = sum(1 << k for k in dense)
     taken = m_mask
@@ -185,30 +190,31 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     singles = tuple(f for f in m_edges if not par[pos[f]] & m_mask)
     items.append(ChecklistItem("all-parallel", not singles, len(singles), 0, singles[:3]))
 
-    widths = [t for t in range(1, len(caps) + 1) if t <= len(matching)]
-    total_subsets = sum(comb(len(matching), t) for t in widths)
-    if total_subsets > subset_budget:
-        raise SubsetBudgetError(
-            f"{total_subsets} subsets exceed budget {subset_budget}"
-        )
-    full = (1 << len(m_edges)) - 1
+    top = min(len(caps), len(m_edges))
     blockers = [
         sum(1 << dense[k] for k in _positions(m_mask & (conf[pos[e]] | 1 << pos[e])))
         for e in optimum.edges
     ]
-    bits = [1 << x for x in range(len(m_edges))]
-    for t in widths:
-        worst = -1
-        worst_picked: tuple[int, ...] = ()
-        for picked in combinations(bits, t):
-            count = _entrants(blockers, full ^ sum(picked))
-            if count > worst:
-                worst = count
-                worst_picked = picked
-        worst_removed = tuple(m_edges[b.bit_length() - 1] for b in worst_picked)
-        items.append(
-            ChecklistItem(f"swap-{t}", worst <= caps[t - 1], worst, caps[t - 1], worst_removed)
-        )
+    fields = _CoverFields(len(blockers), len(m_edges))
+    packed = sum(b << fields.width * k for k, b in enumerate(blockers))
+    zeros = blockers.count(0)
+    # worst[t]: the largest count over unions of at most t bits, and the
+    # first t-subset that reaches it
+    worst = [(-1, 0)] * (top + 1)
+    for visited, (x, inside) in enumerate(_unions(packed, fields, top) if top else (), 1):
+        if visited > subset_budget:
+            raise SubsetBudgetError(f"more than {subset_budget} unions of blocker masks")
+        count = zeros + inside
+        for t in range(max(x.bit_count(), 1), top + 1):
+            if count >= worst[t][0]:
+                padded = _pad(x, t)
+                differ = padded ^ worst[t][1]
+                if count > worst[t][0] or differ & -differ & padded:
+                    worst[t] = count, padded
+    for t in range(1, top + 1):
+        count, x = worst[t]
+        removed = tuple(m_edges[b] for b in _positions(x))
+        items.append(ChecklistItem(f"swap-{t}", count <= caps[t - 1], count, caps[t - 1], removed))
     return ChecklistReport(tuple(items))
 
 
@@ -357,6 +363,40 @@ class _CoverFields:
         return [covers >> self.width * k & edges for k in range(self.m)]
 
 
+def _unions(covers: int, fields: _CoverFields, top: int):
+    """Yield ``(x, fields inside x)`` for every union x of at most ``top``
+    bits of the non-empty fields of ``covers``, packed by ``fields``; the
+    empty union comes first.  A field lies inside x when it is non-empty
+    and has no bit outside x.
+
+    The unions are grown depth first by adding the distinct fields of at
+    most ``top`` bits, highest mask first, each after the last one added;
+    a union reached along two paths is yielded twice.  Every union of such
+    fields with at most ``top`` bits is reached, since adding its fields in
+    that order never passes ``top`` bits.
+    """
+    low, guards, ones = fields.low, fields.guards, fields.ones
+    nonzero = ((covers + low) & guards).bit_count()
+    small = sorted({c for c in fields.masks(covers) if c.bit_count() <= top}, reverse=True)
+    # depth first over (union, first field it may still take), children
+    # pushed in reverse so that they pop in field order
+    stack = [(0, 0)]
+    while stack:
+        x, start = stack.pop()
+        yield x, nonzero - ((covers & (low ^ x * ones)) + low & guards).bit_count()
+        for k in range(len(small) - 1, start - 1, -1):
+            v = x | small[k]
+            if v != x and v.bit_count() <= top:
+                stack.append((v, k + 1))
+
+
+def _pad(x: int, width: int) -> int:
+    """``x`` with its lowest clear bits set until it has ``width`` bits."""
+    for _ in range(width - x.bit_count()):
+        x |= ~x & x + 1
+    return x
+
+
 def _diag_caps_hold(covers: int, fields: _CoverFields, caps) -> int | None:
     """Swap caps against the diagonal optimum, via coverage multiplicities.
 
@@ -367,20 +407,14 @@ def _diag_caps_hold(covers: int, fields: _CoverFields, caps) -> int | None:
     mask of t <= len(caps) bits with more than caps[t-1] positions covered
     inside it, or None when every cap holds.
 
-    The scan looks only at unions of covers: a failing X of width t
-    contains the union U of the covers inside it, U has the same count and
-    at most t bits, and U padded to any width t' >= |U| fails if its count
-    exceeds caps[t'-1].  The unions are grown depth first from the covers
-    of at most min(len(caps), ne) bits, highest mask first, which picks
-    witnesses on the latest runs' edges; those most often fail the next
-    leaf too (see :func:`_first_passing`).
+    The scan looks only at unions of covers (:func:`_unions`, with at most
+    min(len(caps), ne) bits) and stops at the first that fails: a failing X
+    of width t contains the union U of the covers inside it, U has the same
+    count and at most t bits, and U padded to any width t' >= |U| fails if
+    its count exceeds caps[t'-1].  The scan's order, highest mask first,
+    picks witnesses on the latest runs' edges; those most often fail the
+    next leaf too (see :func:`_first_passing`).
     """
-    low, guards, ones = fields.low, fields.guards, fields.ones
-    nonzero = ((covers + low) & guards).bit_count()
-
-    def inside(x: int) -> int:
-        return nonzero - ((covers & (low ^ x * ones)) + low & guards).bit_count()
-
     top = min(len(caps), fields.ne)
     if not top:
         return None
@@ -388,28 +422,14 @@ def _diag_caps_hold(covers: int, fields: _CoverFields, caps) -> int | None:
     least = list(caps[:top])
     for s in range(top - 2, -1, -1):
         least[s] = min(least[s], least[s + 1])
-    small = sorted({c for c in fields.masks(covers) if c.bit_count() <= top}, reverse=True)
-
-    # depth first over (union, first cover it may still take), children
-    # pushed in reverse so that they pop in cover order
-    stack = [(0, 0)]
-    while stack:
-        x, start = stack.pop()
-        if inside(x) > least[max(x.bit_count(), 1) - 1]:
+    for x, inside in _unions(covers, fields, top):
+        if inside > least[max(x.bit_count(), 1) - 1]:
             break
-        for k in range(len(small) - 1, start - 1, -1):
-            v = x | small[k]
-            if v != x and v.bit_count() <= top:
-                stack.append((v, k + 1))
     else:
         return None
     s = max(x.bit_count(), 1)
     width = next(t for t in range(s, top + 1) if caps[t - 1] == least[s - 1])
-    free = ((1 << fields.ne) - 1) & ~x
-    for _ in range(width - x.bit_count()):
-        x |= free & -free
-        free &= free - 1
-    return x
+    return _pad(x, width)
 
 
 def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverFields, caps,

@@ -35,10 +35,11 @@ from duomatch.instances import (
     string_gap_fixture,
     swap_resistance_checklist,
 )
-from duomatch.localsearch import is_local_optimum
+from duomatch.localsearch import SolverConfig, is_local_optimum, local_search
 
 import reference_gap as ref
 from conftest import FIXTURES_DIR
+from test_exact import balanced_graph
 
 
 # ---------------------------------------------------------------- generator
@@ -141,6 +142,27 @@ def test_checklist_budget():
     opt = exact_max_matching(g).witness
     with pytest.raises(SubsetBudgetError):
         swap_resistance_checklist(g, m, opt, caps=STRING_GAP_CAPS, subset_budget=3)
+
+
+@pytest.mark.parametrize("n, alphabet", [(60, 4), (100, 5)])
+def test_checklist_bounds_a_rho5_local_optimum(n, alphabet):
+    """Against any matching O, a rho-5 local optimum M has swap-t <= t for
+    t <= 5: else M less t edges plus t + 1 edges of O would be a width-t
+    replace.  |M| is 32 and 57 here, and O is the rho-1 local optimum, then
+    a maximum matching from an integer program."""
+    g = balanced_graph(n, alphabet, 7)
+    matching = local_search(g, SolverConfig(rho=5))[0]
+
+    def assert_bounded(optimum):
+        report = swap_resistance_checklist(g, matching, optimum, GRAPH_GAP_CAPS)
+        assert report.item("maximal").passed
+        assert all(report.item(f"swap-{t}").observed <= t for t in range(1, 6))
+
+    assert_bounded(local_search(g, SolverConfig(rho=1))[0])
+    pytest.importorskip("scipy")
+    from milp_oracle import milp_max_matching
+
+    assert_bounded(milp_max_matching(g))
 
 
 # ---------------------------------------------------------------- gap search
@@ -297,19 +319,24 @@ def test_checklist_matches_reference_on_fixtures():
         assert got == ref.swap_resistance_checklist(g, matching, opt, STRING_GAP_CAPS)
 
 
-def test_checklist_counts_one_entrant_scan_per_subset(monkeypatch):
-    calls = []
-    real = instances._entrants
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(instances, "_entrants", counting)
+def test_checklist_budget_counts_unions():
+    """The budget counts the unions of blocker masks the swap items visit:
+    on the string fixture fewer than the 62 subsets of 1-5 of its 6 edges."""
     inst, m = string_gap_fixture()
     g = DuoGraph.from_strings(inst)
-    swap_resistance_checklist(g, m, exact_max_matching(g).witness, STRING_GAP_CAPS)
-    assert len(calls) == sum(comb(len(m), t) for t in range(1, 6))
+    opt = exact_max_matching(g).witness
+
+    def passes(budget):
+        try:
+            swap_resistance_checklist(g, m, opt, STRING_GAP_CAPS, subset_budget=budget)
+        except SubsetBudgetError:
+            return False
+        return True
+
+    least = next(b for b in range(sum(comb(len(m), t) for t in range(1, 6)) + 1) if passes(b))
+    assert least <= 62
+    with pytest.raises(SubsetBudgetError):
+        swap_resistance_checklist(g, m, opt, STRING_GAP_CAPS, subset_budget=least - 1)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -374,10 +401,14 @@ def leaf_cases(draw):
 @given(leaf_cases())
 # no union of covers has two bits, so only {(2, 4)} padded to two edges beats the cap 0
 @example((4, [Edge(3, 4), Edge(2, 4), Edge(4, 3)], (3, 0), 0))
+# a matching of two edges that holds every cap
+@example((6, [Edge(1, 3), Edge(2, 4)], (1, 5), 0))
 def test_leaf_witness_contract(case):
     """The full scan's verdict matches the reference, and so does the
     search's leaf test with no hint, a failing hint and a holding one;
-    every X either returns fails its cap."""
+    every X either returns fails its cap.  When the edges form a matching,
+    the checklist's swap items against the diagonal edges of the covered
+    positions agree with the full scan."""
     m, edges, caps, pick = case
     ne = len(edges)
     masks = [0] * m
@@ -407,6 +438,11 @@ def test_leaf_witness_contract(case):
     assert (got is None) == holds
     if got is not None:
         assert_fails(got)
+    if all(compatible(e, f) for e, f in combinations(edges, 2)):
+        diagonal = Matching(Edge(p, p) for p in range(1, m + 1) if masks[p - 1])
+        report = swap_resistance_checklist(DuoGraph(m, [*diagonal, *edges]), Matching(edges),
+                                           diagonal, caps)
+        assert all(it.passed for it in report.items if it.name.startswith("swap-")) == (got is None)
     # the search's leaves cover every position: the leaf test gets the
     # positions with a non-empty cover, which are the ones that count
     covered = [c for c in masks if c]
