@@ -32,7 +32,11 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   1,000,000 nodes, recorded as ``certified``, ``exhausted`` or ``budget``
   with the nodes it visited (from ``stats``; a checkout whose search takes
   no ``stats`` records no ``nodes``), which gives item 5(b)'s table a
-  nodes-per-second yardstick.;
+  nodes-per-second yardstick;
+* the unanchored gap search at m=31 with 12 edges under a budget of 0
+  nodes, recorded as ``budget``: it times the set-up alone (the run
+  table, coverage and spreads) that the search pays before its first node
+  at every size of item 5(b)'s table;
 * ``swap_resistance_checklist`` with ``GRAPH_GAP_CAPS`` on the
   ``graph_gap_26`` fixture against its diagonal optimum, and on the rho-5
   local search's matching of the balanced pair (100, 5), seed 7 (|M| 57),
@@ -218,25 +222,28 @@ def rows(work: str):
         yield {"name": f"gap_search m={spec.m} size={spec.matching_size}{anchored}", "s": t,
                "found": found is not None}
 
-    spec = instances.GapSearchSpec(m=22, matching_size=10, anchors=(), max_nodes=GAP_BUDGET)
-    stats: dict = {}
     counted = "stats" in inspect.signature(instances.search_gap_instance).parameters
+    for label, spec in (
+            ("", instances.GapSearchSpec(m=22, matching_size=10, anchors=(),
+                                         max_nodes=GAP_BUDGET)),
+            ("set-up ", instances.GapSearchSpec(m=31, anchors=(), max_nodes=0))):
+        stats: dict = {}
 
-    def budgeted_gap(start):
-        start()
-        try:
-            found = instances.search_gap_instance(spec, stats) if counted \
-                else instances.search_gap_instance(spec)
-        except instances.SearchBudgetError:
-            return "budget"
-        return "exhausted" if found is None else "certified"
+        def budgeted_gap(start, spec=spec, stats=stats):
+            start()
+            try:
+                found = instances.search_gap_instance(spec, stats) if counted \
+                    else instances.search_gap_instance(spec)
+            except instances.SearchBudgetError:
+                return "budget"
+            return "exhausted" if found is None else "certified"
 
-    t, outcome = timed(budgeted_gap)
-    row = {"name": f"gap_search m={spec.m} size={spec.matching_size} unanchored "
-                   f"max_nodes={GAP_BUDGET}", "s": t, "outcome": outcome}
-    if counted:
-        row["nodes"] = stats["nodes"]
-    yield row
+        t, outcome = timed(budgeted_gap)
+        row = {"name": f"gap_search {label}m={spec.m} size={spec.matching_size} unanchored "
+                       f"max_nodes={spec.max_nodes}", "s": t, "outcome": outcome}
+        if counted:
+            row["nodes"] = stats["nodes"]
+        yield row
 
     fixture = os.path.join(ROOT, "fixtures", "graph_gap_26")
     with open(fixture + ".mcbm", encoding="utf-8") as fh:

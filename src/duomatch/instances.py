@@ -16,10 +16,11 @@ Only unions of the optimum edges' blocker masks need a look, so the checklist
 and the gap search's leaf test share one depth-first scan of those unions
 (:func:`_unions`) in place of a walk over every t-subset; the checklist's
 budget counts the unions it visits.
-The gap search reads its tables off the m x m grid: the anchors, the
-diagonal positions each run covers and the packed covers its leaf test counts
-come from the grid's conflict index, and run compatibility from per-row and
-per-column run masks.
+The gap search works on candidate runs, not on the m x m grid: one rule
+reads run compatibility, the runs covering each diagonal position and the
+anchors' compatible runs off per-row and per-column run masks, and a run's
+diagonal cover is closed form.  The only conflict index it builds is the
+anchors'.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class InfeasibleSpecError(DuoError):
 
 
 class SubsetBudgetError(DuoError):
-    """Checklist subset scan would exceed the allowed work."""
+    """Checklist scan of unions of blocker masks would exceed the allowed work."""
 
 
 class SearchBudgetError(DuoError):
@@ -260,52 +261,47 @@ class GapInstance:
 
 
 class _RunTable:
-    """The candidate runs of the gap search on the m x m grid.
+    """The candidate runs of the gap search on positions 1..m.
 
-    ``index``, the grid's conflict index, covers the diagonal optimum and
-    every run edge.  A run (i, j, ell) is the ell parallel edges (i + t,
-    j + t); ``runs`` lists every off-diagonal run of 2 to ``longest`` edges
-    inside 1..m in lexicographic (i, j, ell) order, and ``masks[k]`` holds
-    run k's edges as grid bits.  ``edge_covers[e]`` has bit p set iff grid
-    edge e conflicts with the diagonal edge (p, p), as ``conf[e]`` says;
-    :meth:`cover` ORs them over a mask, and ``covers[k]`` is run k's.
+    A run (i, j, ell) is the ell parallel edges (i + t, j + t); ``runs``
+    lists every off-diagonal run of 2 to ``longest`` edges inside 1..m in
+    lexicographic (i, j, ell) order.  ``on_row[r]`` and ``on_col[c]``, for
+    r, c in 0..m+1, hold the runs with an edge on that A-row or B-column
+    (rows and columns 0 and m+1 stay empty), and :meth:`apart` is the mask
+    of the runs with no edge on given rows or columns.
 
-    A run's hits are the edges it holds, conflicts with or runs parallel
-    to.  Two runs may coexist as distinct maximal runs of one matching iff
-    neither holds a hit of the other, which rules out a shared edge, a
-    conflicting cross pair and a head-to-tail continuation alike.  On the
-    full grid the hits of edge (a, b) are exactly the edges on A-rows
-    a-1..a+1 and B-columns b-1..b+1, so ``on_row[r]`` and ``on_col[c]``,
-    for r, c in 0..m+1, hold the runs with an edge on that row or column
-    (rows and columns 0 and m+1 stay empty), and ``rows[k]``, the mask of
-    the runs compatible with run k, is the complement of their OR over
-    rows i-1..i+ell and columns j-1..j+ell.
+    By :func:`~duomatch.core.compatible`, edge (a, b) conflicts with,
+    equals or runs parallel to exactly the edges on A-rows a-1..a+1 or
+    B-columns b-1..b+1; call those its hits.  One rule gives two tables:
+
+    * Two runs may coexist as distinct maximal runs of one matching iff
+      neither holds a hit of the other, which rules out a shared edge, a
+      conflicting cross pair and a head-to-tail continuation alike.  So
+      ``rows[k]``, the mask of the runs compatible with run k, is
+      :meth:`apart` over rows i-1..i+ell and columns j-1..j+ell.
+    * An off-diagonal edge (a, b) conflicts with the diagonal edge (p, p)
+      iff p is within 1 of a or of b, so a run covers position p iff it
+      has an edge on row or column p-1..p+1.  :meth:`cover` is the closed
+      form of the positions a run covers (bit p for position p), and
+      ``covers[k]`` is run k's.
     """
 
     def __init__(self, m: int, longest: int):
-        self.grid = tuple(Edge(i, j) for i in range(1, m + 1) for j in range(1, m + 1))
-        self.index = _index(self.grid)
-        pos = self.index.pos
-        diagonal = {pos[Edge(p, p)]: p for p in range(1, m + 1)}
-        on_diagonal = sum(1 << k for k in diagonal)
-        self.edge_covers = [sum(1 << diagonal[k] for k in _positions(c & on_diagonal))
-                            for c in self.index.conf]
+        self.full = ((1 << m) - 1) << 1
         self.runs = [(i, j, ell) for i in range(1, m) for j in range(1, m) if i != j
                      for ell in range(2, min(longest, m + 1 - max(i, j)) + 1)]
         self.all = (1 << len(self.runs)) - 1
-        self.masks = [sum(1 << pos[Edge(i + t, j + t)] for t in range(ell))
-                      for i, j, ell in self.runs]
-        self.covers = [self.cover(mask) for mask in self.masks]
         self.on_row = on_row = [0] * (m + 2)
         self.on_col = on_col = [0] * (m + 2)
         for k, (i, j, ell) in enumerate(self.runs):
             for t in range(ell):
                 on_row[i + t] |= 1 << k
                 on_col[j + t] |= 1 << k
-        self.rows = [self._apart(range(i - 1, i + ell + 1), range(j - 1, j + ell + 1))
+        self.rows = [self.apart(range(i - 1, i + ell + 1), range(j - 1, j + ell + 1))
                      for i, j, ell in self.runs]
+        self.covers = [self.cover(*run) for run in self.runs]
 
-    def _apart(self, rows, cols) -> int:
+    def apart(self, rows, cols) -> int:
         """Mask of the candidate runs with no edge on ``rows`` or ``cols``."""
         near = 0
         for r in rows:
@@ -314,28 +310,24 @@ class _RunTable:
             near |= self.on_col[c]
         return self.all & ~near
 
-    def cover(self, mask: int) -> int:
-        covered = 0
-        for e in _positions(mask):
-            covered |= self.edge_covers[e]
-        return covered
-
-    def compatible_mask(self, mask: int) -> int:
-        """Mask of the candidate runs compatible with every run whose edges
-        ``mask`` holds: those through none of their hits."""
-        edges = [self.grid[e] for e in _positions(mask)]
-        return self._apart({a + d for a, _ in edges for d in (-1, 0, 1)},
-                           {b + d for _, b in edges for d in (-1, 0, 1)})
+    def cover(self, i: int, j: int, ell: int) -> int:
+        """The positions 1..m covered by the run (i, j, ell): i-1..i+ell
+        and j-1..j+ell."""
+        span = (1 << ell + 2) - 1
+        return (span << i - 1 | span << j - 1) & self.full
 
 
 class _CoverFields:
-    """Per-position cover masks of ``ne`` matching edges packed into one int.
+    """``m`` masks of ``ne`` bits each packed into one int.
 
-    Field p - 1 holds the mask of edge indices whose edge conflicts with the
-    diagonal edge (p, p), for p = 1..m, in ``ne`` bits topped by a guard bit
-    that stays 0.  Adding ``low`` then carries into a field's guard bit iff
-    the field is non-zero, so one AND, ADD and popcount count the fields
-    that lie inside an edge mask, over all positions at once.
+    Field k holds one mask in ``ne`` bits topped by a guard bit that stays
+    0.  Adding ``low`` then carries into a field's guard bit iff the field
+    is non-zero, so one AND, ADD and popcount count the fields that lie
+    inside an edge mask, over all fields at once.  The gap search packs
+    one field per diagonal position p = 1..m (field p - 1), the mask of the
+    matching edges that conflict with the diagonal edge (p, p); the
+    checklist packs one field per optimum edge, its blocker mask over the
+    matching edges.
     """
 
     __slots__ = ("m", "ne", "width", "ones", "low", "guards")
@@ -495,25 +487,26 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     lengths 2..L returns None: an odd room when L = 2, whose parity no run
     changes, or a room of 1, which no run fits.  That check removes no leaf.
 
-    The anchors are one grid mask, read off the grid's conflict index with
-    everything else.  The search returns None unless every anchor has a
-    parallel neighbour among the anchors and conflicts with none of them.
-    That is the rule on their maximal runs: each must hold 2 or more edges,
-    and no two may clash.  Two distinct maximal runs share no edge and
-    cannot continue one another, so a conflict is the only clash left.
+    Anchors off the grid or on the diagonal return None.  So does a set
+    of anchors in which some anchor lacks a parallel neighbour among the
+    anchors or conflicts with one of them, read off the anchors' own
+    conflict index.  That is the rule on their maximal runs: each must hold
+    2 or more edges, and no two may clash.  Two distinct maximal runs share
+    no edge and cannot continue one another, so a conflict is the only
+    clash left.
 
     The search runs on masks over the candidate runs of a
-    :class:`_RunTable`, whose rows, run edges and diagonal covers are all
-    read off the m x m grid.  ``covering[p]`` holds the runs covering
-    position p, ``allowed`` the runs compatible with every chosen run (the
-    AND of their rows; the anchor runs' mask comes from the same row and
-    column masks) and ``excluded`` the lex-earlier alternatives.  A node's
-    candidates are ``covering[p] & allowed & ~excluded`` among the runs
-    short enough to fit, taken lowest bit first.  Each node also carries the
-    chosen edges as grid bits and their per-position covers, packed by
-    :class:`_CoverFields`: a child adds its run's precomputed spread,
-    shifted to the run's edge indices (each run's spread is shifted once
-    per edge count, not once per child).
+    :class:`_RunTable`.  ``covering[p]`` holds the runs covering position
+    p (those with an edge on row or column p-1..p+1), ``allowed`` the runs
+    compatible with every chosen run (the AND of their rows; the anchors'
+    mask comes from the same row and column masks) and ``excluded`` the
+    lex-earlier alternatives.  A node's candidates are ``covering[p] &
+    allowed & ~excluded`` among the runs short enough to fit, taken lowest
+    bit first.  Each node also carries the chosen runs as a run mask and
+    the per-position covers of the anchors' and the chosen runs' edges,
+    packed by :class:`_CoverFields`: a child adds its run's precomputed
+    spread, shifted to the run's edge indices (each run's spread is
+    shifted once per edge count, not once per child).
 
     A candidate that fills the remaining room is a complete leaf, and one
     that leaves a room of 1 edge, which no run fills, is a node without
@@ -528,16 +521,16 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     every position the parent left uncovered (the AND of ``covering[p]``
     over those positions) go to :func:`_first_passing`, which tries the
     last leaf's failing X on each before any full scan.  A leaf that passes
-    builds its matching and runs the checklist, which must agree.  When the anchors fill the
-    target the root itself is the one leaf, of an empty run, and goes
-    through the same routine.
+    builds its matching, the anchors plus the chosen runs' edges, and runs
+    the checklist, which must agree.  When the anchors fill the target the
+    root itself is the one leaf, of an empty run (a run of 0 edges at
+    index ``len(table.runs)``), and goes through the same routine.
     """
     m = spec.m
     optimum = Matching(Edge(i, i) for i in range(1, m + 1))
     target = spec.matching_size
     if stats is not None:
         stats.update(nodes=0, verdicts=0)
-    full_mask = ((1 << m) - 1) << 1
 
     for a in spec.anchors:
         if not (1 <= a.i <= m and 1 <= a.j <= m) or a.i == a.j:
@@ -548,34 +541,31 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     if seed_count > target or not _fillable(target - seed_count, longest):
         return None
 
-    table = _RunTable(m, longest)
-    pos, conf, par = table.index
-    chosen = sum(1 << pos[a] for a in spec.anchors)
-    if any(conf[e] & chosen or not par[e] & chosen for e in _positions(chosen)):
+    _, conf, par = _index(spec.anchors)
+    if any(conf) or not all(par):
         return None
 
-    runs, run_covers, rows = table.runs, table.covers, table.rows
+    table = _RunTable(m, longest)
+    full_mask, run_covers, rows = table.full, table.covers, table.rows
     fields = _CoverFields(m, target)
-    covering = [0] * (m + 1)
+    covering = [0] + [table.all & ~table.apart(range(p - 1, p + 2), range(p - 1, p + 2))
+                      for p in range(1, m + 1)]
     # fits[room]: the runs of at most room edges; ends[room]: those of
     # exactly room edges.  A child on a run of room edges is a complete leaf,
     # and one on a run of room - 1 edges leaves a room of 1, which no run
     # fills: neither has children
     fits = [0] * (target + 1)
     ends = [0] * (target + 1)
-    spreads = []
-    for k, (_, _, ell) in enumerate(runs):
-        for p in _positions(run_covers[k]):
-            covering[p] |= 1 << k
+    for k, (_, _, ell) in enumerate(table.runs):
         for room in range(ell, target + 1):
             fits[room] |= 1 << k
         ends[ell] |= 1 << k
-        spreads.append(fields.spread(table.edge_covers[e] for e in _positions(table.masks[k])))
-    # index len(runs) is the empty run: the root's only leaf when the
+    # index len(table.runs) is the empty run: the root's only leaf when the
     # anchors fill the target
-    empty = len(runs)
-    masks = table.masks + [0]
-    spreads.append(0)
+    empty = len(table.runs)
+    runs = table.runs + [(0, 0, 0)]
+    spreads = [fields.spread(table.cover(i + t, j + t, 1) for t in range(ell))
+               for i, j, ell in runs]
     # shifted[count]: every run's spread shifted to follow count edges,
     # built when a node at that count first needs it
     shifted: list[list[int] | None] = [None] * target
@@ -609,7 +599,7 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
             # the nodes after leaf k were never visited
             nodes -= (batch >> k + 1).bit_count()
             verdicts += (hits & (2 << k) - 1).bit_count()
-            return certified(chosen | masks[k])
+            return certified(chosen | 1 << k)
         verdicts += hits.bit_count()
         if short:
             nodes += 1
@@ -617,7 +607,10 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
         return None
 
     def certified(chosen: int) -> GapInstance:
-        edges = [table.grid[e] for e in _positions(chosen)]
+        edges = list(spec.anchors)
+        for k in _positions(chosen):
+            i, j, ell = runs[k]
+            edges += (Edge(i + t, j + t) for t in range(ell))
         matching = Matching(edges)
         graph = DuoGraph(m, list(optimum.edges) + edges)
         report = swap_resistance_checklist(graph, matching, optimum, caps)
@@ -660,7 +653,7 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
                 batch ^= before
             k = low.bit_length() - 1
             found = rec(
-                chosen | masks[k],
+                chosen | low,
                 count + runs[k][2],
                 cover | run_covers[k],
                 covers | shift[k],
@@ -672,13 +665,17 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
             inner ^= low
         return leaves(chosen, covers, shift, batch, fill) if batch else None
 
-    cover = table.cover(chosen)
-    covers = fields.spread(table.edge_covers[e] for e in _positions(chosen))
+    # the anchors' hits are on these rows and columns, and they cover the
+    # positions among either
+    near_rows = {a.i + d for a in spec.anchors for d in (-1, 0, 1)}
+    near_cols = {a.j + d for a in spec.anchors for d in (-1, 0, 1)}
+    cover = sum(1 << p for p in near_rows | near_cols) & full_mask
+    covers = fields.spread(table.cover(a.i, a.j, 1) for a in spec.anchors)
     try:
         if seed_count == target:
-            return leaves(chosen, covers, spreads, 1 << empty,
+            return leaves(0, covers, spreads, 1 << empty,
                           0 if full_mask & ~cover else 1 << empty)
-        return rec(chosen, seed_count, cover, covers, table.compatible_mask(chosen), 0)
+        return rec(0, seed_count, cover, covers, table.apart(near_rows, near_cols), 0)
     finally:
         # rec's closure holds rec: clearing it frees the search's tables on
         # return rather than at the next full garbage collection

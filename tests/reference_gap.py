@@ -8,12 +8,13 @@ run helpers as first written (:class:`_Run` with its hand-computed diagonal
 cover, :func:`_runs_compatible` and :func:`_anchor_runs`), so the oracle
 imports no search code from the package it checks.
 
-:mod:`duomatch.instances` runs the same searches over bitmask tables read
-off one conflict index and must return the same reports and the same
-instances after the same leaf tests.  The gap search also visits the same
-nodes, except on a spec whose room (matching size minus anchor edges) is no
-sum of the candidate run lengths: it returns None before its first node,
-where this search exhausts the tree without reaching a leaf.
+:mod:`duomatch.instances` runs the same searches over bitmask tables (the
+checklist's conflict index, the gap search's per-row and per-column run
+masks) and must return the same reports and the same instances after the
+same leaf tests.  The gap search also visits the same nodes, except on a
+spec whose room (matching size minus anchor edges) is no sum of the
+candidate run lengths: it returns None before its first node, where this
+search exhausts the tree without reaching a leaf.
 """
 
 from __future__ import annotations

@@ -341,9 +341,9 @@ def test_checklist_budget_counts_unions():
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_run_table_rows_match_runs_compatible(m):
-    """Rows, anchor masks, run covers and spreads read off the grid agree
-    with the run helpers as first written, at L = 2, 3 and 4, with runs and
-    anchors on the first and last rows and columns."""
+    """Rows, anchor masks, coverage, run covers and spreads read off the
+    run table agree with the run helpers as first written, at L = 2, 3 and
+    4, with runs and anchors on the first and last rows and columns."""
     for longest in (2, 3, 4):
         assert_run_table_matches_runs(m, longest)
 
@@ -367,10 +367,15 @@ def assert_run_table_matches_runs(m, longest):
         assert table.covers[k] == r.cover_mask
         spread = sum(1 << fields.width * (p - 1) + t for t, e in enumerate(r.edges)
                      for p in {e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1} if 1 <= p <= m)
-        covers = [table.edge_covers[e] for e in _positions(table.masks[k])]
-        assert fields.spread(covers) == spread
+        assert fields.spread(table.cover(e.i, e.j, 1) for e in r.edges) == spread
+    # covering[p]: the runs with an edge on row or column p-1..p+1
+    for p in range(1, m + 1):
+        near = range(p - 1, p + 2)
+        assert table.all & ~table.apart(near, near) == sum(
+            1 << k for k, r in enumerate(runs) if r.cover_mask >> p & 1)
     # anchor runs of any length need not be in the table; each is also
-    # paired with the anchor before it, as two anchor runs
+    # paired with the anchor before it, as two anchor runs.  Their mask is
+    # apart over the rows and columns within 1 of their edges
     last = None
     for i, j in combinations(range(1, m + 1), 2):
         for a, b in ((i, j), (j, i)):
@@ -378,13 +383,44 @@ def assert_run_table_matches_runs(m, longest):
                 if max(a, b) + ell - 1 > m:
                     continue
                 r = ref._Run(a, b, ell, m)
-                mask = sum(1 << table.index.pos[Edge(a + t, b + t)] for t in range(ell))
+                rows = {e.i + d for e in r.edges for d in (-1, 0, 1)}
+                cols = {e.j + d for e in r.edges for d in (-1, 0, 1)}
                 expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
-                assert table.compatible_mask(mask) == expected
-                assert table.cover(mask) == r.cover_mask
+                assert table.apart(rows, cols) == expected
+                assert table.cover(a, b, ell) == r.cover_mask
+                assert sum(1 << p for p in rows | cols) & table.full == r.cover_mask
                 if last is not None:
-                    assert table.compatible_mask(mask | last[0]) == expected & last[1]
-                last = mask, expected
+                    assert table.apart(rows | last[0], cols | last[1]) == expected & last[2]
+                last = rows, cols, expected
+
+
+def test_edge_cover_is_the_diagonal_edges_it_conflicts_with():
+    """The closed-form cover of an off-diagonal edge (a, b) is the set of
+    positions p whose diagonal edge (p, p) conflicts with it, as
+    :func:`compatible` says, for every m up to 12."""
+    for m in range(2, 13):
+        table = instances._RunTable(m, 2)
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if a != b:
+                    expected = sum(1 << p for p in range(1, m + 1)
+                                   if not compatible(Edge(a, b), Edge(p, p)))
+                    assert table.cover(a, b, 1) == expected
+
+
+@pytest.mark.parametrize("anchors", [((0, 3), (1, 4)), ((2, 18), (3, 19)), ((4, 4), (5, 5))])
+def test_gap_search_rejects_anchors_off_the_grid_or_on_the_diagonal(anchors):
+    """A run of two anchors, one of them outside 1..m (m = 18) or both on
+    the diagonal, returns None before any node, as the reference does.
+    Such anchors pass the parallel and conflict test; the closed-form
+    covers would clip them and the column masks end at m + 1."""
+    spec = GapSearchSpec(m=18, matching_size=8, anchors=anchors)
+    stats: dict = {}
+    assert search_gap_instance(spec, stats) is None
+    assert stats == {"nodes": 0, "verdicts": 0}
+    ref_stats: dict = {}
+    assert ref.search_gap_instance(spec, ref_stats) is None
+    assert ref_stats == stats
 
 
 @st.composite
