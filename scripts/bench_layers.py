@@ -2,7 +2,8 @@
 """Per-layer wall times over a fixed scaling corpus, written to JSON.
 
 Each row times one layer on one seeded input over five runs, records the
-least (``best_s``) and the median (``median_s``) wall time, and records
+least (``best_s``), the median (``median_s``) and the quartiles (``q1_s``,
+``q3_s``, from ``statistics.quantiles``) of the wall times, and records
 the work it did: the graph size |E|, the size |M| of the result
 and, for the exact solver, the branch-and-bound nodes.  Rows:
 
@@ -19,7 +20,7 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   over 2M nodes at n=52 and n=60);
 * ``exact_max_value`` (the value-only search ``bench --with-exact`` runs),
   seeded with the rho-1 local search's matching as ``bench --rho 1`` seeds
-  it, on the same four pairs; a checkout without it writes no such rows;
+  it, on the same four pairs;
 * the identity pair n=2000 through the ``solve`` and ``exact`` commands;
 * ``bench --rho 1 --with-exact --csv`` run 50 times on one dense n=24
   alphabet-4 pair, rewriting the same CSV file each time;
@@ -30,9 +31,8 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   ``make_fixtures.py`` runs;
 * the unanchored gap search at m=22 with 10 edges under a budget of
   1,000,000 nodes, recorded as ``certified``, ``exhausted`` or ``budget``
-  with the nodes it visited (from ``stats``; a checkout whose search takes
-  no ``stats`` records no ``nodes``), which gives item 5(b)'s table a
-  nodes-per-second yardstick;
+  with the nodes it visited (from ``stats``), which gives item 5(b)'s
+  table a nodes-per-second yardstick;
 * the unanchored gap search at m=31 with 12 edges under a budget of 0
   nodes, recorded as ``budget``: it times the set-up alone (the run
   table, coverage and spreads) that the search pays before its first node
@@ -62,7 +62,9 @@ repeat, and writes ``BENCH_old.json`` and ``BENCH_new.json`` in the current
 directory.  The median over the alternated repeats is the figure to
 compare: on a shared machine the best of a few runs still moved by 40%
 between back-to-back runs of unchanged code, and runs of one checkout after
-the other saw different host load.  With one ``--src`` (by default this
+the other saw different host load.  The quartiles show how far a row moves
+between repeats, so the rows a change does not touch give the spread to
+read its other rows against.  With one ``--src`` (by default this
 checkout) the script writes the one file.  Stdlib only; about half a
 minute per checkout on a 2-core x86-64 VM.
 """
@@ -71,7 +73,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -155,7 +156,7 @@ def rows(work: str):
         yield {"name": f"exact balanced({n},4) seed {seed}", "s": t, "E": len(g.edges),
                "M": result.value, "nodes": result.nodes_explored, "exhausted": exhausted}
 
-    for n, seed in dense_pairs if hasattr(exact, "exact_max_value") else ():
+    for n, seed in dense_pairs:
         pair = balanced_pair(n, 4, seed)
 
         def solve_value(start, pair=pair):
@@ -222,7 +223,6 @@ def rows(work: str):
         yield {"name": f"gap_search m={spec.m} size={spec.matching_size}{anchored}", "s": t,
                "found": found is not None}
 
-    counted = "stats" in inspect.signature(instances.search_gap_instance).parameters
     for label, spec in (
             ("", instances.GapSearchSpec(m=22, matching_size=10, anchors=(),
                                          max_nodes=GAP_BUDGET)),
@@ -232,18 +232,15 @@ def rows(work: str):
         def budgeted_gap(start, spec=spec, stats=stats):
             start()
             try:
-                found = instances.search_gap_instance(spec, stats) if counted \
-                    else instances.search_gap_instance(spec)
+                found = instances.search_gap_instance(spec, stats)
             except instances.SearchBudgetError:
                 return "budget"
             return "exhausted" if found is None else "certified"
 
         t, outcome = timed(budgeted_gap)
-        row = {"name": f"gap_search {label}m={spec.m} size={spec.matching_size} unanchored "
-                       f"max_nodes={spec.max_nodes}", "s": t, "outcome": outcome}
-        if counted:
-            row["nodes"] = stats["nodes"]
-        yield row
+        yield {"name": f"gap_search {label}m={spec.m} size={spec.matching_size} unanchored "
+                       f"max_nodes={spec.max_nodes}", "s": t, "outcome": outcome,
+               "nodes": stats["nodes"]}
 
     fixture = os.path.join(ROOT, "fixtures", "graph_gap_26")
     with open(fixture + ".mcbm", encoding="utf-8") as fh:
@@ -313,8 +310,10 @@ def main() -> int:
         out = []
         for name, row in fields[at].items():
             ts = times[at][name]
+            q1, _, q3 = statistics.quantiles(ts, n=4)
             out.append({"name": name, "best_s": round(min(ts), 4),
                         "median_s": round(statistics.median(ts), 4),
+                        "q1_s": round(q1, 4), "q3_s": round(q3, 4),
                         **{k: v for k, v in row.items() if k != "name"}})
             print(json.dumps({"label": label, **out[-1]}), flush=True)
         report = {

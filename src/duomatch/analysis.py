@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (DuoGraph, Edge, InvariantError, Matching, NotMaximalError, _mask, _parallels,
-                   _positions)
+from .core import (DuoGraph, Edge, InvariantError, Matching, NotMaximalError, _lonely, _mask,
+                   _positions, _union)
 
 #: Largest token total any single matching edge can end up with at a
 #: width-5 terminal matching.
@@ -175,7 +175,7 @@ def check_parallel_token_bound(g: DuoGraph, matching: Matching,
                                report: TokenReport | None = None) -> CheckResult:
     """Parallel matching edges stay strictly below a token total of 3."""
     m_mask, _, report = _masks_and_report(g, matching, optimum, report)
-    parallels = [g.edges[k] for k in _positions(_parallels(g, m_mask))]
+    parallels = [g.edges[k] for k in _positions(m_mask & ~_lonely(g.index.par, m_mask, m_mask))]
     violations = tuple(
         (e, report.per_sol_edge[e]) for e in parallels if report.per_sol_edge[e] >= 3
     )
@@ -189,7 +189,7 @@ def check_heavy_singleton_parallel_support(g: DuoGraph, matching: Matching,
     within two conflict hops: some matching edge that conflicts with one of
     the optimum edges charged against the singleton."""
     m_mask, opt_mask, report = _masks_and_report(g, matching, optimum, report)
-    par_mask = _parallels(g, m_mask)
+    par_mask = m_mask & ~_lonely(g.index.par, m_mask, m_mask)
     charged = opt_mask & ~m_mask
     conf = g.index.conf
     violations = []
@@ -197,10 +197,7 @@ def check_heavy_singleton_parallel_support(g: DuoGraph, matching: Matching,
         e = g.edges[k]
         if report.per_sol_edge[e] < 3:
             continue
-        two_hop = 0
-        for f in _positions(conf[k] & charged):
-            two_hop |= conf[f]
-        if not two_hop & par_mask:
+        if not _union(conf, conf[k] & charged) & par_mask:
             violations.append((e, report.per_sol_edge[e]))
     return CheckResult(
         "heavy_singleton_parallel_support", not violations, tuple(violations)

@@ -8,7 +8,9 @@ corresponds exactly to a common partition of the two strings in which every
 selected duo stays intact, so maximizing preserved duos is a maximum
 compatible edge set problem.  The graph form stands on its own: any bipartite
 graph on two sets of m positions can be solved without string backing.  One
-conflict index (:func:`_index`) serves every edge list, in a graph or not.
+conflict index (:func:`_index`) serves every edge list, in a graph or not,
+and :func:`_union` and :func:`_lonely` read a set's conflicting or parallel
+neighbours and its singletons off it.
 
 All indices are 1-based on both sides.
 """
@@ -290,14 +292,28 @@ def _positions(mask: int):
         mask ^= low
 
 
-def _parallels(g: DuoGraph, mask: int) -> int:
-    """The edges of ``mask`` with a parallel neighbour in ``mask``: since
-    the relation is symmetric, those in the OR of their ``par`` masks."""
-    par = g.index.par
-    near = 0
-    for k in _positions(mask):
-        near |= par[k]
-    return mask & near
+def _union(masks, bits: int) -> int:
+    """The OR of ``masks[k]`` over the set bits k of ``bits``: with the
+    ``conf`` or ``par`` masks of an index, the edges conflicting with, or
+    parallel to, some edge of ``bits``."""
+    out = 0
+    while bits:  # inline, not _positions, as in _compatible_edges
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _lonely(par: tuple[int, ...], edges: int, mask: int) -> int:
+    """The mask of the edges of ``edges`` with no parallel neighbour in
+    ``mask``: with ``edges == mask`` a matching, its singletons."""
+    out = 0
+    while edges:
+        low = edges & -edges
+        if not par[low.bit_length() - 1] & mask:
+            out |= low
+        edges ^= low
+    return out
 
 
 def _conflicting_pairs(edges):

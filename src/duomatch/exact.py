@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DuoError, DuoGraph, Matching, StringInstance, _mask, _positions
+from .core import DuoError, DuoGraph, Matching, StringInstance, _mask, _positions, _union
 from .localsearch import greedy_maximal
 
 
@@ -100,17 +100,8 @@ class _Search:
         self.bit = [0] * len(self.order)
         for t, k in enumerate(self.order):
             self.bit[k] = 1 << t
-        self.conf = [self.renumber(lex_conf[k]) for k in self.order]
-        self.known = self.renumber(seed)
-
-    def renumber(self, mask: int) -> int:
-        """The renumbered mask of the edges set in the lex mask ``mask``."""
-        bit, out = self.bit, 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out |= bit[low.bit_length() - 1]
-        return out
+        self.conf = [_union(self.bit, lex_conf[k]) for k in self.order]
+        self.known = _union(self.bit, seed)
 
     def matching(self, mask: int) -> Matching:
         """The matching of the edges set in the renumbered ``mask``."""

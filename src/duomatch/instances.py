@@ -36,7 +36,9 @@ from .core import (
     Matching,
     StringInstance,
     _index,
+    _lonely,
     _positions,
+    _union,
     singleton_partition,
 )
 
@@ -178,24 +180,20 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     """
     items: list[ChecklistItem] = []
     m_edges = matching.edges
-    pos, conf, par = _index(tuple(sorted({*g.edges, *m_edges, *optimum.edges})))
+    every = tuple(sorted({*g.edges, *m_edges, *optimum.edges}))
+    pos, conf, par = _index(every)
     # dense matching-edge bits keep the blocker masks short
-    dense = {pos[f]: x for x, f in enumerate(m_edges)}
+    dense = {pos[f]: 1 << x for x, f in enumerate(m_edges)}
     m_mask = sum(1 << k for k in dense)
-    taken = m_mask
-    for k in dense:
-        taken |= conf[k]
+    taken = m_mask | _union(conf, m_mask)
     blocking = tuple(e for e in g.edges if not taken >> pos[e] & 1)
     items.append(ChecklistItem("maximal", not blocking, len(blocking), 0, blocking[:3]))
 
-    singles = tuple(f for f in m_edges if not par[pos[f]] & m_mask)
+    singles = tuple(every[k] for k in _positions(_lonely(par, m_mask, m_mask)))
     items.append(ChecklistItem("all-parallel", not singles, len(singles), 0, singles[:3]))
 
     top = min(len(caps), len(m_edges))
-    blockers = [
-        sum(1 << dense[k] for k in _positions(m_mask & (conf[pos[e]] | 1 << pos[e])))
-        for e in optimum.edges
-    ]
+    blockers = [_union(dense, m_mask & (conf[pos[e]] | 1 << pos[e])) for e in optimum.edges]
     fields = _CoverFields(len(blockers), len(m_edges))
     packed = sum(b << fields.width * k for k, b in enumerate(blockers))
     zeros = blockers.count(0)

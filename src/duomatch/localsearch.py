@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (DuoError, DuoGraph, Edge, InvariantError, Matching, NotMaximalError,
-                   _compatible_edges, _mask, _positions)
+                   _compatible_edges, _lonely, _mask, _positions, _union)
 
 PHASE_GREEDY = "greedy"
 PHASE_REPLACE = "replace"
@@ -261,29 +261,13 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
         return d > 0 and bool(x & (1 << (d.bit_length() - 1) if reverse else d & -d))
 
     def conflict_links(k: int) -> int:
-        out = 0
-        for x in _positions(inside[k]):
-            out |= conf[x]
-        return out & ent
+        return _union(conf, inside[k]) & ent
 
     def near_links(k: int) -> int:
-        own = rest = inside[k] | 1 << k
-        near = own
-        while rest:
-            low = rest & -rest
-            near |= par[low.bit_length() - 1]
-            rest ^= low
-        rest = near & m_mask & ~own
-        while rest:
-            low = rest & -rest
-            near |= par[low.bit_length() - 1]
-            rest ^= low
-        out, rest = near, near & m_mask
-        while rest:
-            low = rest & -rest
-            out |= conf[low.bit_length() - 1]
-            rest ^= low
-        return out & ent
+        own = inside[k] | 1 << k
+        near = own | _union(par, own)
+        near |= _union(par, near & m_mask & ~own)
+        return (near | _union(conf, near & m_mask)) & ent
 
     def admits(y: int, c: int, extra: int) -> bool:
         """Record the move core (y, c) with |Y| - |C| = ``extra`` >= need
@@ -358,32 +342,20 @@ def _grows(mask: int) -> bool:
     return True
 
 
-def _lonely(par: tuple[int, ...], edges: int, mask: int) -> int:
-    """Number of edges in ``edges`` with no parallel neighbour in ``mask``."""
-    count = 0
-    while edges:
-        low = edges & -edges
-        if not par[low.bit_length() - 1] & mask:
-            count += 1
-        edges ^= low
-    return count
-
-
 def _singleton_change(par: tuple[int, ...], before: int, after: int) -> int:
     """Singletons of mask ``after`` less those of mask ``before``, read on
-    the edges that differ and their parallel neighbours only.
+    the edges that differ and their parallel neighbours only: the bits of
+    each side's :func:`~duomatch.core._lonely` mask over them, counted.
 
     An edge outside them is in both masks or in neither, and so are its
     parallel neighbours, since ``par`` is symmetric: its status is the
     same on both sides.  The cost is O(number of changed edges), not
     O(size of the masks).
     """
-    near = rest = before ^ after
-    while rest:
-        low = rest & -rest
-        near |= par[low.bit_length() - 1]
-        rest ^= low
-    return _lonely(par, after & near, after) - _lonely(par, before & near, before)
+    near = before ^ after
+    near |= _union(par, near)
+    return (_lonely(par, after & near, after).bit_count()
+            - _lonely(par, before & near, before).bit_count())
 
 
 class _SwapState:
@@ -424,9 +396,8 @@ class _SwapState:
     def move(self, mask: int) -> None:
         """Make ``mask`` the matching."""
         conf, inside, rho = self.g.index.conf, self.inside, self.rho
-        changed = near = self.mask ^ mask
-        for k in _positions(changed):
-            near |= conf[k]
+        near = self.mask ^ mask
+        near |= _union(conf, near)
         self.singles += _singleton_change(self.g.index.par, self.mask, mask)
         self.mask, self.size = mask, mask.bit_count()
         free, ent = self.free & ~near, self.ent & ~near
@@ -467,10 +438,8 @@ class _SwapState:
         scan order for the incoming edges.  Those entrants conflict with
         some edge of X, so only the conflicts of X are read."""
         conf, inside = self.g.index.conf, self.inside
-        near = entering = 0
-        for k in _positions(x):
-            near |= conf[k]
-        for k in _positions(near & self.ent):
+        entering = 0
+        for k in _positions(_union(conf, x) & self.ent):
             if not inside[k] & ~x:
                 entering |= 1 << k
         found = _first_subset(x | entering, conf, self.rho + gain, self.mask & ~x, accept,

@@ -21,6 +21,8 @@ from duomatch.core import (
     StringInstance,
     _conflicting_pairs,
     _index,
+    _lonely,
+    _union,
     compatible,
     induced_position_map,
     is_compatible_matching,
@@ -259,6 +261,40 @@ def test_conflicting_pairs_of_any_list_in_combinations_order(es):
     conflicting pair of the list in ``combinations`` order."""
     expected = [(a, b) for a, b in itertools.combinations(es, 2) if not compatible(a, b)]
     assert list(_conflicting_pairs(es)) == expected
+
+
+def parallel(e: Edge, f: Edge) -> bool:
+    return (f.i - e.i, f.j - e.j) in ((1, 1), (-1, -1))
+
+
+@given(st.lists(wide_edge_st, max_size=14), st.data())
+def test_union_and_lonely_match_their_definitions(es, data):
+    """``_union`` over ``conf`` or ``par`` gives the edges conflicting
+    with, or parallel to, some edge of a set; ``_lonely`` gives the edges
+    of a set with no parallel neighbour in a mask, and on a compatible set
+    against itself its singletons."""
+    # parallel pairs are rare among drawn edges: give every other one its
+    # successor
+    ordered = tuple(sorted({*es, *(Edge(i + 1, j + 1) for i, j in es[::2])}))
+    idx = _index(ordered)
+    bits, among, mask = (data.draw(st.integers(0, (1 << len(ordered)) - 1)) for _ in range(3))
+
+    def of(m):
+        return [f for k, f in enumerate(ordered) if m >> k & 1]
+
+    def mask_of(test):
+        return sum(1 << k for k, e in enumerate(ordered) if test(e))
+
+    assert _union(idx.conf, bits) == mask_of(
+        lambda e: any(not compatible(e, f) for f in of(bits)))
+    assert _union(idx.par, bits) == mask_of(lambda e: any(parallel(e, f) for f in of(bits)))
+    assert _lonely(idx.par, among, mask) == mask_of(
+        lambda e: e in of(among) and not any(parallel(e, f) for f in of(mask)))
+    kept = 0
+    for k in range(len(ordered)):
+        if mask >> k & 1 and not idx.conf[k] & kept:
+            kept |= 1 << k
+    assert set(of(_lonely(idx.par, kept, kept))) == singleton_partition(of(kept))[0]
 
 
 def test_index_built_on_first_use(demo_graph):
