@@ -43,7 +43,14 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   against the rho-1 one, each recorded as ``passed`` or ``failed`` (its
   swap items; the rho-5 matching has singletons) or ``budget`` (a checkout
   whose checklist walks every subset of up to 5 edges raises
-  ``SubsetBudgetError`` on the second).
+  ``SubsetBudgetError`` on the second);
+* the token accounting (``token_report``, the four checks given that
+  report, and ``token_profile``) of the rho-1, reduce-off matching of the
+  dense alphabet-4 balanced pair n=20, seed 7 (|M| 6), against its exact
+  witness (|M*| 9), looped 200 times, and of the rho-1 matching of the
+  balanced pair (4000, 60), seed 2017 (|M| 1281), against the rho-1
+  matching in reverse-lex scan order, once; each records whether every
+  check passed and the largest token total.
 
 A balanced pair (n, a, seed) is ``s = [f"s{i % a}" for i in range(n)]``
 shuffled by ``random.Random(seed)``, then a copy of it shuffled again by the
@@ -108,7 +115,8 @@ def timed(run) -> tuple[float, object]:
 
 
 def rows(work: str):
-    from duomatch import DuoGraph, StringInstance, cli, exact, fileio, instances, localsearch
+    from duomatch import (DuoGraph, StringInstance, analysis, cli, exact, fileio, instances,
+                          localsearch)
     from duomatch.core import Edge, Matching
     from duomatch.exact import BudgetExceededError, exact_max_matching
 
@@ -266,6 +274,31 @@ def rows(work: str):
         t, outcome = timed(check)
         yield {"name": f"checklist {label}", "s": t, "E": len(g.edges), "M": len(matching),
                "outcome": outcome}
+
+    checks = (analysis.check_full_token_uniqueness, analysis.check_parallel_pair_conflict_gap,
+              analysis.check_parallel_token_bound,
+              analysis.check_heavy_singleton_parallel_support)
+    g = graph_of(balanced_pair(20, 4, 7))
+    cases = [("dense(20,4) x200", g,
+              localsearch.local_search(g, localsearch.SolverConfig(rho=1, use_reduce=False))[0],
+              exact_max_matching(g).witness, 200)]
+    g = graph_of(balanced_pair(4000, 60, 2017))
+    cases.append(("rho-1 balanced(4000,60) vs reverse-lex", g,
+                  localsearch.local_search(g, localsearch.SolverConfig(rho=1))[0],
+                  localsearch.local_search(g, localsearch.SolverConfig(
+                      rho=1, scan_order=localsearch.SCAN_REVERSE_LEX))[0], 1))
+    for label, g, matching, optimum, loops in cases:
+        def account(start, g=g, matching=matching, optimum=optimum, loops=loops):
+            start()
+            for _ in range(loops):
+                report = analysis.token_report(g, matching, optimum)
+                passed = [check(g, matching, optimum, report=report) for check in checks]
+                profile = analysis.token_profile(report)
+            return all(passed), analysis.format_rational(profile.max_total)
+
+        t, (passed, max_total) = timed(account)
+        yield {"name": f"tokens {label}", "s": t, "E": len(g.edges), "M": len(matching),
+               "M*": len(optimum), "max_total": max_total, "passed": passed}
 
 
 def child(src: str) -> None:

@@ -4,7 +4,12 @@ Let M be a maximal matching and M* a reference optimum.  Every edge of M*
 holds one token and spreads it evenly over the M-edges it conflicts with (an
 edge belonging to both keeps its own token).  The per-M-edge totals then sum
 to exactly |M*|, so bounding every total bounds the approximation ratio.
-All arithmetic is exact via fractions.Fraction.
+An optimum edge has at most six receivers (one matching edge on each of
+three rows and three columns), so every share is a whole number of
+sixtieths.  :func:`token_report` tallies integer sixtieths and builds each
+``Fraction`` it reports once, so the arithmetic stays exact without any
+``Fraction`` arithmetic in its loops, and the checks read conflicts off
+the graph's conflict masks.
 
 The check_* functions verify structural facts that hold at every terminal
 matching of the width-5 search with reduce enabled; on other matchings they
@@ -19,6 +24,7 @@ outside the matching.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +62,17 @@ HEAVY_SHARE_COMBINATIONS: frozenset[tuple[Fraction, ...]] = frozenset(
 )
 
 
+#: The share 1/r of a token split r ways, indexed by r = 1..6.
+_SHARE = (None, *(Fraction(1, r) for r in range(1, 7)))
+
+
+@functools.cache
+def _sixtieths(n: int) -> Fraction:
+    """``Fraction(n, 60)``, built once per n; a token total is at most six
+    whole tokens, so n stays at most 360."""
+    return Fraction(n, 60)
+
+
 @dataclass(frozen=True)
 class TokenReport:
     """Token flow from an optimum M* into a maximal matching M.
@@ -85,45 +102,52 @@ class CheckResult:
         return self.passed
 
 
-def _receivers(g: DuoGraph, m_mask: int, k: int) -> tuple[Edge, ...]:
-    """The matching edges sharing the token of optimum edge ``g.edges[k]``:
-    itself when the matching holds it, else those it conflicts with."""
+def _receivers(g: DuoGraph, m_mask: int, k: int) -> tuple[int, ...]:
+    """The bit positions of the matching edges sharing the token of optimum
+    edge ``g.edges[k]``: k itself when the matching holds it, else the
+    matching edges it conflicts with."""
     if m_mask >> k & 1:
-        return (g.edges[k],)
-    return g._conflicts(g.edges[k], m_mask)
+        return (k,)
+    return tuple(_positions(g.index.conf[k] & m_mask))
 
 
 def token_report(g: DuoGraph, matching: Matching, optimum: Matching) -> TokenReport:
     """Distribute optimum tokens over the matching and tally the totals.
+
+    An optimum edge has at most six receivers: the matching holds at most
+    one edge per A-position and per B-position, and the conflicts of (i, j)
+    lie on rows i-1..i+1 and columns j-1..j+1.  So every share 1/r is a
+    whole number 60 // r of sixtieths, the totals are summed and checked
+    for conservation as integers, and each public Fraction is built once.
 
     Raises NotMaximalError if some optimum edge conflicts with no matching
     edge (and is not itself in the matching): its token would have nowhere
     to go, which is exactly a failure of maximality against that edge.
     """
     m_mask = _mask(g, matching)
+    edges = g.edges
     per_opt: dict[Edge, int] = {}
-    share_lists: dict[Edge, list[Fraction]] = {e: [] for e in matching.edges}
+    counts: dict[int, list[int]] = {k: [] for k in _positions(m_mask)}
     for k in _positions(_mask(g, optimum)):
-        e_opt = g.edges[k]
         recv = _receivers(g, m_mask, k)
-        if not recv:
+        r = len(recv)
+        if not r:
             raise NotMaximalError(
-                f"optimum edge {e_opt} conflicts with no matching edge"
+                f"optimum edge {edges[k]} conflicts with no matching edge"
             )
-        per_opt[e_opt] = len(recv)
-        share = Fraction(1, len(recv))
+        per_opt[edges[k]] = r
         for f in recv:
-            share_lists[f].append(share)
-    shares = {
-        e: tuple(sorted(vals, reverse=True)) for e, vals in share_lists.items()
-    }
-    per_sol = {e: sum(vals, Fraction(0)) for e, vals in shares.items()}
-    total = sum(per_sol.values(), Fraction(0))
-    if total != len(optimum):
+            counts[f].append(r)
+    sixtieths = {k: sum([60 // r for r in rs]) for k, rs in counts.items()}
+    total = sum(sixtieths.values())
+    if total != 60 * len(optimum):
         raise InvariantError(
-            f"token conservation violated: totals sum to {total}, |M*| = {len(optimum)}"
+            f"token conservation violated: totals sum to {Fraction(total, 60)}, "
+            f"|M*| = {len(optimum)}"
         )
-    return TokenReport(per_opt, per_sol, shares, total)
+    per_sol = {edges[k]: _sixtieths(t) for k, t in sixtieths.items()}
+    shares = {edges[k]: tuple([_SHARE[r] for r in sorted(rs)]) for k, rs in counts.items()}
+    return TokenReport(per_opt, per_sol, shares, Fraction(len(optimum)))
 
 
 def _masks_and_report(g: DuoGraph, matching: Matching, optimum: Matching,
@@ -142,12 +166,17 @@ def check_full_token_uniqueness(g: DuoGraph, matching: Matching,
     """No matching edge collects two whole tokens: among the optimum edges
     charged against it, at most one has conflict count exactly 1."""
     m_mask, opt_mask, report = _masks_and_report(g, matching, optimum, report)
-    charged = opt_mask & ~m_mask
+    edges, per_opt = g.edges, report.per_opt_edge
+    sole = 0
+    for f in _positions(opt_mask & ~m_mask):
+        if per_opt[edges[f]] == 1:
+            sole |= 1 << f
+    conf = g.index.conf
     violations = []
-    for e in matching.edges:
-        sole = [f for f in g._conflicts(e, charged) if report.per_opt_edge[f] == 1]
-        if len(sole) > 1:
-            violations.append((e, tuple(sole)))
+    for k in _positions(m_mask):
+        hit = conf[k] & sole
+        if hit & (hit - 1):
+            violations.append((edges[k], tuple([edges[f] for f in _positions(hit)])))
     return CheckResult("full_token_uniqueness", not violations, tuple(violations))
 
 
@@ -155,19 +184,31 @@ def check_parallel_pair_conflict_gap(g: DuoGraph, matching: Matching,
                                      optimum: Matching, *,
                                      report: TokenReport | None = None) -> CheckResult:
     """Consecutive optimum edges charged against the same matching edge have
-    conflict counts within 2 of each other."""
+    conflict counts within 2 of each other.
+
+    This cannot fail on a correct report: (i, j) and (i+1, j+1) conflict
+    with the same rows and columns except row i-1 and column j-1 against
+    row i+2 and column j+2, each of which holds at most one matching edge,
+    so their receiver counts differ by at most 2.  It stays as a check of
+    the report it is given.  The gap of a pair does not depend on the
+    matching edge, so the pairs more than 2 apart are found first and then
+    matched against each matching edge's conflicts.
+    """
     m_mask, opt_mask, report = _masks_and_report(g, matching, optimum, report)
     charged = opt_mask & ~m_mask
-    violations = []
-    for e in matching.edges:
-        against = g._conflicts(e, charged)
-        for f in against:
-            succ = Edge(f.i + 1, f.j + 1)
-            if succ in against:
-                gap = abs(report.per_opt_edge[f] - report.per_opt_edge[succ])
-                if gap > 2:
-                    violations.append((e, f, succ, gap))
-    return CheckResult("parallel_pair_conflict_gap", not violations, tuple(violations))
+    edges, per_opt = g.edges, report.per_opt_edge
+    conf, par = g.index.conf, g.index.par
+    wide = []
+    for f in _positions(charged):
+        s = par[f].bit_length() - 1  # (i+1, j+1) is the higher parallel bit
+        if s > f and charged >> s & 1:
+            gap = abs(per_opt[edges[f]] - per_opt[edges[s]])
+            if gap > 2:
+                wide.append((f, s, gap))
+    violations = tuple((edges[k], edges[f], edges[s], gap)
+                       for k in _positions(m_mask) for f, s, gap in wide
+                       if conf[k] >> f & conf[k] >> s & 1)
+    return CheckResult("parallel_pair_conflict_gap", not violations, violations)
 
 
 def check_parallel_token_bound(g: DuoGraph, matching: Matching,
@@ -176,9 +217,8 @@ def check_parallel_token_bound(g: DuoGraph, matching: Matching,
     """Parallel matching edges stay strictly below a token total of 3."""
     m_mask, _, report = _masks_and_report(g, matching, optimum, report)
     parallels = [g.edges[k] for k in _positions(m_mask & ~_lonely(g.index.par, m_mask, m_mask))]
-    violations = tuple(
-        (e, report.per_sol_edge[e]) for e in parallels if report.per_sol_edge[e] >= 3
-    )
+    totals = [(e, report.per_sol_edge[e]) for e in parallels]
+    violations = tuple((e, x) for e, x in totals if x.numerator >= 3 * x.denominator)
     return CheckResult("parallel_token_bound", not violations, violations)
 
 
@@ -195,10 +235,11 @@ def check_heavy_singleton_parallel_support(g: DuoGraph, matching: Matching,
     violations = []
     for k in _positions(m_mask & ~par_mask):
         e = g.edges[k]
-        if report.per_sol_edge[e] < 3:
+        x = report.per_sol_edge[e]
+        if x.numerator < 3 * x.denominator:
             continue
         if not _union(conf, conf[k] & charged) & par_mask:
-            violations.append((e, report.per_sol_edge[e]))
+            violations.append((e, x))
     return CheckResult(
         "heavy_singleton_parallel_support", not violations, tuple(violations)
     )
@@ -225,8 +266,8 @@ def token_profile(report: TokenReport) -> TokenProfile:
     """
     heavy = []
     bad = []
-    for e in sorted(report.per_sol_edge):
-        if report.per_sol_edge[e] < 3:
+    for e, x in sorted(report.per_sol_edge.items()):
+        if x.numerator < 3 * x.denominator:
             continue
         multiset = report.shares[e] + (Fraction(0),) * (6 - len(report.shares[e]))
         heavy.append((e, multiset))

@@ -220,6 +220,7 @@ def _bench_task(task: tuple[str, str | None, tuple[int, ...], bool, int | None])
     stays empty."""
     path, fmt, rhos, with_exact, budget = task
     g, inst = fileio.load_problem(path, fmt)
+    k = inst.occurrence_cap() if inst is not None else ""
     rows, matchings = [], []
     for rho in rhos:
         t0 = time.perf_counter()
@@ -229,7 +230,7 @@ def _bench_task(task: tuple[str, str | None, tuple[int, ...], bool, int | None])
         rows.append({
             "id": os.path.splitext(os.path.basename(path))[0],
             "n": inst.n if inst is not None else g.m,
-            "k": inst.occurrence_cap() if inst is not None else "",
+            "k": k,
             "E": len(g.edges),
             "rho": rho,
             "ls": len(matching),

@@ -270,18 +270,14 @@ class DuoGraph:
         return f"DuoGraph(m={self.m}, |E|={len(self.edges)})"
 
     def conflict_set(self, e: Edge) -> tuple[Edge, ...]:
-        """All graph edges conflicting with ``e``, in lexicographic order."""
-        return self._conflicts(e, -1)
-
-    def _conflicts(self, e: Edge, mask: int) -> tuple[Edge, ...]:
-        """The edges of ``mask`` conflicting with ``e``, in lexicographic
-        order; EdgeNotInGraphError when ``e`` is not a graph edge."""
+        """All graph edges conflicting with ``e``, in lexicographic order;
+        EdgeNotInGraphError when ``e`` is not a graph edge."""
         index = self.index
         k = index.pos.get(e)
         if k is None:
             raise EdgeNotInGraphError(f"edge {e} not in graph")
         edges = self.edges
-        return tuple([edges[f] for f in _positions(index.conf[k] & mask)])
+        return tuple([edges[f] for f in _positions(index.conf[k])])
 
 
 def _positions(mask: int):

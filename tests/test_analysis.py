@@ -27,7 +27,7 @@ from duomatch.instances import string_gap_fixture
 from duomatch.localsearch import NotMaximalError, SolverConfig, greedy_maximal, local_search
 
 from conftest import DEMO_OPT, edges
-from test_core import graphs
+from test_core import graphs, greedy_matching_of
 
 
 def diagonal(m):
@@ -233,6 +233,15 @@ def test_analysis_matches_reference(g, seed):
                 assert outcome(check, g, m, opt) == outcome(reference, g, m, opt)
 
 
+#: Two parallel runs around (5, 5): one on rows 4-6, one on columns 4-6, so
+#: all six conflict with (5, 5), the most receivers one token can have.
+SIX_RECEIVERS = [Edge(4, 8), Edge(5, 9), Edge(6, 10), Edge(8, 4), Edge(9, 5), Edge(10, 6)]
+
+#: Consecutive optimum edges (5, 5) and (6, 6) with 3 and 1 receivers, both
+#: charged against (5, 10): the gap check's bound of 2 is reached.
+GAP_OF_TWO = (DuoGraph(10, [Edge(4, 9), Edge(5, 10), Edge(9, 4), Edge(5, 5), Edge(6, 6)]),
+              [(4, 9), (5, 10), (9, 4)], [(5, 5), (6, 6)])
+
 BOUNDARY_CASES = [
     # a parallel pair at a token total of exactly 3
     (with_diagonal(9, [Edge(2, 4), Edge(3, 5), Edge(3, 8), Edge(5, 9), Edge(8, 6), Edge(9, 8)]),
@@ -240,6 +249,10 @@ BOUNDARY_CASES = [
     (with_diagonal(6, [Edge(2, 5)]), [(2, 5)], diagonal(6).edges),
     (with_diagonal(7, [Edge(2, 5), Edge(3, 6)]), [(2, 5), (3, 6)], diagonal(7).edges),
     (DuoGraph(5, [Edge(3, 3), Edge(2, 4), Edge(4, 2)]), [(3, 3)], [(2, 4), (4, 2)]),
+    # an optimum edge split six and five ways: the largest share denominators
+    (DuoGraph(10, [Edge(5, 5), *SIX_RECEIVERS]), SIX_RECEIVERS, [(5, 5)]),
+    (DuoGraph(10, [Edge(5, 5), *SIX_RECEIVERS[:5]]), SIX_RECEIVERS[:5], [(5, 5)]),
+    GAP_OF_TWO,
 ]
 
 
@@ -250,6 +263,64 @@ def test_analysis_matches_reference_on_hand_made_cases(g, m_edges, opt_edges):
         assert outcome(token_report, g, a, b) == outcome(reference_analysis.token_report, g, a, b)
         for check, reference in zip(CHECKS, reference_analysis.CHECKS):
             assert outcome(check, g, a, b) == outcome(reference, g, a, b)
+
+
+def test_largest_share_denominators():
+    for receivers in (SIX_RECEIVERS, SIX_RECEIVERS[:5]):
+        r = len(receivers)
+        g = DuoGraph(10, [Edge(5, 5), *receivers])
+        m, opt = Matching(receivers), Matching([Edge(5, 5)])
+        rep = token_report(g, m, opt)
+        assert rep.per_opt_edge == {Edge(5, 5): r}
+        assert rep.per_sol_edge == dict.fromkeys(receivers, Fraction(1, r))
+        assert rep.shares == dict.fromkeys(receivers, (Fraction(1, r),))
+        assert rep.total == 1
+        swapped = token_report(g, opt, m)
+        assert swapped.per_opt_edge == dict.fromkeys(receivers, 1)
+        assert swapped.per_sol_edge == {Edge(5, 5): r}
+        assert swapped.shares == {Edge(5, 5): (Fraction(1),) * r}
+        assert swapped.total == r
+
+
+@st.composite
+def graph_matching_pairs(draw):
+    """A graph and two maximal matchings of it, each grown greedily over its
+    own drawn order of the edges.  Every other edge drawn by ``graphs`` gets
+    its successor (i+1, j+1), so that parallel pairs occur."""
+    drawn = draw(graphs())
+    g = DuoGraph(drawn.m + 1, [*drawn.edges, *(Edge(i + 1, j + 1) for i, j in drawn.edges[::2])])
+    m, opt = (Matching(greedy_matching_of(g, draw(st.permutations(g.edges))))
+              for _ in range(2))
+    return g, m, opt
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_matching_pairs())
+def test_parallel_pair_conflict_gap_cannot_fail(gmo):
+    """Parallel edges (i, j) and (i+1, j+1) outside a matching conflict
+    with the same matching edges except those on row i-1 or column j-1
+    against those on row i+2 or column j+2, at most two each, so their
+    receiver counts differ by at most 2 for any matching, and the check
+    passes on every report."""
+    g, m, opt = gmo
+    in_m = frozenset(m.edges)
+
+    def receivers(e):
+        return sum(f in in_m for f in g.conflict_set(e))
+
+    for f in g.edges:
+        s = Edge(f.i + 1, f.j + 1)
+        if s in g and f not in in_m and s not in in_m:
+            assert abs(receivers(f) - receivers(s)) <= 2
+    assert check_parallel_pair_conflict_gap(g, m, opt)
+    assert check_parallel_pair_conflict_gap(g, opt, m)
+
+
+def test_parallel_pair_conflict_gap_bound_is_reached():
+    g, m_edges, opt_edges = GAP_OF_TWO
+    m, opt = Matching(m_edges), Matching(opt_edges)
+    assert token_report(g, m, opt).per_opt_edge == {Edge(5, 5): 3, Edge(6, 6): 1}
+    assert check_parallel_pair_conflict_gap(g, m, opt)
 
 
 def test_edges_outside_the_graph_are_rejected():

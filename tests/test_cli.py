@@ -320,6 +320,24 @@ def test_tokens_builds_one_report(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_tokens_prints_sixth_and_fifth_shares(capsys, tmp_path):
+    from duomatch.fileio import format_graph
+
+    receivers = [Edge(4, 8), Edge(5, 9), Edge(6, 10), Edge(8, 4), Edge(9, 5), Edge(10, 6)]
+    opt = tmp_path / "opt.txt"
+    opt.write_text("5 5\n")
+    for r, share in ((6, "1/6"), (5, "1/5")):
+        graph, matching = tmp_path / f"g{r}.mcbm", tmp_path / f"m{r}.txt"
+        graph.write_text(format_graph(DuoGraph(10, [Edge(5, 5), *receivers[:r]])))
+        matching.write_text("".join(f"{e}\n" for e in receivers[:r]))
+        code, out, _ = run(capsys, "tokens", str(graph), str(matching), str(opt))
+        report = json.loads(out)
+        assert code == EXIT_OK and report["passed"]
+        assert report["per_opt_edge"] == {"5 5": r}
+        assert report["per_sol_edge"] == {str(e): share for e in receivers[:r]}
+        assert report["total"] == "1/1" and report["max_total"] == share
+
+
 def test_tokens_rejects_conflicting_matching(capsys, tmp_path, demo_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n3 1\n")
