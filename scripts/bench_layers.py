@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer wall times over a fixed scaling corpus, written to JSON.
 
-Each row times one layer on one seeded input over five runs, records the
+Each row times one layer on one seeded input over ten runs, records the
 least (``best_s``), the median (``median_s``) and the quartiles (``q1_s``,
 ``q3_s``, from ``statistics.quantiles``) of the wall times, and records
 the work it did: the graph size |E|, the size |M| of the result
@@ -72,8 +72,8 @@ between back-to-back runs of unchanged code, and runs of one checkout after
 the other saw different host load.  The quartiles show how far a row moves
 between repeats, so the rows a change does not touch give the spread to
 read its other rows against.  With one ``--src`` (by default this
-checkout) the script writes the one file.  Stdlib only; about half a
-minute per checkout on a 2-core x86-64 VM.
+checkout) the script writes the one file.  Stdlib only; about a minute
+and a half per checkout on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-REPEATS = 5
+REPEATS = 10
 WITNESS_BUDGET = 200_000
 GAP_BUDGET = 1_000_000
 

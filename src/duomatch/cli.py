@@ -67,14 +67,7 @@ def cmd_exact(args) -> int:
     try:
         result = exact_max_matching(g, budget=args.budget)
     except BudgetExceededError as exc:
-        # the search keeps its lex greedy seed for the witness, but a rho-1
-        # local search often finds a larger matching in milliseconds; a
-        # zero budget stops before any search
         best = exc.best.witness
-        if args.budget:
-            found = localsearch.local_search(g, localsearch.SolverConfig(rho=1))[0]
-            if len(found) > len(best):
-                best = found
         print(f"budget-exceeded lower-bound {len(best)}")
         for e in best:
             print(e)
@@ -360,10 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", parents=[fmt], help="branch-and-bound optimum")
     p.add_argument("input")
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget of the branch and bound; when it runs out, print a "
-                        "lower bound and a matching that large instead of the optimum: the "
-                        "larger of the search's best and a rho-1 local search, which runs "
-                        "outside the budget")
+                   help="node budget of the branch and bound, which starts from the rho-1 "
+                        "local search's matching; when it runs out, print a lower bound and "
+                        "the largest matching the search knows instead of the optimum")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", parents=[fmt], help="check a matching file against a graph")

@@ -18,14 +18,18 @@ has, usually the local search's, so only subtrees that beat it are
 searched.
 
 :func:`exact_max_matching` also returns the lexicographically smallest
-maximum matching as its witness.  It starts from the lex greedy matching
-and runs the search once for the optimum and some maximum matching W.  It
-then fixes the witness edge by edge, lowest first: an edge of W is taken at
-no cost, and any other candidate only if the search finds the rest of a
-maximum matching among the later candidates compatible with it, a set that
-then replaces W.  Taking each lowest edge that still fits gives exactly the
-lex-least maximum matching, and when the greedy matching is already maximum
-no second search runs.
+maximum matching as its witness.  It starts from the rho-1 local search's
+matching and runs the search once for the optimum and some maximum matching
+W.  It then fixes the witness edge by edge, lowest first: an edge of W is
+taken at no cost, and any other candidate only if the search finds the rest
+of a maximum matching among the later candidates compatible with it, a set
+that then replaces W.  Taking each lowest edge that still fits gives exactly
+the lex-least maximum matching, whatever W the first search ends with.
+
+Every search starts from a matching, its incumbent, and a node budget,
+checked in one place: a budgeted run that stops carries the largest
+matching known, the incumbent if nothing beat it, and a budget of 0 stops
+at the root.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DuoError, DuoGraph, Matching, StringInstance, _mask, _positions, _union
-from .localsearch import greedy_maximal
+from .localsearch import SolverConfig, local_search
 
 
 @dataclass(frozen=True)
@@ -88,11 +92,15 @@ class _Search:
     """The colour-ordered search over the edges of ``g`` renumbered
     smallest-last: bit t of a mask here stands for edge ``order[t]``, and
     ``bit[k]`` is the bit of edge k.  ``known`` is the largest matching
-    known, from the lex mask ``seed`` on; ``nodes`` counts the root and
-    every branch node of every :meth:`run`, and passing ``budget`` raises
-    BudgetExceededError with ``known`` attached."""
+    known, from ``incumbent`` on; ``nodes`` counts the root and every branch
+    node of every :meth:`run`, and passing ``budget`` raises
+    BudgetExceededError with ``known`` attached, at the root when it is 0.
+    A negative budget raises ValueError, and an incumbent off ``g``
+    EdgeNotInGraphError."""
 
-    def __init__(self, g: DuoGraph, budget: int | None, seed: int) -> None:
+    def __init__(self, g: DuoGraph, budget: int | None, incumbent: Matching) -> None:
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self.g, self.budget = g, budget
         self.nodes = 1
         lex_conf = g.index.conf
@@ -101,7 +109,9 @@ class _Search:
         for t, k in enumerate(self.order):
             self.bit[k] = 1 << t
         self.conf = [_union(self.bit, lex_conf[k]) for k in self.order]
-        self.known = _union(self.bit, seed)
+        self.known = _union(self.bit, _mask(g, incumbent))
+        if budget == 0:
+            raise self.stop()
 
     def matching(self, mask: int) -> Matching:
         """The matching of the edges set in the renumbered ``mask``."""
@@ -178,20 +188,16 @@ def exact_max_matching(g: DuoGraph, budget: int | None = None) -> ExactResult:
     """Maximum pairwise-compatible edge set of ``g``, with the lex-least
     maximum matching as the witness.
 
-    ``budget`` caps explored nodes, the root included, so 0 stops at the
-    root; on exhaustion BudgetExceededError is raised with the largest
-    matching known attached, a maximum one once the witness is being fixed,
-    and a negative budget raises ValueError.  Deterministic for a given
-    graph.
+    The search starts from the rho-1 local search's matching.  ``budget``
+    caps explored nodes, the root included, so 0 stops at the root; on
+    exhaustion BudgetExceededError is raised with the largest matching known
+    attached, at least the rho-1 matching and a maximum one once the witness
+    is being fixed, and a negative budget raises ValueError.  Deterministic
+    for a given graph.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if budget == 0:
-        raise BudgetExceededError(0, ExactResult(0, Matching(), 1))
-    seed = greedy_maximal(g)
-    search = _Search(g, budget, _mask(g, seed))
+    search = _Search(g, budget, local_search(g, SolverConfig(rho=1))[0])
     cands = (1 << len(g.edges)) - 1
-    value = search.run(cands, 0, len(seed))
+    value = search.run(cands, 0, search.known.bit_count())
     conf, chosen = search.conf, 0
     for bit in search.bit:
         if chosen.bit_count() == value:
@@ -218,15 +224,12 @@ def exact_max_value(g: DuoGraph, incumbent: Matching,
     ``incumbent`` is a matching on ``g`` (EdgeNotInGraphError otherwise);
     the search looks only for matchings larger than it, so a good one
     saves work and none can make the value wrong.  ``budget`` caps explored
-    nodes as in :func:`exact_max_matching`; on exhaustion
-    BudgetExceededError carries the largest matching found, the incumbent
-    if nothing beat it.  Deterministic for a given graph and incumbent.
+    nodes as in :func:`exact_max_matching`, and a negative one raises
+    ValueError; on exhaustion BudgetExceededError carries the largest
+    matching found, the incumbent if nothing beat it, as at budget 0.
+    Deterministic for a given graph and incumbent.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    search = _Search(g, budget, _mask(g, incumbent))
-    if budget == 0:
-        raise search.stop()
+    search = _Search(g, budget, incumbent)
     return search.run((1 << len(g.edges)) - 1, 0, len(incumbent)), search.nodes
 
 
@@ -234,7 +237,9 @@ def exact_min_partition_size(inst: StringInstance, budget: int | None = None) ->
     """Smallest number of blocks in a common partition of the string pair.
 
     Every preserved duo merges two blocks, so the minimum block count is
-    n minus the maximum number of preserved duos.
+    n minus the maximum number of preserved duos.  The search starts from
+    the rho-1 local search's matching, with ``budget`` as in
+    :func:`exact_max_value`.
     """
     g = DuoGraph.from_strings(inst)
-    return inst.n - exact_max_value(g, greedy_maximal(g), budget)[0]
+    return inst.n - exact_max_value(g, local_search(g, SolverConfig(rho=1))[0], budget)[0]

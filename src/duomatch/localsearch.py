@@ -186,7 +186,11 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
     branch ends as soon as too few of them remain.
     """
 
-    def rec(avail: int, need: int, chosen: int) -> int | None:
+    # frames (avail, need, chosen); a parent is pushed back under its child,
+    # with its next pick to resume from
+    stack = [(pool, width, 0)]
+    while stack:
+        avail, need, chosen = stack.pop()
         while avail.bit_count() >= need:
             k = avail.bit_length() - 1 if reverse else (avail & -avail).bit_length() - 1
             bit = 1 << k
@@ -195,16 +199,10 @@ def _first_subset(pool: int, conf, width: int, base: int, accept,
                 if accept(base | chosen | bit):
                     return base | chosen | bit
             else:
-                found = rec(avail & ~conf[k], need - 1, chosen | bit)
-                if found is not None:
-                    return found
-        return None
-
-    found = rec(pool, width, 0)
-    # rec's closure holds rec itself; dropping it frees the search state
-    # now instead of leaving a cycle for the garbage collector
-    del rec
-    return found
+                stack.append((avail, need, chosen))
+                stack.append((avail & ~conf[k], need - 1, chosen | bit))
+                break
+    return None
 
 
 def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: int,
@@ -299,29 +297,29 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
                 okw = ok & ~conf[k]
                 grow(y | w, cw, ny, (ext | lw & ~seen & above) & okw, okw, seen | lw, above)
 
-    def search() -> None:
-        rest = ent
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            c = inside[v]
-            if replace_x is not None and not before(x_of(c), replace_x):
-                continue
-            if 1 - c.bit_count() >= need and not admits(bit, c, 1 - c.bit_count()):
-                continue
-            lv = cache.get(v)
-            if lv is None:
-                lv = cache[v] = link(v)
-            grow(bit, c, 1, lv & rest & ~conf[v], ~conf[v], lv | bit, rest)
-
     cache: dict[int, int] = {}
     # at width 1 a reduce core is one entrant and every core that may grow
     # shares its one conflict, so conflict links suffice for both moves
     link = near_links if lowers and rho > 1 else conflict_links
-    search()
-    # as in _first_subset: grow's closure holds grow, and through it the
-    # cores' masks, the acceptance test and the graph
+    rest = ent
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
+        c = inside[v]
+        if replace_x is not None and not before(x_of(c), replace_x):
+            continue
+        # every entrant conflicts with the matching, so a root has
+        # |Y| - |C| <= 0 and may always grow
+        if not need and c.bit_count() == 1:
+            admits(bit, c, 0)
+        lv = cache.get(v)
+        if lv is None:
+            lv = cache[v] = link(v)
+        grow(bit, c, 1, lv & rest & ~conf[v], ~conf[v], lv | bit, rest)
+    # grow's closure holds grow itself, and through it the cores' masks, the
+    # acceptance test and the graph; dropping it frees them now instead of
+    # leaving a cycle for the garbage collector
     del grow
     return replace_x, reduce_x
 

@@ -13,6 +13,9 @@ from duomatch.core import DuoGraph, Edge, StringInstance, parse_instance
 DEMO_TEXT = "a b c d a b c\nb c d c a b a"
 DEMO_EDGES = [(1, 5), (2, 1), (3, 2), (5, 5), (6, 1)]
 DEMO_OPT = [(2, 1), (3, 2), (5, 5)]
+# A pair whose rho-1 local search stalls at 2 edges, (1,2) and (2,3), below
+# the optimum 3, so the branch and bound needs 4 nodes from that matching.
+STALL_TEXT = "a b a a b\na a b a b"
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -22,13 +22,20 @@ from duomatch.cli import (
 from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance
 from duomatch.exact import BudgetExceededError, exact_max_matching
 
-from conftest import DEMO_TEXT, FIXTURES_DIR
+from conftest import DEMO_TEXT, FIXTURES_DIR, STALL_TEXT
 
 
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.duo"
     path.write_text(DEMO_TEXT + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def stall_file(tmp_path):
+    path = tmp_path / "stall.duo"
+    path.write_text(STALL_TEXT + "\n")
     return str(path)
 
 
@@ -94,15 +101,20 @@ def test_exact_demo(capsys, demo_file):
     assert out == "value 3\n2 1\n3 2\n5 5\n"
 
 
-def test_exact_budget_exhausted(capsys, demo_file):
-    code, out, _ = run(capsys, "exact", demo_file, "--budget", "1")
+def test_exact_budget_exhausted(capsys, stall_file):
+    code, out, _ = run(capsys, "exact", stall_file, "--budget", "1")
     assert code == EXIT_BUDGET
     assert out.startswith("budget-exceeded lower-bound ")
 
 
 def test_exact_budget_zero_stops_at_the_root(capsys, demo_file):
+    """The search starts from the rho-1 local search's matching, which a
+    budget of 0 prints; on the demo pair it is optimal, and the root proves
+    it, so a budget of 1 finishes."""
     assert run(capsys, "exact", demo_file, "--budget", "0") == (
-        EXIT_BUDGET, "budget-exceeded lower-bound 0\n", "")
+        EXIT_BUDGET, "budget-exceeded lower-bound 3\n2 1\n3 2\n5 5\n", "")
+    assert run(capsys, "exact", demo_file, "--budget", "1") == (
+        EXIT_OK, "value 3\n2 1\n3 2\n5 5\n", "")
 
 
 def test_exact_negative_budget_is_a_usage_error(capsys, demo_file):
@@ -151,8 +163,8 @@ def test_bench_large_identity(capsys, tmp_path, identity_2000, monkeypatch):
 def test_balanced_n200_smoke(capsys, tmp_path):
     """Balanced pair (200, 8), seed 2017: solve's matching verifies as a
     rho-5 local optimum, and a budgeted exact stops with a lower bound whose
-    edges verify as a compatible matching: the rho-1 local search's 86
-    edges, where the branch and bound's own matching has 82."""
+    edges verify as a compatible matching: the 86 edges of the rho-1 local
+    search the branch and bound starts from."""
     s = [f"s{i % 8}" for i in range(200)]
     rng = random.Random(2017)
     rng.shuffle(s)
@@ -163,7 +175,7 @@ def test_balanced_n200_smoke(capsys, tmp_path):
     assert len(g.edges) == 618
     with pytest.raises(BudgetExceededError) as exc:
         exact_max_matching(g, budget=5000)
-    assert exc.value.best.value == 82
+    assert exc.value.best.value == 86
     pair = tmp_path / "balanced.duo"
     pair.write_text(text)
 
@@ -231,6 +243,21 @@ def test_verify_improvable(capsys, tmp_path, demo_file):
     assert code == EXIT_CHECK_FAILED
     assert verdict["maximal"] and not verdict["local_optimum"]
     assert {"kind": "improvable"} in verdict["violations"]
+
+
+@pytest.mark.parametrize("lines", ["2 1\n4 4\n", "2 1\n6 1\n"], ids=["missing", "conflict"])
+def test_verify_local_opt_of_a_non_matching(capsys, tmp_path, demo_file, lines):
+    """A matching file with an edge off the graph, or two conflicting
+    edges, is neither maximal nor a local optimum, and the local search's
+    checks do not run on it."""
+    mfile = tmp_path / "m.txt"
+    mfile.write_text(lines)
+    code, out, _ = run(capsys, "verify", demo_file, str(mfile), "--local-opt")
+    verdict = json.loads(out)
+    assert code == EXIT_CHECK_FAILED
+    assert verdict["maximal"] is False and verdict["local_optimum"] is False
+    assert not verdict["passed"]
+    assert {v["kind"] for v in verdict["violations"]} <= {"missing-edge", "conflict"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,6 +376,17 @@ def test_tokens_rejects_conflicting_matching(capsys, tmp_path, demo_file):
     assert "matching" in json.loads(err)["error"]
 
 
+def test_tokens_optimum_edge_without_a_receiver(capsys, tmp_path, demo_file):
+    """(5,5) shares no position with (2,1), so its tokens have nowhere to
+    go: the non-maximal matching is reported on stderr alone."""
+    matching, opt = tmp_path / "m.txt", tmp_path / "opt.txt"
+    matching.write_text("2 1\n")
+    opt.write_text("5 5\n")
+    assert run(capsys, "tokens", demo_file, str(matching), str(opt)) == (
+        EXIT_CHECK_FAILED, "",
+        '{"error": "optimum edge 5 5 conflicts with no matching edge"}\n')
+
+
 # ---------------------------------------------------------------- gen
 
 def test_gen_writes_instances_and_manifest(capsys, tmp_path):
@@ -410,6 +448,17 @@ def test_bench_csv(capsys, tmp_path, demo_file, monkeypatch):
         ["demo", "7", "2", "5", "1", "3", "3", "1/1", "2"],
         ["demo", "7", "2", "5", "2", "3", "3", "1/1", "2"],
     ]
+
+
+def test_bench_with_exact_on_an_edgeless_graph(capsys, tmp_path, monkeypatch):
+    """With no edges the optimum is 0, and the ratio, which
+    ``ratio_report`` would reject, reads 1/1."""
+    monkeypatch.setenv("DUO_THREADS", "1")
+    empty = tmp_path / "empty.mcbm"
+    empty.write_text("3\n")
+    code, out, _ = run(capsys, "bench", str(empty), "--rho", "1", "--with-exact")
+    assert code == EXIT_OK
+    assert strip_ms(out)[1:] == [["empty", "3", "", "0", "1", "0", "0", "1/1", "1"]]
 
 
 def test_bench_parallel_matches_serial(capsys, tmp_path, monkeypatch):
@@ -689,7 +738,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, demo_file, monkeypatc
         main(["bench", demo_file, "--rho", "1", "--with-exact"])
 
 
-def test_parser_reused_across_calls(capsys, demo_file):
+def test_parser_reused_across_calls(capsys, demo_file, stall_file):
     """The parser is built once per process; successive calls with other
     subcommands and a usage error in between see no state from each other."""
     first = [run(capsys, "solve", demo_file), run(capsys, "exact", demo_file)]
@@ -697,7 +746,7 @@ def test_parser_reused_across_calls(capsys, demo_file):
         main(["exact", demo_file, "--budget", "lots"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
-    assert run(capsys, "exact", demo_file, "--budget", "1")[0] == EXIT_BUDGET
+    assert run(capsys, "exact", stall_file, "--budget", "1")[0] == EXIT_BUDGET
     again = [run(capsys, "solve", demo_file), run(capsys, "exact", demo_file)]
     assert again == first
     assert first[0][0] == first[1][0] == EXIT_OK

@@ -24,7 +24,7 @@ from duomatch.exact import (
 from duomatch.localsearch import SolverConfig, local_search
 
 import reference_exact as ref
-from conftest import DEMO_OPT, edges
+from conftest import DEMO_OPT, STALL_TEXT, edges
 from test_core import graphs, string_pairs
 
 
@@ -107,8 +107,8 @@ def test_budget_transparent_or_valid_incumbent(g, data):
 
 def test_greedy_seed_ends_a_conflict_clique_at_the_root():
     """Edges sharing one A-position pairwise conflict, so one clique covers
-    them: the greedy seed already holds one edge, the lowest, and no
-    candidate can beat it."""
+    them: the seed, the rho-1 local search's greedy matching, already holds
+    one edge, the lowest, and no candidate can beat it."""
     g = DuoGraph(6, [Edge(1, j) for j in range(1, 7)])
     res = exact_max_matching(g)
     assert res.value == 1 and res.witness == Matching([Edge(1, 1)])
@@ -116,12 +116,18 @@ def test_greedy_seed_ends_a_conflict_clique_at_the_root():
     assert ref.exact_max_matching(g).nodes_explored == 6
 
 
-def test_budget_exhaustion(demo_graph):
-    with pytest.raises(BudgetExceededError) as exc:
-        exact_max_matching(demo_graph, budget=2)
-    best = exc.value.best
-    assert 0 <= best.value <= 3
-    assert len(best.witness) == best.value
+def test_budget_exhaustion():
+    """The search starts from the rho-1 local search's matching, so a budget
+    of 0 stops at the root with it, and larger budgets keep it until the
+    search beats it."""
+    g = DuoGraph.from_strings(parse_instance(STALL_TEXT))
+    rho1 = local_search(g, SolverConfig(rho=1))[0]
+    assert rho1 == Matching(edges([(1, 2), (2, 3)]))
+    for budget in range(4):
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_max_matching(g, budget=budget)
+        assert exc.value.best == ExactResult(2, rho1, budget + 1)
+    assert exact_max_matching(g, budget=4) == exact_max_matching(g)
 
 
 def test_negative_budget_rejected(demo_graph):
@@ -264,6 +270,9 @@ def test_value_budget_zero_returns_the_incumbent(demo_graph):
 def test_value_rejects_bad_arguments(demo_graph):
     with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
         exact_max_value(demo_graph, Matching(), -1)
+    # the budget is checked before the incumbent
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        exact_max_value(demo_graph, Matching([Edge(4, 4)]), -1)
     with pytest.raises(EdgeNotInGraphError):
         exact_max_value(demo_graph, Matching([Edge(4, 4)]), None)
 
@@ -328,7 +337,7 @@ def test_witness_on_dense_pairs_is_pinned(n, seed):
     assert res.value == len(res.witness)
 
 
-@pytest.mark.parametrize("n, seed, nodes", [(52, 7, 9168), (60, 7, 53588)])
+@pytest.mark.parametrize("n, seed, nodes", [(52, 7, 4968), (60, 7, 53529)])
 def test_witness_past_n50_matches_milp(n, seed, nodes):
     """Dense alphabet-4 pairs the include-first search needed 539k and more
     than 2M nodes for."""
@@ -343,7 +352,7 @@ def test_witness_past_n50_matches_milp(n, seed, nodes):
 
 
 def test_budget_in_the_witness_phase_carries_an_optimum():
-    """On (48, 4, 9) the optimum is known after 29,654 of the 47,291 nodes,
+    """On (48, 4, 9) the optimum is known after 29,628 of the 47,265 nodes,
     so a budget of 40,000 runs out while the witness is being fixed and
     reports a maximum matching."""
     g = balanced_graph(48, 4, 9)
