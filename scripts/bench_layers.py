@@ -22,6 +22,9 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   seeded with the rho-1 local search's matching as ``bench --rho 1`` seeds
   it, on the same four pairs;
 * the identity pair n=2000 through the ``solve`` and ``exact`` commands;
+* ``solve --rho 1`` run 100 times through ``cli.main``, standard output
+  captured, on the balanced pair (500, 50), seed 2017: one op of the
+  perfbench ``solve-large`` workload, from file to printed partition;
 * ``bench --rho 1 --with-exact --csv`` run 50 times on one dense n=24
   alphabet-4 pair, rewriting the same CSV file each time;
 * the exhaustive gap searches with anchors (2, 8) and (3, 9) at m=18
@@ -198,6 +201,25 @@ def rows(work: str):
         if command == "exact":
             row["nodes"] = exact_max_matching(g).nodes_explored
         yield row
+
+    pair = balanced_pair(500, 50, 2017)
+    path = os.path.join(work, "balanced_n500.duo")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join(pair[0]) + "\n" + " ".join(pair[1]) + "\n")
+
+    def solve_sparse(start):
+        out = io.StringIO()
+        start()
+        with contextlib.redirect_stdout(out):
+            for _ in range(100):
+                if cli.main(["solve", path, "--rho", "1"]) != cli.EXIT_OK:
+                    raise RuntimeError("solve failed")
+        return out.getvalue()
+
+    t, text = timed(solve_sparse)
+    size = next(int(ln.split()[1]) for ln in text.splitlines() if ln.startswith("preserved "))
+    yield {"name": "solve --rho 1 balanced(500,50) x100", "s": t,
+           "E": len(graph_of(pair).edges), "M": size}
 
     pair = balanced_pair(24, 4, 2017)
     path = os.path.join(work, "balanced_n24.duo")

@@ -24,7 +24,6 @@ from .core import (
     ParseError,
     _conflicting_pairs,
     _matching_on,
-    partition_from_matching,
 )
 from .exact import BudgetExceededError, exact_max_matching, exact_max_value
 
@@ -54,8 +53,13 @@ def cmd_solve(args) -> int:
     lines = [f"{e}\n" for e in matching]
     lines.append(f"preserved {len(matching)}\n")
     if inst is not None:
-        blocks = partition_from_matching(inst, matching)
-        lines.append("partition: " + " | ".join(" ".join(b) for b in blocks) + "\n")
+        # A's symbols with one separator per duo: a space inside a block,
+        # " | " at each cut, the blocks of partition_from_matching
+        line = [" | "] * (2 * inst.n - 1)
+        line[::2] = inst.a
+        for e in matching:
+            line[2 * e.i - 1] = " "
+        lines.append("partition: " + "".join(line) + "\n")
     sys.stdout.write("".join(lines))
     return EXIT_OK
 

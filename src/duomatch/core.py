@@ -245,16 +245,29 @@ class DuoGraph:
         self._index: ConflictIndex | None = None
 
     @classmethod
+    def _of_edges(cls, m: int, edges: tuple[Edge, ...]) -> "DuoGraph":
+        """The graph on 1..m of ``edges``, trusted to be a lex-sorted,
+        duplicate-free tuple of in-range :class:`Edge`: the constructor
+        without its re-wrap, sort and range check."""
+        out = cls.__new__(cls)
+        out.m = m
+        out.edges = edges
+        out.edge_set = frozenset(edges)
+        out._index = None
+        return out
+
+    @classmethod
     def from_strings(cls, inst: StringInstance) -> "DuoGraph":
         """Build the duo graph of a string pair: edge (i, j) iff duo i of A
-        equals duo j of B as an ordered symbol pair."""
+        equals duo j of B as an ordered symbol pair.  The edges come out in
+        lex order, distinct and in range, so they are kept as built."""
         a, b = inst.a, inst.b
         duo_positions: dict[tuple[str, str], list[int]] = {}
         for j, duo in enumerate(zip(b, b[1:]), 1):
             duo_positions.setdefault(duo, []).append(j)
         get = duo_positions.get
-        edges = [(i, j) for i, duo in enumerate(zip(a, a[1:]), 1) for j in get(duo, ())]
-        return cls(inst.n - 1, edges)
+        edges = [Edge(i, j) for i, duo in enumerate(zip(a, a[1:]), 1) for j in get(duo, ())]
+        return cls._of_edges(inst.n - 1, tuple(edges))
 
     @property
     def index(self) -> ConflictIndex:

@@ -378,9 +378,9 @@ class _SwapState:
                  seed: int | None = None) -> None:
         self.g, self.rho = g, rho
         self.reverse = scan_order == SCAN_REVERSE_LEX
-        # extend's sort key: none for lex, the negated position for
-        # reverse-lex, and for a seed each position's place in the shuffle
-        self.key = int.__neg__ if self.reverse else None
+        # extend's sort key for a seed, each position's place in the
+        # shuffle; lex and reverse-lex walk the free mask's bits instead
+        self.key = None
         if seed is not None:
             order = list(range(len(g.edges)))
             random.Random(seed).shuffle(order)
@@ -392,22 +392,26 @@ class _SwapState:
         self.move(m_mask)
 
     def move(self, mask: int) -> None:
-        """Make ``mask`` the matching."""
+        """Make ``mask`` the matching.  The entrants among the changed edges
+        and their conflicts leave ``inside`` and ``ent``, and only the edges
+        of those outside the new matching are re-classified: an edge in it
+        is neither free nor an entrant, so an entrant that joins it just
+        leaves."""
         conf, inside, rho = self.g.index.conf, self.inside, self.rho
         near = self.mask ^ mask
         near |= _union(conf, near)
         self.singles += _singleton_change(self.g.index.par, self.mask, mask)
         self.mask, self.size = mask, mask.bit_count()
         free, ent = self.free & ~near, self.ent & ~near
-        for k in _positions(near):
+        for k in _positions(self.ent & near):
+            del inside[k]
+        for k in _positions(near & ~mask):
             c = conf[k] & mask
-            if c and not mask >> k & 1 and c.bit_count() <= rho:
+            if not c:
+                free |= 1 << k
+            elif c.bit_count() <= rho:
                 inside[k] = c
                 ent |= 1 << k
-            else:
-                inside.pop(k, None)
-                if not c and not mask >> k & 1:
-                    free |= 1 << k
         self.free, self.ent = free, ent
 
     def extend(self) -> int:
@@ -417,10 +421,17 @@ class _SwapState:
         matching or is in it, so a scan over every graph edge would take
         the same edges."""
         conf, taken, free = self.g.index.conf, self.mask, self.free
-        for k in sorted(_positions(free), key=self.key):
-            if free >> k & 1:
-                taken |= 1 << k
-                free &= ~conf[k]
+        if self.key is not None:
+            for k in sorted(_positions(free), key=self.key):
+                if free >> k & 1:
+                    taken |= 1 << k
+                    free &= ~conf[k]
+            return taken
+        # the first free edge in scan order is taken, so each pass takes one
+        while free:
+            low = 1 << (free.bit_length() - 1) if self.reverse else free & -free
+            taken |= low
+            free &= ~(low | conf[low.bit_length() - 1])
         return taken
 
     def lowers(self, mask: int) -> bool:

@@ -19,7 +19,8 @@ from duomatch.cli import (
     EXIT_USAGE,
     main,
 )
-from duomatch.core import DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance
+from duomatch.core import (DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance,
+                           partition_from_matching)
 from duomatch.exact import BudgetExceededError, exact_max_matching
 
 from conftest import DEMO_TEXT, FIXTURES_DIR, STALL_TEXT
@@ -55,6 +56,43 @@ def test_solve_demo(capsys, demo_file):
         "preserved 3\n"
         "partition: a | b c d | a b | c\n"
     )
+
+
+@st.composite
+def partition_cases(draw):
+    """A string pair and the size its rho-1 matching must have, or None:
+    a shuffle over multi-character symbols (repeats allowed), an identity
+    pair of distinct symbols (every duo kept), or distinct symbols against
+    their reverse (no duo kept)."""
+    kind = draw(st.sampled_from(["shuffle", "identity", "reversed"]))
+    n = draw(st.integers(2, 12))
+    if kind == "shuffle":
+        a = draw(st.lists(st.sampled_from(["s0", "s1", "ab", "x", "s10"]), min_size=n, max_size=n))
+        return a, draw(st.permutations(a)), None
+    a = [f"s{t}" for t in draw(st.permutations(range(n)))]
+    return (a, a, n - 1) if kind == "identity" else (a, a[::-1], 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_cases())
+def test_solve_partition_line_is_the_library_partition(case):
+    """solve's partition line is partition_from_matching's blocks of the
+    matching it printed, joined, on multi-character symbols and on the
+    empty and the full matching."""
+    a, b, size = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pair.duo")
+        with open(path, "w") as fh:
+            fh.write(" ".join(a) + "\n" + " ".join(b) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", path, "--rho", "1"]) == EXIT_OK
+    *edge_lines, preserved, partition = out.getvalue().splitlines()
+    matching = Matching(Edge(*map(int, ln.split())) for ln in edge_lines)
+    assert preserved == f"preserved {len(matching)}"
+    assert size is None or len(matching) == size
+    blocks = partition_from_matching(StringInstance(tuple(a), tuple(b)), matching)
+    assert partition == "partition: " + " | ".join(" ".join(blk) for blk in blocks)
 
 
 def test_solve_graph_input_has_no_partition(capsys, tmp_path, demo_file):

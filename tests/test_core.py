@@ -122,6 +122,9 @@ def test_demo_graph_edges(demo_graph):
 
 @given(string_pairs())
 def test_graph_matches_brute_duo_scan(inst):
+    """from_strings keeps the edges it builds without the constructor's
+    re-wrap, sort and range check, and its graph equals the checked
+    constructor's on the brute-force edge set, field by field."""
     g = DuoGraph.from_strings(inst)
     expected = {
         Edge(i, j)
@@ -130,6 +133,12 @@ def test_graph_matches_brute_duo_scan(inst):
         if (inst.a[i - 1], inst.a[i]) == (inst.b[j - 1], inst.b[j])
     }
     assert set(g.edges) == expected
+    checked = DuoGraph(inst.n - 1, expected)
+    assert g.m == checked.m == inst.n - 1
+    assert g.edges == checked.edges == tuple(sorted(expected))
+    assert all(type(e) is Edge for e in g.edges)
+    assert g.edge_set == checked.edge_set
+    assert g.index == checked.index
 
 
 def test_graph_rejects_out_of_range():

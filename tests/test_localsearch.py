@@ -468,18 +468,39 @@ def test_reduce_acceptance_reads_changed_edges_exactly(case):
         assert state.lowers(mask) == (singles_count(edges_of(mask)) < singles_count(m))
 
 
+def rebuilt_swap_state(g: DuoGraph, rho: int, mask: int) -> tuple[dict[int, int], int]:
+    """The entrant map and free mask of ``mask``, from scratch: every edge
+    outside the mask whose conflicts with it are non-empty and at most rho
+    in number, mapped to them; every edge outside the mask with no conflict
+    in it."""
+    inside, free = {}, 0
+    for k, c in enumerate(g.index.conf):
+        c &= mask
+        if c and not mask >> k & 1 and c.bit_count() <= rho:
+            inside[k] = c
+        if not c and not mask >> k & 1:
+            free |= 1 << k
+    return inside, free
+
+
 @st.composite
 def mask_walks(draw):
     """A graph, a width, and a walk of masks over its edges: a seeded
-    greedy matching, up to eight masks each a few bits from the one before
-    (conflicting ones included), then the empty mask."""
+    greedy matching, up to eight masks, then the empty mask.  Each mask is
+    a few bits from the one before (conflicting ones included) or a swap
+    from it: an entrant joins and its conflicts in the matching leave."""
     g = draw(graphs(max_edges=20))
     rho = draw(st.integers(1, 5))
     mask = localsearch._mask(g, greedy_maximal(g, config=SolverConfig(seed=draw(st.integers(0, 99)))))
     walk = [mask]
     ks = range(len(g.edges))
     for _ in range(draw(st.integers(0, 8)) if ks else 0):
-        mask ^= sum(1 << k for k in draw(st.sets(st.sampled_from(ks), min_size=1, max_size=4)))
+        inside = rebuilt_swap_state(g, rho, mask)[0]
+        if inside and draw(st.booleans()):
+            k = draw(st.sampled_from(sorted(inside)))
+            mask = mask & ~inside[k] | 1 << k
+        else:
+            mask ^= sum(1 << k for k in draw(st.sets(st.sampled_from(ks), min_size=1, max_size=4)))
         walk.append(mask)
     return g, rho, walk + [0]
 
@@ -487,23 +508,16 @@ def mask_walks(draw):
 @settings(max_examples=300, deadline=None)
 @given(mask_walks())
 def test_swap_state_moves_match_a_rebuild(case):
-    """After every move the carried entrant map and mask, free edges and
-    singleton count are those rebuilt from scratch on the new mask: every
-    edge outside the mask whose conflicts with it are non-empty and at most
-    rho in number, mapped to them; every edge outside the mask with no
-    conflict in it; and singleton_partition's count."""
+    """After every move, swaps in which entrants join the matching and
+    matching edges leave it included, the carried entrant map and mask,
+    free edges and singleton count are those rebuilt from scratch on the
+    new mask (:func:`rebuilt_swap_state`, and singleton_partition's
+    count)."""
     g, rho, walk = case
-    conf = g.index.conf
     state = localsearch._SwapState(g, rho, SCAN_LEX)
     for mask in walk:
         state.move(mask)
-        inside, free = {}, 0
-        for k, c in enumerate(conf):
-            c &= mask
-            if c and not mask >> k & 1 and c.bit_count() <= rho:
-                inside[k] = c
-            if not c and not mask >> k & 1:
-                free |= 1 << k
+        inside, free = rebuilt_swap_state(g, rho, mask)
         assert state.inside == inside
         assert state.ent == sum(1 << k for k in inside)
         assert state.free == free
@@ -774,3 +788,25 @@ def test_width_four_on_a_sparse_pair_of_312_symbols(tmp_path, capsys):
     assert "\npreserved 65\n" in capsys.readouterr().out
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
         "a16c815f568bb0f23530273364bdb87ff035a47e448f483bc06e7bee550e70fd")
+
+
+def test_local_optimum_agrees_with_milp_swap_gain_at_344_edges():
+    """On the balanced pair (1000, 30), seed 2017 (|E| 1106), the reduce-off
+    terminal matchings of widths 1 and 5 (|M| 326 and 344) at widths 1 to
+    5: ``is_local_optimum`` with reduce off holds iff the best swap gain of
+    an integer program, which shares none of the swap state, is at most 0.
+    The reference scans stop near |M| 30."""
+    pytest.importorskip("scipy")
+    from milp_oracle import milp_best_swap_gain
+    from test_exact import balanced_graph
+
+    g = balanced_graph(1000, 30, 2017)
+    gains = {}
+    for start in (1, 5):
+        m = local_search(g, SolverConfig(rho=start, use_reduce=False))[0]
+        for rho in range(1, 6):
+            gain = milp_best_swap_gain(g, m, rho)
+            assert is_local_optimum(g, m, SolverConfig(rho=rho, use_reduce=False))[0] == (gain <= 0)
+            gains[len(m), rho] = gain
+    assert gains == {(326, 1): 0, (326, 2): 1, (326, 3): 2, (326, 4): 3, (326, 5): 3,
+                     (344, 1): 0, (344, 2): 0, (344, 3): 0, (344, 4): 0, (344, 5): 0}
