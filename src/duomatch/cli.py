@@ -88,7 +88,7 @@ def cmd_verify(args) -> int:
     edges = fileio.load_matching_edges(args.matching)
     violations: list[dict] = []
 
-    missing = sorted(e for e in edges if e not in g.edge_set)
+    missing = sorted(e for e in edges if e not in g)
     for e in missing:
         violations.append({"kind": "missing-edge", "edge": [e.i, e.j]})
     conflicts = list(_conflicting_pairs(edges))

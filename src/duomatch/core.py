@@ -17,6 +17,7 @@ All indices are 1-based on both sides.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -230,7 +231,7 @@ class DuoGraph:
     ``edges[k]``, so bit order is lex order.
     """
 
-    __slots__ = ("m", "edges", "edge_set", "_index")
+    __slots__ = ("m", "edges", "_index")
 
     def __init__(self, m: int, edges=()) -> None:
         if m < 1:
@@ -241,7 +242,6 @@ class DuoGraph:
                 raise ValueError(f"edge {e} outside position range 1..{m}")
         self.m = m
         self.edges: tuple[Edge, ...] = tuple(es)
-        self.edge_set: frozenset[Edge] = frozenset(es)
         self._index: ConflictIndex | None = None
 
     @classmethod
@@ -252,7 +252,6 @@ class DuoGraph:
         out = cls.__new__(cls)
         out.m = m
         out.edges = edges
-        out.edge_set = frozenset(edges)
         out._index = None
         return out
 
@@ -277,7 +276,11 @@ class DuoGraph:
         return self._index
 
     def __contains__(self, e: Edge) -> bool:
-        return e in self.edge_set
+        """Bisection over the lex-sorted ``edges``, so that a membership
+        test leaves the conflict index unbuilt."""
+        edges = self.edges
+        k = bisect_left(edges, e)
+        return k < len(edges) and edges[k] == e
 
     def __repr__(self) -> str:
         return f"DuoGraph(m={self.m}, |E|={len(self.edges)})"

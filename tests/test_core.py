@@ -137,7 +137,6 @@ def test_graph_matches_brute_duo_scan(inst):
     assert g.m == checked.m == inst.n - 1
     assert g.edges == checked.edges == tuple(sorted(expected))
     assert all(type(e) is Edge for e in g.edges)
-    assert g.edge_set == checked.edge_set
     assert g.index == checked.index
 
 
@@ -177,11 +176,25 @@ def test_edge_pickle_round_trip():
 def test_raw_tuples_find_their_edges(demo_graph):
     """A plain (i, j) tuple equals its edge, so graph and matching
     membership accept it."""
-    assert (2, 1) in demo_graph.edge_set and (2, 1) in demo_graph
-    assert (4, 4) not in demo_graph.edge_set
+    assert (2, 1) in demo_graph and Edge(2, 1) in demo_graph
+    assert (4, 4) not in demo_graph
     m = Matching(edges(DEMO_OPT))
     assert (3, 2) in m and (3, 3) not in m
     assert Matching([(2, 1), Edge(3, 2)]).edges == (Edge(2, 1), Edge(3, 2))
+
+
+@given(string_pairs())
+def test_membership_reads_the_edge_tuple(inst):
+    """On graphs from both constructors, every edge is a member as an Edge
+    and as a raw (i, j) tuple, every other pair in or just outside 1..m is
+    not, and asking builds no conflict index."""
+    built = DuoGraph.from_strings(inst)
+    for g in (built, DuoGraph(built.m, [(e.i, e.j) for e in built.edges])):
+        present = set(g.edges)
+        for i in range(-1, g.m + 3):
+            for j in range(-1, g.m + 3):
+                assert ((i, j) in g) == (Edge(i, j) in g) == ((i, j) in present)
+        assert g._index is None
 
 
 # ---------------------------------------------------------------- compatibility

@@ -11,6 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duomatch import instances
+from duomatch.analysis import (
+    GUARANTEE_RHO1,
+    GUARANTEE_RHO5,
+    MAX_TOKEN_TOTAL,
+    check_full_token_uniqueness,
+    check_heavy_singleton_parallel_support,
+    check_parallel_pair_conflict_gap,
+    check_parallel_token_bound,
+    ratio_report,
+    token_profile,
+    token_report,
+)
 from duomatch.core import (
     DuoGraph,
     Edge,
@@ -35,7 +47,12 @@ from duomatch.instances import (
     string_gap_fixture,
     swap_resistance_checklist,
 )
-from duomatch.localsearch import SolverConfig, is_local_optimum, local_search
+from duomatch.localsearch import (
+    SCAN_REVERSE_LEX,
+    SolverConfig,
+    is_local_optimum,
+    local_search,
+)
 
 import reference_gap as ref
 from conftest import FIXTURES_DIR
@@ -96,7 +113,7 @@ def test_string_gap_fixture_shape():
 def test_string_gap_fixture_gap():
     inst, m = string_gap_fixture()
     g = DuoGraph.from_strings(inst)
-    assert all(e in g.edge_set for e in m.edges)
+    assert all(e in g for e in m.edges)
     assert exact_max_matching(g).value == 10
     ok, cert = is_local_optimum(g, m)
     assert ok and cert.rho == 5
@@ -146,23 +163,52 @@ def test_checklist_budget():
 
 @pytest.mark.parametrize("n, alphabet", [(60, 4), (100, 5)])
 def test_checklist_bounds_a_rho5_local_optimum(n, alphabet):
-    """Against any matching O, a rho-5 local optimum M has swap-t <= t for
-    t <= 5: else M less t edges plus t + 1 edges of O would be a width-t
-    replace.  |M| is 32 and 57 here, and O is the rho-1 local optimum, then
-    a maximum matching from an integer program."""
-    g = balanced_graph(n, alphabet, 7)
-    matching = local_search(g, SolverConfig(rho=5))[0]
+    """The amortization corpus: five local optima of a balanced pair, each
+    checked against one maximum matching O* from an integer program.
 
-    def assert_bounded(optimum):
+    The 35/12 bound charges O*'s tokens to matching edges, so every width-5
+    local optimum M must conserve them, hold each edge's total to 10/3 in a
+    known share combination and pass the four structural checks.  Against
+    any matching O it has swap-t <= t for t <= 5, else M less t edges plus
+    t + 1 edges of O would be a width-t replace; the integer program's best
+    width-5 swap gain says the same without the checklist.  The optima are
+    the rho-5 searches in lex and reverse-lex order and with seeds 1 and 2,
+    plus the plain rho-1 hill climber, held to 7/2.  The lex optimum is also
+    checked against the rho-1 one, which needs no scipy."""
+    g = balanced_graph(n, alphabet, 7)
+    lex = local_search(g, SolverConfig(rho=5))[0]
+    plain = local_search(g, SolverConfig(rho=1, use_reduce=False))[0]
+
+    def assert_bounded(matching, optimum):
         report = swap_resistance_checklist(g, matching, optimum, GRAPH_GAP_CAPS)
         assert report.item("maximal").passed
         assert all(report.item(f"swap-{t}").observed <= t for t in range(1, 6))
 
-    assert_bounded(local_search(g, SolverConfig(rho=1))[0])
+    assert_bounded(lex, plain)
     pytest.importorskip("scipy")
-    from milp_oracle import milp_max_matching
+    from milp_oracle import milp_best_swap_gain, milp_max_matching
 
-    assert_bounded(milp_max_matching(g))
+    optimum = milp_max_matching(g)
+
+    def assert_amortized(matching, guarantee):
+        report = token_report(g, matching, optimum)
+        assert report.total == len(optimum)
+        assert ratio_report(len(matching), len(optimum), guarantee).within_guarantee
+        return report
+
+    assert_amortized(plain, GUARANTEE_RHO1)
+    others = (SolverConfig(rho=5, scan_order=SCAN_REVERSE_LEX),
+              SolverConfig(rho=5, seed=1), SolverConfig(rho=5, seed=2))
+    for matching in [lex] + [local_search(g, config)[0] for config in others]:
+        report = assert_amortized(matching, GUARANTEE_RHO5)
+        assert report.max_total() <= MAX_TOKEN_TOTAL
+        assert token_profile(report).combos_ok
+        for check in (check_full_token_uniqueness, check_parallel_pair_conflict_gap,
+                      check_parallel_token_bound, check_heavy_singleton_parallel_support):
+            result = check(g, matching, optimum, report=report)
+            assert result.passed, (check.__name__, result.violations)
+        assert_bounded(matching, optimum)
+        assert milp_best_swap_gain(g, matching, 5) <= 0
 
 
 # ---------------------------------------------------------------- gap search
