@@ -33,13 +33,14 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
   edges, as in ROADMAP item 5(b)'s table, and the m=26 search that
   ``make_fixtures.py`` runs;
 * the unanchored gap search at m=22 with 10 edges under a budget of
-  1,000,000 nodes, recorded as ``certified``, ``exhausted`` or ``budget``
-  with the nodes it visited (from ``stats``), which gives item 5(b)'s
-  table a nodes-per-second yardstick;
+  1,000,000 nodes, recorded as ``certified``, ``exhausted`` or ``budget``,
+  which gives item 5(b)'s table a nodes-per-second yardstick;
 * the unanchored gap search at m=31 with 12 edges under a budget of 0
   nodes, recorded as ``budget``: it times the set-up alone (the run
   table, coverage and spreads) that the search pays before its first node
   at every size of item 5(b)'s table;
+* every gap row also records the nodes it visited and the complete leaves
+  it cap-tested (``nodes`` and ``verdicts``, from ``stats``);
 * ``swap_resistance_checklist`` with ``GRAPH_GAP_CAPS`` on the
   ``graph_gap_26`` fixture against its diagonal optimum, and on the rho-5
   local search's matching of the balanced pair (100, 5), seed 7 (|M| 57),
@@ -244,14 +245,16 @@ def rows(work: str):
                  instances.GapSearchSpec(m=20, matching_size=9, anchors=anchors),
                  instances.GapSearchSpec(m=17, matching_size=8, anchors=()),
                  instances.GapSearchSpec(m=26)):
-        def gap(start, spec=spec):
+        stats: dict = {}
+
+        def gap(start, spec=spec, stats=stats):
             start()
-            return instances.search_gap_instance(spec)
+            return instances.search_gap_instance(spec, stats)
 
         t, found = timed(gap)
         anchored = "" if spec.anchors else " unanchored"
         yield {"name": f"gap_search m={spec.m} size={spec.matching_size}{anchored}", "s": t,
-               "found": found is not None}
+               "found": found is not None, **stats}
 
     for label, spec in (
             ("", instances.GapSearchSpec(m=22, matching_size=10, anchors=(),
@@ -269,8 +272,7 @@ def rows(work: str):
 
         t, outcome = timed(budgeted_gap)
         yield {"name": f"gap_search {label}m={spec.m} size={spec.matching_size} unanchored "
-                       f"max_nodes={spec.max_nodes}", "s": t, "outcome": outcome,
-               "nodes": stats["nodes"]}
+                       f"max_nodes={spec.max_nodes}", "s": t, "outcome": outcome, **stats}
 
     fixture = os.path.join(ROOT, "fixtures", "graph_gap_26")
     with open(fixture + ".mcbm", encoding="utf-8") as fh:

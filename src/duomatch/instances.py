@@ -16,11 +16,11 @@ Only unions of the optimum edges' blocker masks need a look, so the checklist
 and the gap search's leaf test share one depth-first scan of those unions
 (:func:`_unions`) in place of a walk over every t-subset; the checklist's
 budget counts the unions it visits.
-The gap search works on candidate runs, not on the m x m grid: one rule
-reads run compatibility, the runs covering each diagonal position and the
-anchors' compatible runs off per-row and per-column run masks, and a run's
-diagonal cover is closed form.  The only conflict index it builds is the
-anchors'.
+The gap search works on candidate runs, the parallel pairs, not on the
+m x m grid: one rule reads run compatibility, the runs covering each
+diagonal position and the anchors' compatible runs off per-row and
+per-column run masks, and a run's diagonal cover is closed form.  The only
+conflict index it builds is the anchors'.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     Items: the matching is maximal in g; it has no singleton edge; and for
     each removal width t the worst-case number of optimum edges compatible
     with the remainder stays within caps[t-1].  At most ``subset_budget``
-    unions of blocker masks are visited in total, else SubsetBudgetError.
+    unions of blocker masks are visited in total, else SubsetBudgetError; a
+    negative budget raises ValueError before any work.
 
     Both scans read one :func:`~duomatch.core._index` over the edges of
     g, the matching and the optimum, which need not lie in g.  The blocking
@@ -178,6 +179,8 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
     those is U padded with its lowest clear bits (:func:`_pad`); of two
     t-subsets the one holding their lowest differing bit comes first.
     """
+    if subset_budget < 0:
+        raise ValueError(f"subset_budget must be >= 0, got {subset_budget}")
     items: list[ChecklistItem] = []
     m_edges = matching.edges
     every = tuple(sorted({*g.edges, *m_edges, *optimum.edges}))
@@ -221,29 +224,24 @@ def swap_resistance_checklist(g: DuoGraph, matching: Matching, optimum: Matching
 class GapSearchSpec:
     """Search parameters for the graph-family reconstruction.
 
-    The matching is assembled from runs of consecutive parallel edges (so it
-    has no singletons by construction) off the diagonal, must contain the
+    The matching is assembled off the diagonal from parallel pairs (i, j),
+    (i + 1, j + 1), the runs the family this reconstructs is made of, so it
+    has no singletons by construction.  It must contain the
     anchor edges as runs, cover every diagonal position, and pass the
-    checklist against the diagonal optimum.  ``max_run_length`` bounds the
-    candidate runs; the family this reconstructs consists of parallel pairs,
-    so the default keeps the space small, and raising it widens the search
-    at a steep cost.  ``anchors`` may hold edges or ``(i, j)`` tuples, in
-    any order and with repeats; the spec keeps them as a sorted tuple of
-    distinct edges.  ``m`` must be at least 1, ``max_run_length`` at least
-    2, and ``matching_size`` and ``max_nodes`` at least 0 (ValueError
-    otherwise).
+    checklist against the diagonal optimum.  ``anchors`` may hold edges or
+    ``(i, j)`` tuples, in any order and with repeats; the spec keeps them as
+    a sorted tuple of distinct edges.  ``m`` must be at least 1, and
+    ``matching_size`` and ``max_nodes`` at least 0 (ValueError otherwise).
     """
 
     m: int
     matching_size: int = 12
     anchors: tuple[Edge, ...] = (Edge(2, 8), Edge(3, 9), Edge(18, 24), Edge(19, 25))
     caps: tuple[int, ...] = GRAPH_GAP_CAPS
-    max_run_length: int = 2
     max_nodes: int = 5_000_000
 
     def __post_init__(self) -> None:
-        for field, least in (("m", 1), ("matching_size", 0), ("max_run_length", 2),
-                             ("max_nodes", 0)):
+        for field, least in (("m", 1), ("matching_size", 0), ("max_nodes", 0)):
             value = getattr(self, field)
             if value < least:
                 raise ValueError(f"GapSearchSpec needs {field} >= {least}, got {field}={value}")
@@ -261,12 +259,12 @@ class GapInstance:
 class _RunTable:
     """The candidate runs of the gap search on positions 1..m.
 
-    A run (i, j, ell) is the ell parallel edges (i + t, j + t); ``runs``
-    lists every off-diagonal run of 2 to ``longest`` edges inside 1..m in
-    lexicographic (i, j, ell) order.  ``on_row[r]`` and ``on_col[c]``, for
-    r, c in 0..m+1, hold the runs with an edge on that A-row or B-column
-    (rows and columns 0 and m+1 stay empty), and :meth:`apart` is the mask
-    of the runs with no edge on given rows or columns.
+    A run (i, j) is the parallel pair (i, j), (i + 1, j + 1); ``runs``
+    lists every off-diagonal pair inside 1..m in lexicographic order.
+    ``on_row[r]`` and ``on_col[c]``, for r, c in 0..m+1, hold the runs with
+    an edge on that A-row or B-column (rows and columns 0 and m+1 stay
+    empty), and :meth:`apart` is the mask of the runs with no edge on given
+    rows or columns.
 
     By :func:`~duomatch.core.compatible`, edge (a, b) conflicts with,
     equals or runs parallel to exactly the edges on A-rows a-1..a+1 or
@@ -276,28 +274,26 @@ class _RunTable:
       neither holds a hit of the other, which rules out a shared edge, a
       conflicting cross pair and a head-to-tail continuation alike.  So
       ``rows[k]``, the mask of the runs compatible with run k, is
-      :meth:`apart` over rows i-1..i+ell and columns j-1..j+ell.
+      :meth:`apart` over rows i-1..i+2 and columns j-1..j+2.
     * An off-diagonal edge (a, b) conflicts with the diagonal edge (p, p)
       iff p is within 1 of a or of b, so a run covers position p iff it
       has an edge on row or column p-1..p+1.  :meth:`cover` is the closed
-      form of the positions a run covers (bit p for position p), and
-      ``covers[k]`` is run k's.
+      form of the positions a run of any length covers (bit p for position
+      p), and ``covers[k]`` is run k's.
     """
 
-    def __init__(self, m: int, longest: int):
+    def __init__(self, m: int):
         self.full = ((1 << m) - 1) << 1
-        self.runs = [(i, j, ell) for i in range(1, m) for j in range(1, m) if i != j
-                     for ell in range(2, min(longest, m + 1 - max(i, j)) + 1)]
+        self.runs = [(i, j) for i in range(1, m) for j in range(1, m) if i != j]
         self.all = (1 << len(self.runs)) - 1
         self.on_row = on_row = [0] * (m + 2)
         self.on_col = on_col = [0] * (m + 2)
-        for k, (i, j, ell) in enumerate(self.runs):
-            for t in range(ell):
+        for k, (i, j) in enumerate(self.runs):
+            for t in (0, 1):
                 on_row[i + t] |= 1 << k
                 on_col[j + t] |= 1 << k
-        self.rows = [self.apart(range(i - 1, i + ell + 1), range(j - 1, j + ell + 1))
-                     for i, j, ell in self.runs]
-        self.covers = [self.cover(*run) for run in self.runs]
+        self.rows = [self.apart(range(i - 1, i + 3), range(j - 1, j + 3)) for i, j in self.runs]
+        self.covers = [self.cover(i, j, 2) for i, j in self.runs]
 
     def apart(self, rows, cols) -> int:
         """Mask of the candidate runs with no edge on ``rows`` or ``cols``."""
@@ -309,8 +305,8 @@ class _RunTable:
         return self.all & ~near
 
     def cover(self, i: int, j: int, ell: int) -> int:
-        """The positions 1..m covered by the run (i, j, ell): i-1..i+ell
-        and j-1..j+ell."""
+        """The positions 1..m covered by the ell parallel edges
+        (i + t, j + t): i-1..i+ell and j-1..j+ell."""
         span = (1 << ell + 2) - 1
         return (span << i - 1 | span << j - 1) & self.full
 
@@ -424,7 +420,7 @@ def _diag_caps_hold(covers: int, fields: _CoverFields, caps) -> int | None:
 
 def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverFields, caps,
                    witness: int) -> tuple[int, int]:
-    """The gap search's cap test of a stretch of complete leaves.
+    """The gap search's cap test of the complete leaves of one parent.
 
     Leaf k of ``hits``, taken lowest bit first, has the packed covers
     ``covers | shift[k]`` and covers every one of the ``fields.m``
@@ -433,7 +429,7 @@ def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverField
     fails a leaf that covers every position iff fewer than m - caps[|X|-1]
     of its fields hold an edge outside X, so no leaf's count of non-empty
     fields is needed.  X's spread over the fields and that bound are worked
-    out once for the stretch and again only when the witness changes.  A
+    out once for the parent and again only when the witness changes.  A
     leaf that survives X gets the full scan of :func:`_diag_caps_hold`,
     whose failing X becomes the witness.
     Returns the first k whose leaf passes every cap, or -1, and the witness
@@ -457,13 +453,6 @@ def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverField
     return -1, witness
 
 
-def _fillable(room: int, longest: int) -> bool:
-    """Whether ``room`` edges are a sum of run lengths 2..``longest``."""
-    if room == 0:
-        return True
-    return room >= 2 and (longest >= 3 or (longest == 2 and room % 2 == 0))
-
-
 def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapInstance | None:
     """Backtracking reconstruction of the graph-family worst case.
 
@@ -471,9 +460,9 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     off-diagonal all-parallel matching of the requested size whose edges
     conflict with every diagonal edge (that is maximality) and that passes
     the swap-resistance checklist.  Branches cover the lowest uncovered
-    diagonal position first; within a branch point, candidate runs are taken
-    in lexicographic (i, j, length) order and lex-earlier alternatives are
-    excluded deeper down, so each run set is visited once and the result is
+    diagonal position first; within a branch point, candidate pairs are
+    taken in lexicographic (i, j) order and lex-earlier alternatives are
+    excluded deeper down, so each pair set is visited once and the result is
     deterministic.  Returns None when the space is exhausted, raises
     SearchBudgetError when ``max_nodes`` runs out first.  When ``stats`` is
     given, its ``"nodes"`` and ``"verdicts"`` entries receive the nodes
@@ -481,9 +470,8 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     node that runs past the budget is counted.
 
     Before the first node, and before any table is built, a spec whose room
-    (``matching_size`` minus the anchor edges) is no sum of candidate run
-    lengths 2..L returns None: an odd room when L = 2, whose parity no run
-    changes, or a room of 1, which no run fits.  That check removes no leaf.
+    (``matching_size`` minus the anchor edges) is odd returns None: no pair
+    changes its parity.  That check removes no leaf.
 
     Anchors off the grid or on the diagonal return None.  So does a set
     of anchors in which some anchor lacks a parallel neighbour among the
@@ -493,36 +481,33 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     no edge and cannot continue one another, so a conflict is the only
     clash left.
 
-    The search runs on masks over the candidate runs of a
-    :class:`_RunTable`.  ``covering[p]`` holds the runs covering position
-    p (those with an edge on row or column p-1..p+1), ``allowed`` the runs
-    compatible with every chosen run (the AND of their rows; the anchors'
+    The search runs on masks over the candidate pairs of a
+    :class:`_RunTable`.  ``covering[p]`` holds the pairs covering position
+    p (those with an edge on row or column p-1..p+1), ``allowed`` the pairs
+    compatible with every chosen pair (the AND of their rows; the anchors'
     mask comes from the same row and column masks) and ``excluded`` the
     lex-earlier alternatives.  A node's candidates are ``covering[p] &
-    allowed & ~excluded`` among the runs short enough to fit, taken lowest
-    bit first.  Each node also carries the chosen runs as a run mask and
-    the per-position covers of the anchors' and the chosen runs' edges,
-    packed by :class:`_CoverFields`: a child adds its run's precomputed
-    spread, shifted to the run's edge indices (each run's spread is
-    shifted once per edge count, not once per child).
+    allowed & ~excluded``, taken lowest bit first.  Each node also carries
+    the chosen pairs as a run mask and the per-position covers of the
+    anchors' and the chosen pairs' edges, packed by :class:`_CoverFields`:
+    a child adds its pair's precomputed spread, shifted to the pair's edge
+    indices (each pair's spread is shifted once per edge count, not once
+    per child).
 
-    A candidate that fills the remaining room is a complete leaf, and one
-    that leaves a room of 1 edge, which no run fills, is a node without
-    children; its parent visits both in place instead of recursing.  The
-    parent hands each stretch of such candidates between its other
-    children, in bit order, to one leaf routine.  At L = 2 the stretch is
-    the parent's whole candidate set, and so it is at L = 3 when the room
-    is 2 or 3.  The routine counts the stretch's nodes in one step, or,
-    when the budget runs out inside it, visits the nodes before that one
-    and raises there, so SearchBudgetError fires at the same node as in a
-    search that counts node by node.  Only the complete leaves that cover
-    every position the parent left uncovered (the AND of ``covering[p]``
-    over those positions) go to :func:`_first_passing`, which tries the
-    last leaf's failing X on each before any full scan.  A leaf that passes
-    builds its matching, the anchors plus the chosen runs' edges, and runs
-    the checklist, which must agree.  When the anchors fill the target the
-    root itself is the one leaf, of an empty run (a run of 0 edges at
-    index ``len(table.runs)``), and goes through the same routine.
+    Rooms stay even, so a node with a room of 2 has only complete leaves
+    as children, and any other node has none.  The former hands all its
+    candidates, in bit order, to one leaf routine instead of recursing.
+    The routine counts them as nodes in one step, or, when the budget runs
+    out among them, visits the nodes before that one and raises there, so
+    SearchBudgetError fires at the same node as in a search that counts
+    node by node.  Only the leaves that cover every position the parent
+    left uncovered (the AND of ``covering[p]`` over those positions) go to
+    :func:`_first_passing`, which tries the last leaf's failing X on each
+    before any full scan.  A leaf that passes builds its matching, the
+    anchors plus the chosen pairs' edges, and runs the checklist, which
+    must agree.  When the anchors fill the target the root itself is the
+    one leaf, of an empty run (a run of no edges at index
+    ``len(table.runs)``), and goes through the same routine.
     """
     m = spec.m
     optimum = Matching(Edge(i, i) for i in range(1, m + 1))
@@ -534,37 +519,25 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
         if not (1 <= a.i <= m and 1 <= a.j <= m) or a.i == a.j:
             return None
 
-    longest = min(spec.max_run_length, target)
     seed_count = len(spec.anchors)
-    if seed_count > target or not _fillable(target - seed_count, longest):
+    if seed_count > target or (target - seed_count) % 2:
         return None
 
     _, conf, par = _index(spec.anchors)
     if any(conf) or not all(par):
         return None
 
-    table = _RunTable(m, longest)
+    table = _RunTable(m)
     full_mask, run_covers, rows = table.full, table.covers, table.rows
     fields = _CoverFields(m, target)
     covering = [0] + [table.all & ~table.apart(range(p - 1, p + 2), range(p - 1, p + 2))
                       for p in range(1, m + 1)]
-    # fits[room]: the runs of at most room edges; ends[room]: those of
-    # exactly room edges.  A child on a run of room edges is a complete leaf,
-    # and one on a run of room - 1 edges leaves a room of 1, which no run
-    # fills: neither has children
-    fits = [0] * (target + 1)
-    ends = [0] * (target + 1)
-    for k, (_, _, ell) in enumerate(table.runs):
-        for room in range(ell, target + 1):
-            fits[room] |= 1 << k
-        ends[ell] |= 1 << k
-    # index len(table.runs) is the empty run: the root's only leaf when the
-    # anchors fill the target
+    # the spread at index len(table.runs) is the empty run's: the root's
+    # only leaf when the anchors fill the target
     empty = len(table.runs)
-    runs = table.runs + [(0, 0, 0)]
-    spreads = [fields.spread(table.cover(i + t, j + t, 1) for t in range(ell))
-               for i, j, ell in runs]
-    # shifted[count]: every run's spread shifted to follow count edges,
+    spreads = [fields.spread((table.cover(i, j, 1), table.cover(i + 1, j + 1, 1)))
+               for i, j in table.runs] + [0]
+    # shifted[count]: every pair's spread shifted to follow count edges,
     # built when a node at that count first needs it
     shifted: list[list[int] | None] = [None] * target
     caps, max_nodes = spec.caps, spec.max_nodes
@@ -575,11 +548,10 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
 
     def leaves(chosen: int, covers: int, shift: list[int], batch: int,
                fill: int) -> GapInstance | None:
-        """Visit the children without children ``batch`` of one parent in
-        bit order, whose runs' packed covers ``shift`` holds at the parent's
-        edge count.  Only those in ``fill``, the runs that fill the
-        parent's room and cover every position it left uncovered, get the
-        cap test."""
+        """Visit the complete leaves ``batch`` of one parent in bit order,
+        whose runs' packed covers ``shift`` holds at the parent's edge
+        count.  Only those in ``fill``, the runs that cover every position
+        the parent left uncovered, get the cap test."""
         nonlocal nodes, verdicts, witness
         left = max_nodes - nodes
         short = batch.bit_count() > left
@@ -606,9 +578,9 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
 
     def certified(chosen: int) -> GapInstance:
         edges = list(spec.anchors)
-        for k in _positions(chosen):
-            i, j, ell = runs[k]
-            edges += (Edge(i + t, j + t) for t in range(ell))
+        for k in _positions(chosen & table.all):
+            i, j = table.runs[k]
+            edges += (Edge(i, j), Edge(i + 1, j + 1))
         matching = Matching(edges)
         graph = DuoGraph(m, list(optimum.edges) + edges)
         report = swap_resistance_checklist(graph, matching, optimum, caps)
@@ -624,35 +596,28 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
             raise SearchBudgetError(f"gap search exceeded {max_nodes} nodes")
         uncovered = full_mask & ~cover
         room = target - count
-        # a run of length ell >= 2 covers at most 2*ell + 4 <= 4*ell positions
+        # a pair covers at most 8 positions, 4 per edge
         if uncovered.bit_count() > 4 * room:
             return None
         pool = covering[(uncovered & -uncovered).bit_length() - 1] if uncovered else table.all
-        cands = pool & allowed & fits[room] & ~excluded
-        batch = cands & (ends[room] | ends[room - 1])
-        fill = ends[room]
-        if batch:
-            rest = uncovered
-            while rest:
-                low = rest & -rest
-                fill &= covering[low.bit_length() - 1]
-                rest ^= low
+        cands = pool & allowed & ~excluded
         shift = shifted[count]
         if shift is None:
             shift = shifted[count] = [spread << count for spread in spreads]
-        inner = cands ^ batch
-        while inner:
-            low = inner & -inner
-            before = batch & (low - 1)
-            if before:
-                found = leaves(chosen, covers, shift, before, fill)
-                if found is not None:
-                    return found
-                batch ^= before
+        if room == 2:
+            fill = cands
+            while uncovered:
+                low = uncovered & -uncovered
+                fill &= covering[low.bit_length() - 1]
+                uncovered ^= low
+            return leaves(chosen, covers, shift, cands, fill)
+        rest = cands
+        while rest:
+            low = rest & -rest
             k = low.bit_length() - 1
             found = rec(
                 chosen | low,
-                count + runs[k][2],
+                count + 2,
                 cover | run_covers[k],
                 covers | shift[k],
                 allowed & rows[k],
@@ -660,8 +625,8 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
             )
             if found is not None:
                 return found
-            inner ^= low
-        return leaves(chosen, covers, shift, batch, fill) if batch else None
+            rest ^= low
+        return None
 
     # the anchors' hits are on these rows and columns, and they cover the
     # positions among either

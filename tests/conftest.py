@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,19 @@ def demo_graph(demo_instance) -> DuoGraph:
 
 def edges(pairs) -> list[Edge]:
     return [Edge(i, j) for i, j in pairs]
+
+
+def balanced_pair(n: int, alphabet: int, seed: int) -> StringInstance:
+    """A balanced pair: ``n`` symbols over ``alphabet`` letters shuffled by
+    ``random.Random(seed)``, then a copy of them shuffled again."""
+    rng = random.Random(seed)
+    a = [f"s{t % alphabet}" for t in range(n)]
+    rng.shuffle(a)
+    b = a.copy()
+    rng.shuffle(b)
+    return StringInstance(tuple(a), tuple(b))
+
+
+def balanced_graph(n: int, alphabet: int, seed: int) -> DuoGraph:
+    """The duo graph of :func:`balanced_pair`."""
+    return DuoGraph.from_strings(balanced_pair(n, alphabet, seed))

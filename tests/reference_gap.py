@@ -12,8 +12,8 @@ imports no search code from the package it checks.
 checklist's conflict index, the gap search's per-row and per-column run
 masks) and must return the same reports and the same instances after the
 same leaf tests.  The gap search also visits the same nodes, except on a
-spec whose room (matching size minus anchor edges) is no sum of the
-candidate run lengths: it returns None before its first node, where this
+spec whose room (matching size minus anchor edges) is odd, which no
+candidate pairs fill: it returns None before its first node, where this
 search exhausts the tree without reaching a leaf.
 """
 
@@ -171,15 +171,8 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
         if not (1 <= a.i <= m and 1 <= a.j <= m) or a.i == a.j:
             return None
 
-    all_runs: list[_Run] = []
-    for i in range(1, m):
-        for j in range(1, m):
-            if i == j:
-                continue
-            for ell in range(2, min(spec.max_run_length, target) + 1):
-                if i + ell - 1 > m or j + ell - 1 > m:
-                    break
-                all_runs.append(_Run(i, j, ell, m))
+    # the candidate runs are the parallel pairs; anchor runs may be longer
+    all_runs = [_Run(i, j, 2, m) for i in range(1, m) for j in range(1, m) if i != j]
     covering: dict[int, list[_Run]] = {p: [] for p in range(1, m + 1)}
     for r in all_runs:
         for p in range(1, m + 1):

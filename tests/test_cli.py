@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import os
-import random
 import tempfile
 import time
 
@@ -19,11 +18,12 @@ from duomatch.cli import (
     EXIT_USAGE,
     main,
 )
-from duomatch.core import (DuoGraph, Edge, Matching, StringInstance, compatible, parse_instance,
+from duomatch.core import (DuoGraph, Edge, Matching, StringInstance, compatible,
                            partition_from_matching)
 from duomatch.exact import BudgetExceededError, exact_max_matching
+from duomatch.fileio import format_instance
 
-from conftest import DEMO_TEXT, FIXTURES_DIR, STALL_TEXT
+from conftest import DEMO_TEXT, FIXTURES_DIR, STALL_TEXT, balanced_pair
 
 
 @pytest.fixture
@@ -203,19 +203,14 @@ def test_balanced_n200_smoke(capsys, tmp_path):
     rho-5 local optimum, and a budgeted exact stops with a lower bound whose
     edges verify as a compatible matching: the 86 edges of the rho-1 local
     search the branch and bound starts from."""
-    s = [f"s{i % 8}" for i in range(200)]
-    rng = random.Random(2017)
-    rng.shuffle(s)
-    t = list(s)
-    rng.shuffle(t)
-    text = f"{' '.join(s)}\n{' '.join(t)}\n"
-    g = DuoGraph.from_strings(parse_instance(text))
+    inst = balanced_pair(200, 8, 2017)
+    g = DuoGraph.from_strings(inst)
     assert len(g.edges) == 618
     with pytest.raises(BudgetExceededError) as exc:
         exact_max_matching(g, budget=5000)
     assert exc.value.best.value == 86
     pair = tmp_path / "balanced.duo"
-    pair.write_text(text)
+    pair.write_text(format_instance(inst))
 
     code, out, _ = run(capsys, "solve", str(pair))
     assert code == EXIT_OK

@@ -24,7 +24,7 @@ from duomatch.exact import (
 from duomatch.localsearch import SolverConfig, local_search
 
 import reference_exact as ref
-from conftest import DEMO_OPT, STALL_TEXT, edges
+from conftest import DEMO_OPT, STALL_TEXT, balanced_graph, edges
 from test_core import graphs, string_pairs
 
 
@@ -157,17 +157,6 @@ def test_min_partition_in_range(inst):
 
 
 # ------------------------------------------------------- value-only search
-
-def balanced_graph(n: int, alphabet: int, seed: int) -> DuoGraph:
-    """The duo graph of a balanced pair: ``n`` symbols over ``alphabet``
-    letters shuffled by ``random.Random(seed)``, then shuffled again."""
-    rng = random.Random(seed)
-    a = [f"s{t % alphabet}" for t in range(n)]
-    rng.shuffle(a)
-    b = a.copy()
-    rng.shuffle(b)
-    return DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
-
 
 @st.composite
 def graphs_with_incumbents(draw, max_m=6, max_edges=12):

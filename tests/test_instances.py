@@ -55,8 +55,7 @@ from duomatch.localsearch import (
 )
 
 import reference_gap as ref
-from conftest import FIXTURES_DIR
-from test_exact import balanced_graph
+from conftest import FIXTURES_DIR, balanced_graph
 
 
 # ---------------------------------------------------------------- generator
@@ -159,6 +158,18 @@ def test_checklist_budget():
     opt = exact_max_matching(g).witness
     with pytest.raises(SubsetBudgetError):
         swap_resistance_checklist(g, m, opt, caps=STRING_GAP_CAPS, subset_budget=3)
+
+
+@pytest.mark.parametrize("swaps", [True, False], ids=["swaps", "empty-matching"])
+def test_checklist_rejects_a_negative_budget(swaps):
+    """A budget of -1 raises ValueError whether there are swaps to scan or,
+    with an empty matching, none."""
+    inst, m = string_gap_fixture()
+    g = DuoGraph.from_strings(inst)
+    opt = exact_max_matching(g).witness
+    with pytest.raises(ValueError, match="subset_budget must be >= 0, got -1"):
+        swap_resistance_checklist(g, m if swaps else Matching(()), opt, STRING_GAP_CAPS,
+                                  subset_budget=-1)
 
 
 @pytest.mark.parametrize("n, alphabet", [(60, 4), (100, 5)])
@@ -388,25 +399,18 @@ def test_checklist_budget_counts_unions():
 @pytest.mark.parametrize("m", range(2, 13))
 def test_run_table_rows_match_runs_compatible(m):
     """Rows, anchor masks, coverage, run covers and spreads read off the
-    run table agree with the run helpers as first written, at L = 2, 3 and
-    4, with runs and anchors on the first and last rows and columns."""
-    for longest in (2, 3, 4):
-        assert_run_table_matches_runs(m, longest)
-
-
-def assert_run_table_matches_runs(m, longest):
-    table = instances._RunTable(m, longest)
-    assert table.runs == sorted((i, j, ell) for i in range(1, m + 1) for j in range(1, m + 1)
-                                for ell in range(2, longest + 1)
-                                if i != j and max(i, j) + ell - 1 <= m)
+    run table agree with the run helpers as first written, with pairs and
+    anchors on the first and last rows and columns."""
+    table = instances._RunTable(m)
+    assert table.runs == sorted((i, j) for i in range(1, m + 1) for j in range(1, m + 1)
+                                if i != j and max(i, j) + 1 <= m)
     assert table.all == (1 << len(table.runs)) - 1
     if m >= 3:
-        # runs start on row and column 1 and end on row and column m
-        assert 1 in {i for i, _, _ in table.runs} & {j for _, j, _ in table.runs}
-        assert m in ({i + ell - 1 for i, _, ell in table.runs}
-                     & {j + ell - 1 for _, j, ell in table.runs})
-    runs = [ref._Run(i, j, ell, m) for i, j, ell in table.runs]
-    fields = instances._CoverFields(m, longest)
+        # pairs start on row and column 1 and end on row and column m
+        assert 1 in {i for i, _ in table.runs} & {j for _, j in table.runs}
+        assert m in {i + 1 for i, _ in table.runs} & {j + 1 for _, j in table.runs}
+    runs = [ref._Run(i, j, 2, m) for i, j in table.runs]
+    fields = instances._CoverFields(m, 2)
     for k, r in enumerate(runs):
         expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
         assert table.rows[k] == expected
@@ -419,13 +423,13 @@ def assert_run_table_matches_runs(m, longest):
         near = range(p - 1, p + 2)
         assert table.all & ~table.apart(near, near) == sum(
             1 << k for k, r in enumerate(runs) if r.cover_mask >> p & 1)
-    # anchor runs of any length need not be in the table; each is also
-    # paired with the anchor before it, as two anchor runs.  Their mask is
-    # apart over the rows and columns within 1 of their edges
+    # anchor runs of any length, pairs or not; each is also paired with
+    # the anchor before it, as two anchor runs.  Their mask is apart over
+    # the rows and columns within 1 of their edges
     last = None
     for i, j in combinations(range(1, m + 1), 2):
         for a, b in ((i, j), (j, i)):
-            for ell in (1, longest + 1):
+            for ell in (1, 2, 3):
                 if max(a, b) + ell - 1 > m:
                     continue
                 r = ref._Run(a, b, ell, m)
@@ -445,7 +449,7 @@ def test_edge_cover_is_the_diagonal_edges_it_conflicts_with():
     positions p whose diagonal edge (p, p) conflicts with it, as
     :func:`compatible` says, for every m up to 12."""
     for m in range(2, 13):
-        table = instances._RunTable(m, 2)
+        table = instances._RunTable(m)
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 if a != b:
@@ -545,14 +549,9 @@ def test_leaf_witness_contract(case):
 
 
 def fillable(spec) -> bool:
-    """Whether runs of 2..L edges can make up the room the anchors leave,
-    by enumerating the sums that the runs reach."""
-    longest = min(spec.max_run_length, spec.matching_size)
+    """Whether parallel pairs can make up the room the anchors leave."""
     room = spec.matching_size - len(set(spec.anchors))
-    sums = {0}
-    for _ in range(room):
-        sums |= {s + ell for s in sums for ell in range(2, longest + 1) if s + ell <= room}
-    return room in sums
+    return room >= 0 and room % 2 == 0
 
 
 def assert_same_instance(got, expected):
@@ -604,25 +603,22 @@ GAP_CASES = [
     # than its room's runs can cover (twice, below the root): the reference
     # exhausts it in 1,338 nodes and 240 leaf tests
     GapSearchSpec(m=13, matching_size=4, anchors=(), caps=(1, 2)),
-    GapSearchSpec(m=10, matching_size=6, anchors=(Edge(2, 5),), caps=(1, 2), max_run_length=3),
     GapSearchSpec(m=12, matching_size=6, anchors=(Edge(2, 5), Edge(3, 6)), caps=(1, 2, 3)),
-    GapSearchSpec(m=12, matching_size=7, anchors=(), caps=(0, 2, 2), max_run_length=3),
     GapSearchSpec(m=12, matching_size=6, anchors=(Edge(1, 5), Edge(2, 6), Edge(6, 1), Edge(7, 2)),
                   caps=(1, 2)),
-    GapSearchSpec(m=14, matching_size=7, anchors=(Edge(2, 6), Edge(3, 7)), caps=(1, 2),
-                  max_run_length=3),
     GapSearchSpec(m=14, matching_size=6, anchors=(Edge(2, 8), Edge(3, 9)), caps=(1, 2, 3)),
     GapSearchSpec(m=14, matching_size=4, anchors=(Edge(2, 6), Edge(3, 7), Edge(6, 2), Edge(7, 3)),
                   caps=(1, 2, 3)),
     GapSearchSpec(m=9, matching_size=12, anchors=(), caps=(1,)),
-    # certify's second search: a room of 7 at L = 2, which the reference
-    # exhausts in 54,746 nodes
+    # certify's second search: a room of 7, which the reference exhausts in
+    # 54,746 nodes
     GapSearchSpec(m=20, matching_size=9, anchors=(Edge(2, 8), Edge(3, 9))),
 ]
 
 
 def gap_case_id(spec) -> str:
-    return f"m{spec.m}-size{spec.matching_size}-a{len(spec.anchors)}-L{spec.max_run_length}"
+    # L2: every candidate run has two edges
+    return f"m{spec.m}-size{spec.matching_size}-a{len(spec.anchors)}-L2"
 
 
 @pytest.mark.parametrize("spec", GAP_CASES, ids=gap_case_id)
@@ -670,6 +666,17 @@ def test_gap_search_matches_reference_on_certify_m18():
     assert search_gap_instance(replace(spec, max_nodes=20_234)) is None
 
 
+def test_gap_search_pins_its_work_on_the_m26_rebuild():
+    """The m=26 search that rebuilds fixtures/graph_gap_26, too slow for
+    the reference in this suite: its node and leaf-test counts are pinned,
+    and it finds the shipped matching."""
+    stats: dict = {}
+    found = search_gap_instance(GapSearchSpec(m=26), stats)
+    assert stats == {"nodes": 146_952, "verdicts": 130_227}
+    shipped = parse_matching_edges((FIXTURES_DIR / "graph_gap_26.matching").read_text())
+    assert found.matching == Matching(shipped)
+
+
 @st.composite
 def gap_specs(draw):
     m = draw(st.integers(6, 12))
@@ -685,7 +692,6 @@ def gap_specs(draw):
         matching_size=draw(st.integers((m + 3) // 4, 7)),
         anchors=tuple(anchors),
         caps=tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))),
-        max_run_length=draw(st.sampled_from((2, 3))),
     )
 
 
@@ -704,13 +710,6 @@ def test_gap_spec_rejects_m_below_one(m):
 def test_gap_spec_rejects_negative_max_nodes():
     with pytest.raises(ValueError, match="max_nodes=-3"):
         GapSearchSpec(m=7, matching_size=2, anchors=(), max_nodes=-3)
-
-
-@pytest.mark.parametrize("longest", [1, 0, -2])
-def test_gap_spec_rejects_max_run_length_below_two(longest):
-    """A bound below 2 admits no run at all."""
-    with pytest.raises(ValueError, match=f"max_run_length={longest}"):
-        GapSearchSpec(m=7, matching_size=2, anchors=(), max_run_length=longest)
 
 
 def test_gap_spec_rejects_negative_matching_size():

@@ -39,7 +39,7 @@ from duomatch.localsearch import (
     local_search,
 )
 
-from conftest import DEMO_OPT, edges
+from conftest import DEMO_OPT, balanced_graph, edges
 from test_core import graphs
 
 scan_orders = st.sampled_from([SCAN_LEX, SCAN_REVERSE_LEX])
@@ -798,7 +798,6 @@ def test_local_optimum_agrees_with_milp_swap_gain_at_344_edges():
     The reference scans stop near |M| 30."""
     pytest.importorskip("scipy")
     from milp_oracle import milp_best_swap_gain
-    from test_exact import balanced_graph
 
     g = balanced_graph(1000, 30, 2017)
     gains = {}
