@@ -8,7 +8,6 @@ from .core import (
     EdgeNotInGraphError,
     EmptyInstanceError,
     IncompatibleEdgesError,
-    InconsistentMapError,
     InvariantError,
     LengthMismatchError,
     Matching,
@@ -17,8 +16,6 @@ from .core import (
     ParseError,
     StringInstance,
     compatible,
-    induced_position_map,
-    is_compatible_matching,
     parse_instance,
     partition_from_matching,
     singleton_partition,
@@ -28,7 +25,6 @@ from .exact import (
     ExactResult,
     exact_max_matching,
     exact_max_value,
-    exact_min_partition_size,
 )
 from .localsearch import (
     IterationCapError,

@@ -199,14 +199,20 @@ def cmd_gen(args) -> int:
 
 
 def _parse_rhos(text: str) -> list[int]:
+    """The widths ``--rho`` names; ParseError naming the first width in
+    order outside 1..MAX_RHO.  A range is checked before it is listed, so
+    the check stops within MAX_RHO + 1 widths however wide the range."""
     lo, dots, hi = text.partition("..")
     try:
-        rhos = list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
+        rhos = range(int(lo), int(hi) + 1) if dots else [int(p) for p in text.split(",")]
     except ValueError:
         rhos = []
     if not rhos:  # also an empty range such as 5..1
         raise ParseError(f"--rho takes a width, list or range like 1..5, not {text!r}")
-    return rhos
+    for rho in rhos:
+        if not 1 <= rho <= localsearch.MAX_RHO:
+            raise ParseError(f"rho {rho} out of range")
+    return list(rhos)
 
 
 def _bench_task(task: tuple[str, str | None, tuple[int, ...], bool, int | None]) -> list[dict]:
@@ -270,9 +276,6 @@ def cmd_bench(args) -> int:
     if not files:
         raise ParseError("no input instances found")
     rhos = _parse_rhos(args.rho)
-    for rho in rhos:
-        if not 1 <= rho <= localsearch.MAX_RHO:
-            raise ParseError(f"rho {rho} out of range")
     if args.exact_budget is not None:
         if not args.with_exact:
             raise ParseError("--exact-budget needs --with-exact")

@@ -67,14 +67,6 @@ class IncompatibleEdgesError(DuoError):
         self.pair = (a, b)
 
 
-class InconsistentMapError(DuoError):
-    """A matching induced a multi-valued or non-injective position map.
-
-    Cannot happen for a validated compatible matching; raised only when the
-    map is requested for a raw edge set that violates the invariant.
-    """
-
-
 class Edge(NamedTuple):
     """Graph edge pairing duo ``i`` of A with duo ``j`` of B (1-based).
 
@@ -139,10 +131,6 @@ class StringInstance:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(self.a)
 
     def occurrence_cap(self) -> int:
         """Largest multiplicity of any single symbol."""
@@ -439,11 +427,6 @@ def _matching_on(g: DuoGraph, edges) -> Matching | None:
         return None
 
 
-def is_compatible_matching(g: DuoGraph, edges) -> bool:
-    """True iff every edge belongs to ``g`` and all pairs are compatible."""
-    return _matching_on(g, edges) is not None
-
-
 def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:
     """Split a matching into (singletons, parallels).
 
@@ -457,30 +440,6 @@ def singleton_partition(edges) -> tuple[frozenset[Edge], frozenset[Edge]]:
         if Edge(e.i - 1, e.j - 1) in es or Edge(e.i + 1, e.j + 1) in es
     )
     return es - parallels, parallels
-
-
-def induced_position_map(edges) -> dict[int, int]:
-    """Map A-positions to B-positions as forced by the matching.
-
-    Edge (i, j) maps position i -> j and i+1 -> j+1.  For a compatible
-    matching the result is single-valued and injective; otherwise
-    :class:`InconsistentMapError` is raised.
-    """
-    mapping: dict[int, int] = {}
-    used: dict[int, int] = {}
-    for e in sorted(Edge(*x) for x in edges):
-        for src, dst in ((e.i, e.j), (e.i + 1, e.j + 1)):
-            if mapping.get(src, dst) != dst:
-                raise InconsistentMapError(
-                    f"position {src} mapped to both {mapping[src]} and {dst}"
-                )
-            if used.get(dst, src) != src:
-                raise InconsistentMapError(
-                    f"positions {used[dst]} and {src} both map to {dst}"
-                )
-            mapping[src] = dst
-            used[dst] = src
-    return mapping
 
 
 def partition_from_matching(inst: StringInstance, matching: Matching) -> list[tuple[str, ...]]:

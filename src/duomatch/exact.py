@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DuoError, DuoGraph, Matching, StringInstance, _mask, _positions, _union
+from .core import DuoError, DuoGraph, Matching, _mask, _positions, _union
 from .localsearch import SolverConfig, local_search
 
 
@@ -232,14 +232,3 @@ def exact_max_value(g: DuoGraph, incumbent: Matching,
     search = _Search(g, budget, incumbent)
     return search.run((1 << len(g.edges)) - 1, 0, len(incumbent)), search.nodes
 
-
-def exact_min_partition_size(inst: StringInstance, budget: int | None = None) -> int:
-    """Smallest number of blocks in a common partition of the string pair.
-
-    Every preserved duo merges two blocks, so the minimum block count is
-    n minus the maximum number of preserved duos.  The search starts from
-    the rho-1 local search's matching, with ``budget`` as in
-    :func:`exact_max_value`.
-    """
-    g = DuoGraph.from_strings(inst)
-    return inst.n - exact_max_value(g, local_search(g, SolverConfig(rho=1))[0], budget)[0]

@@ -31,12 +31,9 @@ equal-size swap.  The first such X in scan order is C plus the earliest
 other matching edges, minimised over the cores, and only that X is
 searched for the incoming edges.  One walk over the cores records the
 first replace X and, while there is none, the first reduce X, so a step
-that ends the run, where neither move applies, walks the cores once.  The
-number of subsets a plain scan visits is that X's rank in the scan order
-plus one, from the combinatorial number system.  So every trace, and every
-count in a :class:`LocalOptCertificate`, is the same as that of a plain
-scan that visits each subset in order and tests each graph edge against
-each kept edge.
+that ends the run, where neither move applies, walks the cores once.  So
+every trace is the same as that of a plain scan that visits each subset in
+order and tests each graph edge against each kept edge.
 
 One :class:`_SwapState` carries what the moves read: the matching's mask,
 size and singleton count, its free edges, and its entrants as a map and a
@@ -58,7 +55,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import comb
 
 from .core import (DuoError, DuoGraph, Edge, InvariantError, Matching, NotMaximalError,
                    _compatible_edges, _lonely, _mask, _positions, _union)
@@ -157,8 +153,6 @@ class LocalOptCertificate:
     size: int
     singletons: int
     exhaustive: bool
-    replace_subsets_scanned: int
-    reduce_subsets_scanned: int
 
 
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
@@ -324,18 +318,6 @@ def _first_x(g: DuoGraph, m_mask: int, inside: dict[int, int], ent: int, rho: in
     return replace_x, reduce_x
 
 
-def _rank(m_mask: int, x: int, reverse: bool) -> int:
-    """Rank of the rho-subset ``x`` among all rho-subsets of the matching
-    in scan order (lexicographic over the ordered matching), from 0, by the
-    combinatorial number system."""
-    n, r = m_mask.bit_count(), x.bit_count()
-    idx = sorted(
-        (m_mask >> (k + 1)).bit_count() if reverse else (m_mask & ((1 << k) - 1)).bit_count()
-        for k in _positions(x)
-    )
-    return comb(n, r) - 1 - sum(comb(n - 1 - t, r - i) for i, t in enumerate(idx))
-
-
 def _grows(mask: int) -> bool:
     return True
 
@@ -457,40 +439,34 @@ class _SwapState:
             raise InvariantError(f"the rho-subset {x:#x} admits no move after all")
         return found
 
-    def improve(self, reduce: bool) -> tuple[int | None, int, int]:
+    def improve(self, reduce: bool) -> int | None:
         """The first replace, else, with ``reduce`` and a singleton to lose,
         the first reduce, from one enumeration of the matching's cores.
 
-        Returns the mask of the matching the move reaches, or None, and the
-        numbers of rho-subsets of the matching a plain scan visits for
-        replace and for reduce: up to and including the subset that yields
-        the move, C(|M|, rho) when no subset does, and 0 for a reduce not
-        searched.  When the matching has at most rho edges every compatible
-        subset of the graph is a candidate and both counts are 0.
-        Otherwise the rho-subsets X are ordered lexicographically over the
-        matching in scan order, and :func:`_first_x` finds the first X that
-        admits a replace, and while none does the first that admits a
-        reduce, straight from the cores of the matching; only that X is
-        searched (:meth:`_swap_in`), and its count is its rank plus 1.
+        Returns the mask of the matching the move reaches, or None.  When
+        the matching has at most rho edges every compatible subset of the
+        graph is a candidate.  Otherwise the rho-subsets X are ordered
+        lexicographically over the matching in scan order, and
+        :func:`_first_x` finds the first X that admits a replace, and while
+        none does the first that admits a reduce, straight from the cores of
+        the matching; only that X is searched (:meth:`_swap_in`).
         """
-        conf, rho, reverse, m_mask = self.g.index.conf, self.rho, self.reverse, self.mask
+        conf, rho, reverse = self.g.index.conf, self.rho, self.reverse
         lowers = self.lowers if reduce and self.singles else None
         if self.size <= rho:
             every = (1 << len(conf)) - 1
             found = _first_subset(every, conf, self.size + 1, 0, _grows, reverse)
             if found is None and lowers:
                 found = _first_subset(every, conf, self.size, 0, lowers, reverse)
-            return found, 0, 0
+            return found
         replace_x, reduce_x = (
-            _first_x(self.g, m_mask, self.inside, self.ent, rho, lowers, reverse)
+            _first_x(self.g, self.mask, self.inside, self.ent, rho, lowers, reverse)
             if self.ent else (None, None))
         if replace_x is not None:
-            return self._swap_in(replace_x, 1, _grows), _rank(m_mask, replace_x, reverse) + 1, 0
-        replace_scanned = comb(self.size, rho)
+            return self._swap_in(replace_x, 1, _grows)
         if reduce_x is not None:
-            return (self._swap_in(reduce_x, 0, lowers), replace_scanned,
-                    _rank(m_mask, reduce_x, reverse) + 1)
-        return None, replace_scanned, comb(self.size, rho) if lowers else 0
+            return self._swap_in(reduce_x, 0, lowers)
+        return None
 
 
 def improve_step(g: DuoGraph, matching: Matching,
@@ -508,7 +484,7 @@ def improve_step(g: DuoGraph, matching: Matching,
     widths below rho need no separate pass.
     """
     state = _SwapState(g, config.rho, config.scan_order, _mask(g, matching))
-    found = state.improve(config.use_reduce)[0]
+    found = state.improve(config.use_reduce)
     return None if found is None else Matching._of_mask(g, found)
 
 
@@ -554,7 +530,7 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
         extended = state.extend()
         if extended != state.mask:
             record(PHASE_GREEDY, extended)
-        found = state.improve(config.use_reduce)[0]
+        found = state.improve(config.use_reduce)
         if found is None:
             record(PHASE_TERMINATE, state.mask)
             return Matching._of_mask(g, state.mask), SearchTrace(tuple(steps))
@@ -568,18 +544,16 @@ def is_local_optimum(g: DuoGraph, matching: Matching,
 
     Raises NotMaximalError, naming the lowest free edge of the swap state,
     if some graph edge extends the matching, since the moves are only
-    meaningful on maximal matchings.  The certificate reports how many
-    rho-subsets a scan in order visits up to the one that yields a move, or
-    C(|M|, rho) when none does: 0 with the exhaustive whole-graph branch
-    (flagged separately), and 0 for reduce when it was not run or the
-    matching has no singletons.
+    meaningful on maximal matchings.  The certificate records the width,
+    whether reduce was sought, the matching's size and singleton count, and
+    whether the whole graph was searched because the matching has at most
+    rho edges.
     """
     state = _SwapState(g, config.rho, config.scan_order, _mask(g, matching))
     if state.free:
         k = (state.free & -state.free).bit_length() - 1
         raise NotMaximalError(f"edge {g.edges[k]} extends the matching")
-    found, replace_scanned, reduce_scanned = state.improve(config.use_reduce)
+    found = state.improve(config.use_reduce)
     return found is None, LocalOptCertificate(
-        config.rho, config.use_reduce, state.size, state.singles,
-        state.size <= config.rho, replace_scanned, reduce_scanned,
+        config.rho, config.use_reduce, state.size, state.singles, state.size <= config.rho,
     )

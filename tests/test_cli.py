@@ -574,8 +574,10 @@ def test_bench_no_inputs(capsys, tmp_path):
 @pytest.mark.parametrize("argv, threads, message", [
     (["bench", "{empty}"], None, "error: no input instances found"),
     (["bench", "{demo}", "--rho", "9"], None, "error: rho 9 out of range"),
+    # a range is checked before it is listed: this one has 10^19 widths
+    (["bench", "{demo}", "--rho", "1..10000000000000000000"], None, "error: rho 6 out of range"),
     (["bench", "{demo}"], "two", "error: DUO_THREADS must be a positive integer, got 'two'"),
-], ids=["no-inputs", "rho", "threads"])
+], ids=["no-inputs", "rho", "huge-rho-range", "threads"])
 def test_bench_usage_errors_carry_prefix(capsys, tmp_path, demo_file, monkeypatch,
                                          argv, threads, message):
     (tmp_path / "empty").mkdir()

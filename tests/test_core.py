@@ -13,7 +13,6 @@ from duomatch.core import (
     EdgeNotInGraphError,
     EmptyInstanceError,
     IncompatibleEdgesError,
-    InconsistentMapError,
     LengthMismatchError,
     Matching,
     NotPermutationError,
@@ -22,10 +21,9 @@ from duomatch.core import (
     _conflicting_pairs,
     _index,
     _lonely,
+    _matching_on,
     _union,
     compatible,
-    induced_position_map,
-    is_compatible_matching,
     parse_instance,
     partition_from_matching,
     singleton_partition,
@@ -79,7 +77,7 @@ def greedy_matching_of(g: DuoGraph, order) -> list[Edge]:
 def test_parse_demo():
     inst = parse_instance(DEMO_TEXT)
     assert inst.n == 7
-    assert inst.alphabet == frozenset("abcd")
+    assert set(inst.a) == set("abcd")
     assert inst.occurrence_cap() == 2
 
 
@@ -95,7 +93,7 @@ def test_parse_comments_and_blanks():
 
 def test_parse_multichar_symbols():
     inst = parse_instance("s0 s1 s0\ns0 s0 s1")
-    assert inst.alphabet == frozenset({"s0", "s1"})
+    assert set(inst.a) == {"s0", "s1"}
 
 
 def test_parse_rejects_bad_shapes():
@@ -376,7 +374,7 @@ def test_matching_reports_first_conflict_in_lex_order(es):
         None,
     )
     g = DuoGraph(9, es)
-    assert is_compatible_matching(g, es) == (first is None)
+    assert (_matching_on(g, es) is not None) == (first is None)
     if first is None:
         assert Matching(es).edges == tuple(ordered)
         return
@@ -411,9 +409,24 @@ def test_matching_of_mask_agrees_with_constructor(gm):
 
 
 def test_is_compatible_matching_checks_membership(demo_graph):
-    assert is_compatible_matching(demo_graph, edges(DEMO_OPT))
-    assert not is_compatible_matching(demo_graph, [Edge(4, 4)])
-    assert not is_compatible_matching(demo_graph, [Edge(2, 1), Edge(6, 1)])
+    """``_matching_on`` builds a matching only when every edge is in the
+    graph and no two conflict."""
+    assert _matching_on(demo_graph, edges(DEMO_OPT)) is not None
+    assert _matching_on(demo_graph, [Edge(4, 4)]) is None
+    assert _matching_on(demo_graph, [Edge(2, 1), Edge(6, 1)]) is None
+
+
+def _position_map(edge_set) -> dict[int, int] | None:
+    """The map of A-positions to B-positions that the edges force, edge
+    (i, j) sending i to j and i + 1 to j + 1; None when a position gets two
+    images or two positions get one."""
+    mapping: dict[int, int] = {}
+    used: dict[int, int] = {}
+    for e in edge_set:
+        for src, dst in ((e.i, e.j), (e.i + 1, e.j + 1)):
+            if mapping.setdefault(src, dst) != dst or used.setdefault(dst, src) != src:
+                return None
+    return mapping
 
 
 @settings(max_examples=30, deadline=None)
@@ -423,12 +436,8 @@ def test_matching_iff_injection_without_neighbor_clash(g):
     injective position map plus no anti-parallel neighboring pair."""
     for r in range(min(len(g.edges), 12) + 1):
         for subset in itertools.combinations(g.edges, r):
-            lhs = is_compatible_matching(g, subset)
-            try:
-                induced_position_map(subset)
-                map_ok = True
-            except InconsistentMapError:
-                map_ok = False
+            lhs = _matching_on(g, subset) is not None
+            map_ok = _position_map(subset) is not None
             neighbor_clash = any(
                 abs(f.i - e.i) == 1 and f.j - e.j != f.i - e.i
                 or abs(f.j - e.j) == 1 and f.i - e.i != f.j - e.j
@@ -458,31 +467,6 @@ def test_singleton_partition_is_a_partition(g):
     for e in m:
         has_mate = Edge(e.i - 1, e.j - 1) in set(m) or Edge(e.i + 1, e.j + 1) in set(m)
         assert (e in parallels) == has_mate
-
-
-# ---------------------------------------------------------------- position map
-
-def test_position_map_demo_optimum():
-    assert induced_position_map(edges(DEMO_OPT)) == {2: 1, 3: 2, 4: 3, 5: 5, 6: 6}
-
-
-def test_position_map_rejects_multivalued():
-    with pytest.raises(InconsistentMapError):
-        induced_position_map([Edge(1, 1), Edge(1, 3)])
-
-
-def test_position_map_rejects_non_injective():
-    with pytest.raises(InconsistentMapError):
-        induced_position_map([Edge(1, 1), Edge(3, 1)])
-
-
-@given(graphs())
-def test_position_map_of_matching_is_injection(g):
-    m = greedy_matching_of(g, g.edges)
-    mapping = induced_position_map(m)
-    assert len(set(mapping.values())) == len(mapping)
-    covered = {e.i for e in m} | {e.i + 1 for e in m}
-    assert set(mapping) == covered
 
 
 # ---------------------------------------------------------------- partitions

@@ -19,7 +19,6 @@ from duomatch.exact import (
     ExactResult,
     exact_max_matching,
     exact_max_value,
-    exact_min_partition_size,
 )
 from duomatch.localsearch import SolverConfig, local_search
 
@@ -138,22 +137,6 @@ def test_negative_budget_rejected(demo_graph):
 def test_budget_large_enough_is_transparent(demo_graph):
     res = exact_max_matching(demo_graph, budget=10_000)
     assert res.value == 3
-
-
-def test_min_partition_demo(demo_instance):
-    assert exact_min_partition_size(demo_instance) == 4
-
-
-def test_min_partition_identical_strings():
-    assert exact_min_partition_size(parse_instance("ab\nab")) == 1
-    assert exact_min_partition_size(parse_instance("ab\nba")) == 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(string_pairs(max_n=7))
-def test_min_partition_in_range(inst):
-    blocks = exact_min_partition_size(inst)
-    assert 1 <= blocks <= inst.n
 
 
 # ------------------------------------------------------- value-only search

@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import time
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +30,7 @@ from duomatch.localsearch import (
     SCAN_LEX,
     SCAN_REVERSE_LEX,
     IterationCapError,
+    LocalOptCertificate,
     NotMaximalError,
     SolverConfig,
     greedy_maximal,
@@ -285,18 +285,19 @@ def test_certificate_fields(demo_graph):
     opt = Matching(edges(DEMO_OPT))
     ok, cert = is_local_optimum(demo_graph, opt)
     assert ok
-    assert cert.rho == 5 and cert.size == 3
-    assert cert.exhaustive  # 3 <= rho, whole-graph branch
-    assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == 0
+    # 3 <= rho: the whole-graph branch, which searches no rho-subset X
+    assert cert == LocalOptCertificate(rho=5, use_reduce=True, size=3, singletons=1,
+                                       exhaustive=True)
 
 
 def test_certificate_counts_full_scan():
+    """No X admits a move on the planted matching; every edge of it is
+    parallel, so reduce is not sought."""
     inst, m = string_gap_fixture()
-    ok, cert = is_local_optimum(DuoGraph.from_strings(inst), m)
-    assert ok and not cert.exhaustive
-    assert cert.replace_subsets_scanned == comb(6, 5)
-    # every edge of the planted matching is parallel, so reduce never scans
-    assert cert.singletons == 0 and cert.reduce_subsets_scanned == 0
+    g = DuoGraph.from_strings(inst)
+    ok, cert = is_local_optimum(g, m)
+    assert ok and not cert.exhaustive and cert.singletons == 0
+    assert first_x(g, m, 5) == reference_first_x(g, m, 5) == (None, None)
 
 
 def test_certificate_counts_stop_at_first_hit(demo_graph):
@@ -304,24 +305,55 @@ def test_certificate_counts_stop_at_first_hit(demo_graph):
     ok, cert = is_local_optimum(demo_graph, m, SolverConfig(rho=1))
     assert not ok
     # dropping (1, 5), the first 1-subset, lets (2, 1) and (5, 5) in
-    assert cert.replace_subsets_scanned == 1 < comb(len(m), 1)
-    assert cert.reduce_subsets_scanned == 0
+    assert (first_x(demo_graph, m, 1) == reference_first_x(demo_graph, m, 1)
+            == ((Edge(1, 5),), None))
 
 
 def reference_scan(g: DuoGraph, m: Matching, rho: int, scan_order: str,
-                   grow: bool) -> tuple[bool, int]:
-    """Whether the reference scan of one move finds it on ``m``, and how
-    many rho-subsets it visits, up to and including the one that yields it."""
+                   grow: bool) -> tuple[Edge, ...] | None:
+    """The first rho-subset X of ``m``, in scan order, whose reference scan
+    finds the move (replace with ``grow``, else reduce), as its edges in
+    scan order; None when no X does."""
     m_edges = ref._ordered(m.edges, scan_order)
     base = ref._singleton_count(m.edges)
-    for count, removed in enumerate(itertools.combinations(m_edges, rho), 1):
+    for removed in itertools.combinations(m_edges, rho):
         kept = [e for e in m_edges if e not in removed]
         pool = ref._ordered(
             list(removed) + ref._swap_candidates(g, removed, kept, scan_order), scan_order)
         for incoming in ref._iter_compatible_subsets(pool, rho + grow):
             if grow or ref._singleton_count(kept + list(incoming)) < base:
-                return True, count
-    return False, comb(len(m), rho)
+                return removed
+    return None
+
+
+def first_x(g: DuoGraph, m: Matching, rho: int, scan_order: str = SCAN_LEX,
+            use_reduce: bool = True) -> tuple[tuple[Edge, ...] | None, tuple[Edge, ...] | None]:
+    """``(replace_x, reduce_x)`` as ``localsearch._first_x`` finds them on a
+    swap state of ``m``, each as its edges in scan order, or None.  As in
+    ``_SwapState.improve``, reduce is sought only with ``use_reduce`` and a
+    singleton to lose, and its X counts only while no replace applies."""
+    state = localsearch._SwapState(g, rho, scan_order, localsearch._mask(g, m))
+    lowers = state.lowers if use_reduce and state.singles else None
+    found = (localsearch._first_x(g, state.mask, state.inside, state.ent, rho, lowers,
+                                  state.reverse)
+             if state.ent else (None, None))
+    replace_x, reduce_x = (
+        None if x is None else
+        tuple(ref._ordered([g.edges[k] for k in localsearch._positions(x)], scan_order))
+        for x in found)
+    return replace_x, None if replace_x else reduce_x
+
+
+def reference_first_x(g: DuoGraph, m: Matching, rho: int, scan_order: str = SCAN_LEX,
+                      use_reduce: bool = True) -> tuple[tuple[Edge, ...] | None,
+                                                        tuple[Edge, ...] | None]:
+    """What :func:`first_x` gives, from the reference scans: the replace
+    scan's first X, and while it has none, with ``use_reduce`` and a
+    singleton to lose, the reduce scan's."""
+    replace_x = reference_scan(g, m, rho, scan_order, True)
+    if replace_x is None and use_reduce and singles_count(m.edges):
+        return None, reference_scan(g, m, rho, scan_order, False)
+    return replace_x, None
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,16 +362,10 @@ def test_local_optimum_matches_reference_scan(g, rho, scan_order, use_reduce):
     cfg = SolverConfig(rho=rho, scan_order=scan_order, use_reduce=use_reduce)
     m = greedy_maximal(g, config=cfg)
     ok, cert = is_local_optimum(g, m, cfg)
-    replace_hit = ref.replace_step(g, m, rho, scan_order) is not None
-    reduce_ran = use_reduce and not replace_hit and cert.singletons > 0
-    reduce_hit = reduce_ran and ref.reduce_step(g, m, rho, scan_order) is not None
-    assert ok == (not replace_hit and not reduce_hit)
-    if cert.exhaustive:
-        assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == 0
-        return
-    assert cert.replace_subsets_scanned == reference_scan(g, m, rho, scan_order, True)[1]
-    expected = reference_scan(g, m, rho, scan_order, False)[1] if reduce_ran else 0
-    assert cert.reduce_subsets_scanned == expected
+    assert ok == (reference_step(g, m, rho, scan_order, use_reduce) is None)
+    if not cert.exhaustive:
+        assert first_x(g, m, rho, scan_order, use_reduce) == reference_first_x(
+            g, m, rho, scan_order, use_reduce)
 
 
 @settings(max_examples=30, deadline=None)
@@ -558,47 +584,21 @@ def drawn_pair(seed: int, n: int, alphabet: str) -> DuoGraph:
     return DuoGraph.from_strings(StringInstance(tuple(a), tuple(b)))
 
 
-@pytest.mark.parametrize("rho", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("scan_order", [SCAN_LEX, SCAN_REVERSE_LEX])
-def test_rank_counts_subsets_in_scan_order(rho, scan_order):
-    """The visit count of a subset is its place in ``combinations`` order
-    over the matching in scan order."""
-    for n in range(rho, 9):
-        m_mask = sum(1 << k for k in range(1, 2 * n, 2))  # spread-out positions
-        ordered = ref._ordered(localsearch._positions(m_mask), scan_order)
-        reverse = scan_order == SCAN_REVERSE_LEX
-        for count, xs in enumerate(itertools.combinations(ordered, rho)):
-            assert localsearch._rank(m_mask, sum(1 << k for k in xs), reverse) == count
-
-
-@pytest.mark.parametrize("seed, n, alphabet, replace_count, reduce_count", [
-    (198, 24, "abcd", 1243, 0),     # the first improving replace is deep
-    (83, 30, "abcdef", 2002, 1515),  # no replace; the first reduce is deep
-])
-def test_deep_first_hit_counts_match_reference(seed, n, alphabet, replace_count, reduce_count):
+@pytest.mark.parametrize("seed, n, alphabet, replace_x, reduce_x, rank", [
+    # the first improving replace is deep: the 1243rd of the C(14, 5) X
+    (198, 24, "abcd", [(4, 23), (6, 5), (7, 6), (16, 21), (23, 18)], None, 1243),
+    # no replace in any of the 2002 X; the first reduce is the 1515th
+    (83, 30, "abcdef", None, [(6, 3), (14, 5), (15, 6), (26, 11), (29, 16)], 1515),
+], ids=["198-24-abcd-1243-0", "83-30-abcdef-2002-1515"])
+def test_deep_first_hit_counts_match_reference(seed, n, alphabet, replace_x, reduce_x, rank):
     g = drawn_pair(seed, n, alphabet)
     m, _ = local_search(g, SolverConfig(rho=1))
-    assert len(m) == 14 and comb(14, 5) == 2002
-    ok, cert = is_local_optimum(g, m, SolverConfig(rho=5))
-    assert not ok
-    assert (cert.replace_subsets_scanned, cert.reduce_subsets_scanned) == (replace_count, reduce_count)
-    assert replace_count == reference_scan(g, m, 5, SCAN_LEX, True)[1]
-    if reduce_count:
-        assert reduce_count == reference_scan(g, m, 5, SCAN_LEX, False)[1]
-
-
-def reference_improve(g: DuoGraph, m: Matching, rho: int, scan_order: str,
-                      use_reduce: bool) -> tuple[Matching | None, int, int]:
-    """Replace, else reduce, by the reference scans run one after the
-    other: the matching reached or None, and the subsets each scan visits
-    (0 for a scan not run and in the whole-graph branch)."""
-    small = len(m) <= rho
-    found = ref.replace_step(g, m, rho, scan_order)
-    replace_scanned = 0 if small else reference_scan(g, m, rho, scan_order, True)[1]
-    if found is not None or not use_reduce or not singles_count(m.edges):
-        return found, replace_scanned, 0
-    return (ref.reduce_step(g, m, rho, scan_order), replace_scanned,
-            0 if small else reference_scan(g, m, rho, scan_order, False)[1])
+    assert len(m) == 14
+    assert not is_local_optimum(g, m, SolverConfig(rho=5))[0]
+    replace_x = replace_x and tuple(edges(replace_x))
+    reduce_x = reduce_x and tuple(edges(reduce_x))
+    assert list(itertools.combinations(m.edges, 5)).index(replace_x or reduce_x) + 1 == rank
+    assert first_x(g, m, 5) == reference_first_x(g, m, 5) == (replace_x, reduce_x)
 
 
 def improve_states(g: DuoGraph, cfg: SolverConfig):
@@ -612,18 +612,21 @@ def improve_states(g: DuoGraph, cfg: SolverConfig):
 
 
 def assert_improve_matches_reference(g: DuoGraph, cfg: SolverConfig) -> set[str]:
-    """One enumeration per state gives the move and both counts of the
-    reference's replace-then-reduce, on every state of a run; returns the
-    kinds of answer seen."""
+    """One enumeration per state gives the move of the reference's
+    replace-then-reduce, on every state of a run, and outside the
+    whole-graph branch the same first X; returns the kinds of answer
+    seen."""
     seen = set()
     for m in improve_states(g, cfg):
         state = localsearch._SwapState(g, cfg.rho, cfg.scan_order, localsearch._mask(g, m))
-        found, replace_scanned, reduce_scanned = state.improve(cfg.use_reduce)
-        ours = (None if found is None else Matching._of_mask(g, found), replace_scanned,
-                reduce_scanned)
-        assert ours == reference_improve(g, m, cfg.rho, cfg.scan_order, cfg.use_reduce)
-        seen.add("none" if found is None else
-                 PHASE_REPLACE if len(ours[0]) > len(m) else PHASE_REDUCE)
+        found = state.improve(cfg.use_reduce)
+        ours = None if found is None else Matching._of_mask(g, found)
+        assert ours == reference_step(g, m, cfg.rho, cfg.scan_order, cfg.use_reduce)
+        if len(m) > cfg.rho:
+            assert first_x(g, m, cfg.rho, cfg.scan_order, cfg.use_reduce) == reference_first_x(
+                g, m, cfg.rho, cfg.scan_order, cfg.use_reduce)
+        seen.add("none" if ours is None else
+                 PHASE_REPLACE if len(ours) > len(m) else PHASE_REDUCE)
     return seen
 
 
@@ -658,14 +661,13 @@ def test_a_terminal_state_enumerates_its_cores_once(monkeypatch):
     then a reduce scan walked them twice."""
     g = drawn_pair(83, 30, "abcdef")
     m = local_search(g, SolverConfig(rho=5))[0]
-    calls = []
-    first_x = localsearch._first_x
+    found = []
+    walk = localsearch._first_x
     monkeypatch.setattr(localsearch, "_first_x",
-                        lambda *args: calls.append(args) or first_x(*args))
+                        lambda *args: found.append(walk(*args)) or found[-1])
     ok, cert = is_local_optimum(g, m, SolverConfig(rho=5))
     assert ok and cert.singletons > 0 and len(m) > 5
-    assert cert.replace_subsets_scanned == cert.reduce_subsets_scanned == comb(len(m), 5)
-    assert len(calls) == 1
+    assert found == [(None, None)]
 
 
 def test_reduce_where_no_replace_applies_walks_the_cores_once(monkeypatch):
@@ -712,24 +714,24 @@ def test_reduce_where_no_replace_applies_matches_reference(g, rho, scan_order):
     assert step(g, m, rho, scan_order) == ref.reduce_step(g, m, rho, scan_order)
 
 
-@pytest.mark.parametrize("m, g_edges, matching, rho, result, count", [
+@pytest.mark.parametrize("m, g_edges, matching, rho, result, x", [
     # (2, 6) and (3, 7) are a parallel pair, each dropped for an edge that
-    # flanks the kept singleton (5, 4)
+    # flanks the kept singleton (5, 4); X is the first 2-subset
     (8, [(2, 6), (3, 5), (3, 7), (4, 3), (5, 4), (6, 5)], [(2, 6), (3, 7), (5, 4)], 2,
-     [(4, 3), (5, 4), (6, 5)], 1),
+     [(4, 3), (5, 4), (6, 5)], [(2, 6), (3, 7)]),
     # (5, 5) comes in next to the kept (6, 6), whose other neighbour (7, 7)
-    # is dropped for (10, 8) and (11, 9)
+    # is dropped for (10, 8) and (11, 9); X is the third 4-subset
     (11, [(1, 3), (2, 4), (4, 4), (5, 5), (6, 6), (7, 7), (9, 7), (10, 8), (11, 9), (11, 11)],
      [(1, 3), (2, 4), (6, 6), (7, 7), (11, 11)], 4,
-     [(4, 4), (5, 5), (6, 6), (10, 8), (11, 9)], 3),
-])
-def test_reduce_cores_linked_through_parallel_neighbours(m, g_edges, matching, rho, result, count):
+     [(4, 4), (5, 5), (6, 6), (10, 8), (11, 9)], [(1, 3), (2, 4), (7, 7), (11, 11)]),
+], ids=["8-g_edges0-matching0-2-result0-1", "11-g_edges1-matching1-4-result1-3"])
+def test_reduce_cores_linked_through_parallel_neighbours(m, g_edges, matching, rho, result, x):
     """Singleton counts do not add up over swaps that touch a common
     parallel pair, so such swaps must be grown as one core."""
     g, mat = DuoGraph(m, edges(g_edges)), Matching(edges(matching))
     assert step(g, mat, rho, use_reduce=False) is None
     assert step(g, mat, rho) == ref.reduce_step(g, mat, rho) == Matching(edges(result))
-    assert is_local_optimum(g, mat, SolverConfig(rho=rho))[1].reduce_subsets_scanned == count
+    assert first_x(g, mat, rho) == reference_first_x(g, mat, rho) == (None, tuple(edges(x)))
 
 
 @st.composite
@@ -746,7 +748,7 @@ def long_string_pairs(draw, max_n=24):
 def test_wide_certificates_match_reference(g, rho, scan_order, start_rho):
     """Certificates at widths 4 and 5 on a greedy matching (``start_rho``
     0) or on the terminal matching of a narrower search: the verdict and
-    both visit counts of the plain scans."""
+    the first X of each plain scan."""
     cfg = SolverConfig(rho=rho, scan_order=scan_order)
     if start_rho:
         m = local_search(g, SolverConfig(rho=start_rho, scan_order=scan_order))[0]
@@ -755,13 +757,9 @@ def test_wide_certificates_match_reference(g, rho, scan_order, start_rho):
     ok, cert = is_local_optimum(g, m, cfg)
     if cert.exhaustive:
         return
-    replace_hit, replace_count = reference_scan(g, m, rho, scan_order, True)
-    reduce_hit, reduce_count = False, 0
-    if not replace_hit and cert.singletons > 0:
-        reduce_hit, reduce_count = reference_scan(g, m, rho, scan_order, False)
-    assert ok == (not replace_hit and not reduce_hit)
-    assert (cert.replace_subsets_scanned, cert.reduce_subsets_scanned) == (
-        replace_count, reduce_count)
+    expected = reference_first_x(g, m, rho, scan_order)
+    assert ok == (expected == (None, None))
+    assert first_x(g, m, rho, scan_order) == expected
 
 
 def sparse_pair_n312() -> tuple[list[str], list[str]]:
