@@ -76,7 +76,8 @@ between back-to-back runs of unchanged code, and runs of one checkout after
 the other saw different host load.  The quartiles show how far a row moves
 between repeats, so the rows a change does not touch give the spread to
 read its other rows against.  With one ``--src`` (by default this
-checkout) the script writes the one file.  Stdlib only; about a minute
+checkout) the script writes the one file, ``BENCH_local.json`` unless a
+``--label`` names it.  Stdlib only; about a minute
 and a half per checkout on a 2-core x86-64 VM.
 """
 
@@ -97,6 +98,8 @@ import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 REPEATS = 10
+#: The label of a single checkout's run when no --label names it.
+DEFAULT_LABEL = "local"
 WITNESS_BUDGET = 200_000
 GAP_BUDGET = 1_000_000
 
@@ -333,19 +336,22 @@ def child(src: str) -> None:
             print(json.dumps(row), flush=True)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append",
                         help="source directory of a checkout to run, once or twice "
                              "(default: this one)")
     parser.add_argument("--label", action="append", default=[],
-                        help="names the output BENCH_<label>.json, one per --src")
+                        help="names the output BENCH_<label>.json, one per --src "
+                             f"(default with one --src: {DEFAULT_LABEL})")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     srcs = args.src or [os.path.join(ROOT, "src")]
     if args.child:
         child(srcs[0])
         return 0
+    if len(srcs) == 1 and not args.label:
+        args.label = [DEFAULT_LABEL]
     if len(srcs) != len(args.label) or len(srcs) > 2:
         parser.error("give one --label per --src, and at most two of each")
     times: list[dict[str, list[float]]] = [{} for _ in srcs]

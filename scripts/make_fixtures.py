@@ -45,7 +45,7 @@ def write_fixture(name: str, head: dict, instance: tuple[str, str], g: DuoGraph,
     nothing, unless the checklist passed and ``matching`` is a rho-5 local
     optimum.
     """
-    ok, _ = is_local_optimum(g, matching, SolverConfig(rho=5))
+    ok = is_local_optimum(g, matching, SolverConfig(rho=5))
     if not (checklist.passed and ok):
         raise SystemExit(f"{name}: not certified (checklist passed: {checklist.passed}, "
                          f"rho-5 local optimum: {ok})")

@@ -8,7 +8,7 @@ SHA-256 per input and flag set:
 * ``solve`` stdout plus its ``--trace`` file at rho 1, 3 and 5, with
   ``--scan-order reverse-lex --seed 3``, and with ``--rho 1 --no-reduce``
   (the plain hill climber);
-* the ``LocalOptCertificate`` of the greedy matching at rho 1 to 5;
+* the ``is_local_optimum`` verdict on the greedy matching at rho 1 to 5;
 * ``improve_step`` of the greedy matching at rho 1 to 5, in both scan
   orders, with reduce off and on;
 * ``exact`` stdout;
@@ -140,7 +140,7 @@ def digests(paths: list[str]):
                 out += fh.read()
             os.remove(trace)
             yield f"solve {label} {name}", sha(out)
-        g, _ = fileio.load_problem(name, None)
+        g, _ = fileio.load_problem(name)
         greedy = localsearch.greedy_maximal(g)
         certs = []
         for rho in range(1, 6):

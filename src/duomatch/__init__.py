@@ -28,7 +28,6 @@ from .exact import (
 )
 from .localsearch import (
     IterationCapError,
-    LocalOptCertificate,
     SearchTrace,
     SolverConfig,
     TraceStep,

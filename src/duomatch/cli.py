@@ -43,7 +43,7 @@ def _solver_config(**flags) -> localsearch.SolverConfig:
 
 
 def cmd_solve(args) -> int:
-    g, inst = fileio.load_problem(args.input, args.format)
+    g, inst = fileio.load_problem(args.input)
     config = _solver_config(rho=args.rho, use_reduce=not args.no_reduce,
                             scan_order=args.scan_order, max_iterations=args.max_iterations,
                             seed=args.seed)
@@ -67,7 +67,7 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise ParseError(f"--budget must be >= 0, got {args.budget}")
-    g, _ = fileio.load_problem(args.input, args.format)
+    g, _ = fileio.load_problem(args.input)
     try:
         result = exact_max_matching(g, budget=args.budget)
     except BudgetExceededError as exc:
@@ -84,7 +84,7 @@ def cmd_exact(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _solver_config(rho=args.rho, use_reduce=not args.no_reduce)
-    g, _ = fileio.load_problem(args.input, args.format)
+    g, _ = fileio.load_problem(args.input)
     edges = fileio.load_matching_edges(args.matching)
     violations: list[dict] = []
 
@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
         local_opt = False
         if not missing and not conflicts:
             try:
-                local_opt = localsearch.is_local_optimum(g, _matching_on(g, edges), config)[0]
+                local_opt = localsearch.is_local_optimum(g, _matching_on(g, edges), config)
                 verdict["maximal"] = True
                 if not local_opt:
                     violations.append({"kind": "improvable"})
@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tokens(args) -> int:
-    g, _ = fileio.load_problem(args.input, args.format)
+    g, _ = fileio.load_problem(args.input)
     m_edges = fileio.load_matching_edges(args.matching)
     opt_edges = fileio.load_matching_edges(args.optimum)
     # built on the graph once, so the report and the checks read the masks back
@@ -215,14 +215,14 @@ def _parse_rhos(text: str) -> list[int]:
     return list(rhos)
 
 
-def _bench_task(task: tuple[str, str | None, tuple[int, ...], bool, int | None]) -> list[dict]:
+def _bench_task(task: tuple[str, tuple[int, ...], bool, int | None]) -> list[dict]:
     """The bench rows of one input file, one per width in ``rhos``.  With
     ``with_exact`` the exact value is found once, after every width has run,
     seeded with the largest local-search matching; when ``budget`` nodes do
     not settle it, ``exact`` reads ``>=`` the best value found and ``ratio``
     stays empty."""
-    path, fmt, rhos, with_exact, budget = task
-    g, inst = fileio.load_problem(path, fmt)
+    path, rhos, with_exact, budget = task
+    g, inst = fileio.load_problem(path)
     k = inst.occurrence_cap() if inst is not None else ""
     rows, matchings = [], []
     for rho in rhos:
@@ -291,9 +291,9 @@ def cmd_bench(args) -> int:
         raise ParseError(f"DUO_THREADS must be a positive integer, got {threads!r}")
     if args.with_exact:
         # one task per file, so the exact search runs once for all widths
-        tasks = [(path, args.format, tuple(rhos), True, args.exact_budget) for path in files]
+        tasks = [(path, tuple(rhos), True, args.exact_budget) for path in files]
     else:
-        tasks = [(path, args.format, (rho,), False, None) for path in files for rho in rhos]
+        tasks = [(path, (rho,), False, None) for path in files for rho in rhos]
     # the pool forks all its workers at once, so never ask for more than
     # there are tasks or cores
     workers = min(workers, len(tasks), cpus)
@@ -347,17 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heuristic and exact solvers for duo-preservation string mapping",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # --format, shared by every subcommand that reads an instance
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["duo", "mcbm"], default=None)
 
-    p = sub.add_parser("solve", parents=[fmt], help="run the local search on one instance")
+    p = sub.add_parser("solve", help="run the local search on one instance")
     p.add_argument("input")
     p.add_argument("--trace", default=None, help="write the step trace as JSON lines")
     _add_common_solver_args(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exact", parents=[fmt], help="branch-and-bound optimum")
+    p = sub.add_parser("exact", help="branch-and-bound optimum")
     p.add_argument("input")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget of the branch and bound, which starts from the rho-1 "
@@ -365,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the largest matching the search knows instead of the optimum")
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("verify", parents=[fmt], help="check a matching file against a graph")
+    p = sub.add_parser("verify", help="check a matching file against a graph")
     p.add_argument("input")
     p.add_argument("matching")
     p.add_argument("--local-opt", action="store_true",
@@ -374,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-reduce", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("tokens", parents=[fmt],
-                       help="token accounting of a matching against an optimum")
+    p = sub.add_parser("tokens", help="token accounting of a matching against an optimum")
     p.add_argument("input")
     p.add_argument("matching")
     p.add_argument("optimum")
@@ -390,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", parents=[fmt], help="solve a batch and emit a CSV summary")
+    p = sub.add_parser("bench", help="solve a batch and emit a CSV summary")
     p.add_argument("inputs", nargs="+", help="instance files or directories")
     p.add_argument("--rho", default="5", help="single width, list, or range like 1..5")
     p.add_argument("--with-exact", action="store_true")

@@ -100,20 +100,15 @@ def write_text(path: str, text: str) -> None:
             fh.truncate()
 
 
-def load_problem(path: str, fmt: str | None = None) -> tuple[DuoGraph, StringInstance | None]:
+def load_problem(path: str) -> tuple[DuoGraph, StringInstance | None]:
     """Load either input kind, returning the graph plus the string pair when
-    one exists.  ``fmt`` forces 'duo' or 'mcbm'; default goes by extension,
-    falling back to 'duo'."""
+    one exists: a ``.mcbm`` path (in any case) is a graph, any other a
+    ``.duo`` pair."""
     text = _read(path)
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        fmt = "mcbm" if ext == ".mcbm" else "duo"
-    if fmt == "mcbm":
+    if os.path.splitext(path)[1].lower() == ".mcbm":
         return parse_graph(text), None
-    if fmt == "duo":
-        inst = parse_instance(text)
-        return DuoGraph.from_strings(inst), inst
-    raise ParseError(f"unknown format {fmt!r}")
+    inst = parse_instance(text)
+    return DuoGraph.from_strings(inst), inst
 
 
 def load_matching_edges(path: str) -> list[Edge]:

@@ -144,17 +144,6 @@ class SearchTrace:
         return self.steps[-1].iteration + 1 if self.steps else 0
 
 
-@dataclass(frozen=True)
-class LocalOptCertificate:
-    """Evidence of a completed neighborhood scan around a matching."""
-
-    rho: int
-    use_reduce: bool
-    size: int
-    singletons: int
-    exhaustive: bool
-
-
 def greedy_maximal(g: DuoGraph, matching: Matching | None = None,
                    config: SolverConfig = SolverConfig()) -> Matching:
     """Extend ``matching`` to a maximal one, adding edges in scan order.
@@ -539,21 +528,16 @@ def local_search(g: DuoGraph, config: SolverConfig = SolverConfig()) -> tuple[Ma
 
 
 def is_local_optimum(g: DuoGraph, matching: Matching,
-                     config: SolverConfig = SolverConfig()) -> tuple[bool, LocalOptCertificate]:
-    """Check that no configured move applies to ``matching``.
+                     config: SolverConfig = SolverConfig()) -> bool:
+    """True when no configured move applies to ``matching``.
 
     Raises NotMaximalError, naming the lowest free edge of the swap state,
     if some graph edge extends the matching, since the moves are only
-    meaningful on maximal matchings.  The certificate records the width,
-    whether reduce was sought, the matching's size and singleton count, and
-    whether the whole graph was searched because the matching has at most
-    rho edges.
+    meaningful on maximal matchings.  When the matching has at most rho
+    edges the whole graph is searched, as in :func:`improve_step`.
     """
     state = _SwapState(g, config.rho, config.scan_order, _mask(g, matching))
     if state.free:
         k = (state.free & -state.free).bit_length() - 1
         raise NotMaximalError(f"edge {g.edges[k]} extends the matching")
-    found = state.improve(config.use_reduce)
-    return found is None, LocalOptCertificate(
-        config.rho, config.use_reduce, state.size, state.singles, state.size <= config.rho,
-    )
+    return state.improve(config.use_reduce) is None

@@ -197,6 +197,24 @@ def test_checks_read_the_given_report():
     assert not check_parallel_token_bound(g, m, opt, report=doctored)
 
 
+def test_parallel_pair_gap_reads_the_given_report():
+    # the real receiver counts of consecutive diagonal edges differ by at
+    # most 1; a report raising (3, 3)'s count by 3 opens a gap of 3 to both
+    # of its parallel neighbours, under both matching edges that conflict
+    # with each pair
+    g = with_diagonal(7, [Edge(2, 5), Edge(3, 6)])
+    m = Matching([Edge(2, 5), Edge(3, 6)])
+    opt = diagonal(7)
+    real = token_report(g, m, opt)
+    assert check_parallel_pair_conflict_gap(g, m, opt, report=real)
+    per_opt = {**real.per_opt_edge, Edge(3, 3): real.per_opt_edge[Edge(3, 3)] + 3}
+    doctored = TokenReport(per_opt, real.per_sol_edge, real.shares, real.total)
+    res = check_parallel_pair_conflict_gap(g, m, opt, report=doctored)
+    assert not res.passed
+    assert res.violations == tuple(
+        (k, Edge(f, f), Edge(f + 1, f + 1), 3) for k in m.edges for f in (2, 3))
+
+
 def outcome(fn, *args, **kwargs):
     """What ``fn`` returns, or the type and text of the package error it
     raises."""

@@ -358,6 +358,22 @@ def test_matching_sorts_and_dedupes():
     assert len(m) == 3 and Edge(5, 5) in m
 
 
+def test_matching_hash_follows_its_edges(demo_graph):
+    """Equal matchings hash equal however they were built, so a set keeps
+    one of them."""
+    listed = Matching([Edge(3, 2), Edge(2, 1)])
+    masked = _matching_on(demo_graph, [Edge(2, 1), Edge(3, 2)])
+    assert masked._graph is demo_graph
+    assert listed == masked and hash(listed) == hash(masked)
+    assert len({listed, masked, Matching([Edge(2, 1)])}) == 2
+
+
+def test_graph_and_matching_reprs(demo_graph):
+    assert repr(demo_graph) == f"DuoGraph(m={demo_graph.m}, |E|={len(demo_graph.edges)})"
+    assert repr(Matching([Edge(3, 2), Edge(2, 1)])) == "Matching[(2,1), (3,2)]"
+    assert repr(Matching([])) == "Matching[]"
+
+
 def test_matching_rejects_conflicts():
     with pytest.raises(IncompatibleEdgesError) as exc:
         Matching([Edge(2, 1), Edge(6, 1)])

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duomatch.core import Edge, ParseError, StringInstance, parse_instance
+from duomatch.core import DuoGraph, Edge, ParseError, StringInstance, parse_instance
 from duomatch.fileio import (
     format_graph,
     format_instance,
     format_matching,
+    load_problem,
     parse_graph,
     parse_matching_edges,
     write_text,
@@ -120,6 +121,22 @@ def test_malformed_text_raises_parse_error_only(parse, text):
 def test_malformed_examples(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+# ---------------------------------------------------------------- loading
+
+def test_load_problem_picks_the_format_by_extension(tmp_path):
+    """A ``.mcbm`` path, in any case, is a graph; any other path is a
+    ``.duo`` pair."""
+    for name in ("lower.mcbm", "upper.MCBM"):
+        (tmp_path / name).write_text("3\n1 2\n2 3\n")
+        g, inst = load_problem(str(tmp_path / name))
+        assert inst is None and (g.m, g.edges) == (3, (Edge(1, 2), Edge(2, 3)))
+    for name in ("pair.duo", "pair.txt", "pair"):
+        (tmp_path / name).write_text("a b a\nb a a\n")
+        g, inst = load_problem(str(tmp_path / name))
+        assert inst == parse_instance("a b a\nb a a\n")
+        assert g.edges == DuoGraph.from_strings(inst).edges
 
 
 # ---------------------------------------------------------------- writing

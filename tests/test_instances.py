@@ -37,6 +37,8 @@ from duomatch.fileio import parse_graph, parse_matching_edges
 from duomatch.instances import (
     GRAPH_GAP_CAPS,
     STRING_GAP_CAPS,
+    ChecklistItem,
+    ChecklistReport,
     GapSearchSpec,
     GeneratorSpec,
     InfeasibleSpecError,
@@ -114,8 +116,8 @@ def test_string_gap_fixture_gap():
     g = DuoGraph.from_strings(inst)
     assert all(e in g for e in m.edges)
     assert exact_max_matching(g).value == 10
-    ok, cert = is_local_optimum(g, m)
-    assert ok and cert.rho == 5
+    # the default width is the paper's 5
+    assert SolverConfig().rho == 5 and is_local_optimum(g, m)
 
 
 # ---------------------------------------------------------------- checklist
@@ -131,6 +133,13 @@ def test_checklist_on_string_fixture():
     ]
     observed = tuple(report.item(f"swap-{t}").observed for t in range(1, 6))
     assert observed == STRING_GAP_CAPS
+
+
+def test_checklist_item_rejects_an_unknown_name():
+    report = ChecklistReport((ChecklistItem("maximal", True, 0, 0, ()),))
+    assert report.item("maximal").passed
+    with pytest.raises(KeyError):
+        report.item("swap-6")
 
 
 def test_checklist_flags_non_maximal():

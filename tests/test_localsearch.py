@@ -30,7 +30,6 @@ from duomatch.localsearch import (
     SCAN_LEX,
     SCAN_REVERSE_LEX,
     IterationCapError,
-    LocalOptCertificate,
     NotMaximalError,
     SolverConfig,
     greedy_maximal,
@@ -229,8 +228,7 @@ def test_loop_invariants(g, rho, use_reduce):
     cfg = SolverConfig(rho=rho, use_reduce=use_reduce)
     m, trace = local_search(g, cfg)
     # terminal matching is maximal and no move applies
-    ok, _ = is_local_optimum(g, m, cfg) if len(g.edges) else (True, None)
-    assert ok
+    assert is_local_optimum(g, m, cfg) if len(g.edges) else True
     size = 0
     for step in trace.steps:
         assert step.size_before == size
@@ -283,11 +281,9 @@ def test_not_maximal_rejected(demo_graph):
 
 def test_certificate_fields(demo_graph):
     opt = Matching(edges(DEMO_OPT))
-    ok, cert = is_local_optimum(demo_graph, opt)
-    assert ok
+    assert is_local_optimum(demo_graph, opt) is True
     # 3 <= rho: the whole-graph branch, which searches no rho-subset X
-    assert cert == LocalOptCertificate(rho=5, use_reduce=True, size=3, singletons=1,
-                                       exhaustive=True)
+    assert len(opt) <= 5 and singles_count(opt.edges) == 1
 
 
 def test_certificate_counts_full_scan():
@@ -295,15 +291,14 @@ def test_certificate_counts_full_scan():
     parallel, so reduce is not sought."""
     inst, m = string_gap_fixture()
     g = DuoGraph.from_strings(inst)
-    ok, cert = is_local_optimum(g, m)
-    assert ok and not cert.exhaustive and cert.singletons == 0
+    assert is_local_optimum(g, m)
+    assert len(m) > 5 and singles_count(m.edges) == 0
     assert first_x(g, m, 5) == reference_first_x(g, m, 5) == (None, None)
 
 
 def test_certificate_counts_stop_at_first_hit(demo_graph):
     m = greedy_maximal(demo_graph)
-    ok, cert = is_local_optimum(demo_graph, m, SolverConfig(rho=1))
-    assert not ok
+    assert not is_local_optimum(demo_graph, m, SolverConfig(rho=1))
     # dropping (1, 5), the first 1-subset, lets (2, 1) and (5, 5) in
     assert (first_x(demo_graph, m, 1) == reference_first_x(demo_graph, m, 1)
             == ((Edge(1, 5),), None))
@@ -361,9 +356,9 @@ def reference_first_x(g: DuoGraph, m: Matching, rho: int, scan_order: str = SCAN
 def test_local_optimum_matches_reference_scan(g, rho, scan_order, use_reduce):
     cfg = SolverConfig(rho=rho, scan_order=scan_order, use_reduce=use_reduce)
     m = greedy_maximal(g, config=cfg)
-    ok, cert = is_local_optimum(g, m, cfg)
+    ok = is_local_optimum(g, m, cfg)
     assert ok == (reference_step(g, m, rho, scan_order, use_reduce) is None)
-    if not cert.exhaustive:
+    if len(m) > rho:
         assert first_x(g, m, rho, scan_order, use_reduce) == reference_first_x(
             g, m, rho, scan_order, use_reduce)
 
@@ -377,8 +372,7 @@ def test_exact_optimum_resists_replace(g):
     if len(res.witness) == 0:
         return
     assert step(g, res.witness, 5, use_reduce=False) is None
-    ok, _ = is_local_optimum(g, res.witness, SolverConfig(use_reduce=False))
-    assert ok
+    assert is_local_optimum(g, res.witness, SolverConfig(use_reduce=False))
 
 
 def test_config_validation():
@@ -594,7 +588,7 @@ def test_deep_first_hit_counts_match_reference(seed, n, alphabet, replace_x, red
     g = drawn_pair(seed, n, alphabet)
     m, _ = local_search(g, SolverConfig(rho=1))
     assert len(m) == 14
-    assert not is_local_optimum(g, m, SolverConfig(rho=5))[0]
+    assert not is_local_optimum(g, m, SolverConfig(rho=5))
     replace_x = replace_x and tuple(edges(replace_x))
     reduce_x = reduce_x and tuple(edges(reduce_x))
     assert list(itertools.combinations(m.edges, 5)).index(replace_x or reduce_x) + 1 == rank
@@ -665,8 +659,8 @@ def test_a_terminal_state_enumerates_its_cores_once(monkeypatch):
     walk = localsearch._first_x
     monkeypatch.setattr(localsearch, "_first_x",
                         lambda *args: found.append(walk(*args)) or found[-1])
-    ok, cert = is_local_optimum(g, m, SolverConfig(rho=5))
-    assert ok and cert.singletons > 0 and len(m) > 5
+    assert is_local_optimum(g, m, SolverConfig(rho=5))
+    assert singles_count(m.edges) > 0 and len(m) > 5
     assert found == [(None, None)]
 
 
@@ -754,8 +748,8 @@ def test_wide_certificates_match_reference(g, rho, scan_order, start_rho):
         m = local_search(g, SolverConfig(rho=start_rho, scan_order=scan_order))[0]
     else:
         m = greedy_maximal(g, config=cfg)
-    ok, cert = is_local_optimum(g, m, cfg)
-    if cert.exhaustive:
+    ok = is_local_optimum(g, m, cfg)
+    if len(m) <= rho:
         return
     expected = reference_first_x(g, m, rho, scan_order)
     assert ok == (expected == (None, None))
@@ -803,7 +797,7 @@ def test_local_optimum_agrees_with_milp_swap_gain_at_344_edges():
         m = local_search(g, SolverConfig(rho=start, use_reduce=False))[0]
         for rho in range(1, 6):
             gain = milp_best_swap_gain(g, m, rho)
-            assert is_local_optimum(g, m, SolverConfig(rho=rho, use_reduce=False))[0] == (gain <= 0)
+            assert is_local_optimum(g, m, SolverConfig(rho=rho, use_reduce=False)) == (gain <= 0)
             gains[len(m), rho] = gain
     assert gains == {(326, 1): 0, (326, 2): 1, (326, 3): 2, (326, 4): 3, (326, 5): 3,
                      (344, 1): 0, (344, 2): 0, (344, 3): 0, (344, 4): 0, (344, 5): 0}
