@@ -20,7 +20,10 @@ The gap search works on candidate runs, the parallel pairs, not on the
 m x m grid: one rule reads run compatibility, the runs covering each
 diagonal position and the anchors' compatible runs off per-row and
 per-column run masks, and a run's diagonal cover is closed form.  The only
-conflict index it builds is the anchors'.
+conflict index it builds is the anchors'.  The complete leaves of one
+parent differ only in the run at their last two edge indices, so the last
+failing X, once it holds both, fails the rest of the batch if it fails one
+of them; the leaf test stops the batch there.
 """
 
 from __future__ import annotations
@@ -432,6 +435,13 @@ def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverField
     out once for the parent and again only when the witness changes.  A
     leaf that survives X gets the full scan of :func:`_diag_caps_hold`,
     whose failing X becomes the witness.
+
+    Every ``shift[k]`` sets bits at the same edge indices, a run's two
+    edges, and each of those edges covers some position.  So a leaf whose
+    ``shift[k]`` misses X's spread is one whose edges X holds, and then X
+    holds every leaf's edges and sees each leaf as it sees the parent's
+    ``covers``: when that leaf fails X, so does every later one, and the
+    batch stops there with the same witness and result as a test of each.
     Returns the first k whose leaf passes every cap, or -1, and the witness
     as it stands after the last leaf tested.
     """
@@ -449,6 +459,10 @@ def _first_passing(covers: int, shift: list[int], hits: int, fields: _CoverField
             witness = failing
             spread = low ^ witness * ones
             least = m - caps[witness.bit_count() - 1]
+        elif not shift[k] & spread:
+            # X holds both of the batch's edge indices, so every later leaf
+            # looks like this one to X and fails it too
+            return -1, witness
         hits ^= bit
     return -1, witness
 
@@ -503,7 +517,9 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     node by node.  Only the leaves that cover every position the parent
     left uncovered (the AND of ``covering[p]`` over those positions) go to
     :func:`_first_passing`, which tries the last leaf's failing X on each
-    before any full scan.  A leaf that passes builds its matching, the
+    before any full scan; once X holds the batch's two edge indices and
+    fails a leaf, it fails the rest of the batch, which it skips.  They
+    still count as verdicts.  A leaf that passes builds its matching, the
     anchors plus the chosen pairs' edges, and runs the checklist, which
     must agree.  When the anchors fill the target the root itself is the
     one leaf, of an empty run (a run of no edges at index

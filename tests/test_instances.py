@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -503,7 +504,10 @@ def test_leaf_witness_contract(case):
     search's leaf test with no hint, a failing hint and a holding one;
     every X either returns fails its cap.  When the edges form a matching,
     the checklist's swap items against the diagonal edges of the covered
-    positions agree with the full scan."""
+    positions agree with the full scan.  On a batch of leaves that add one
+    run each at the top two edge indices, the leaf test, which may stop the
+    batch early, returns what testing every leaf returns, from hints that
+    hold both, one or none of those indices."""
     m, edges, caps, pick = case
     ne = len(edges)
     masks = [0] * m
@@ -555,6 +559,60 @@ def test_leaf_witness_contract(case):
             else:
                 assert k == -1
                 assert_fails(witness)
+
+    # a batch of leaves as the search makes them: the edges above, then one
+    # run (i, j), (i + 1, j + 1) per leaf at the top two edge indices, ne
+    # and ne + 1, each of its edges covering some position the edges above
+    # cover; those positions are the fields
+    positions = [p for p in range(1, m + 1) if masks[p - 1]]
+    if not positions:
+        return
+    fields = instances._CoverFields(len(positions), ne + 2)
+    runs = []
+    for i in range(1, m):
+        for j in range(1, m):
+            run = [0] * len(positions)
+            for t, (a, b) in enumerate(((i, j), (i + 1, j + 1))):
+                for x, p in enumerate(positions):
+                    if abs(p - a) <= 1 or abs(p - b) <= 1:
+                        run[x] |= 1 << ne + t
+            if i != j and all(any(c >> ne + t & 1 for c in run) for t in (0, 1)):
+                runs.append(run)
+    if not runs:
+        return
+    runs = random.Random(pick).sample(runs, min(4, len(runs)))
+    shift = [pack(fields, run) for run in runs]
+    leaves = [[c | r for c, r in zip(covered, run)] for run in runs]
+
+    def fails(cs, x):
+        return sum(1 for c in cs if not c & ~x) > caps[x.bit_count() - 1]
+
+    def per_leaf(hits, witness):
+        """The leaf test one leaf at a time, to the end of the batch."""
+        for k in _positions(hits):
+            if witness and fails(leaves[k], witness):
+                continue
+            failing = instances._diag_caps_hold(pack(fields, leaves[k]), fields, caps)
+            if failing is None:
+                return k, witness
+            witness = failing
+        return -1, witness
+
+    # hints that fail the first leaf where there are some, holding both,
+    # one and none of the run's edge indices
+    top = 3 << ne
+    subsets = [sum(1 << x for x in xs) for t in range(1, min(len(caps), ne + 2) + 1)
+               for xs in combinations(range(ne + 2), t)]
+    hints = [0]
+    for held in (2, 1, 0):
+        xs = [x for x in subsets if (x & top).bit_count() == held]
+        xs = [x for x in xs if fails(leaves[0], x)] or xs
+        if xs:
+            hints.append(xs[pick % len(xs)])
+    for hint in hints:
+        for hits in {(1 << len(runs)) - 1, (1 << len(runs)) - 2 or 1}:
+            assert instances._first_passing(pack(fields, covered), shift, hits, fields, caps,
+                                            hint) == per_leaf(hits, hint)
 
 
 def fillable(spec) -> bool:
