@@ -19,11 +19,13 @@ budget counts the unions it visits.
 The gap search works on candidate runs, the parallel pairs, not on the
 m x m grid: one rule reads run compatibility, the runs covering each
 diagonal position and the anchors' compatible runs off per-row and
-per-column run masks, and a run's diagonal cover is closed form.  The only
-conflict index it builds is the anchors'.  The complete leaves of one
-parent differ only in the run at their last two edge indices, so the last
-failing X, once it holds both, fails the rest of the batch if it fails one
-of them; the leaf test stops the batch there.
+per-column run masks.  Which positions the chosen edges cover is kept in
+one form, the packed per-position fields of :class:`_CoverFields`, and an
+edge's share of them is closed form.  The only conflict index it builds is
+the anchors'.  The complete leaves of one parent differ only in the run at
+their last two edge indices, so the last failing X, once it holds both,
+fails the rest of the batch if it fails one of them; the leaf test stops
+the batch there.
 """
 
 from __future__ import annotations
@@ -279,14 +281,11 @@ class _RunTable:
       ``rows[k]``, the mask of the runs compatible with run k, is
       :meth:`apart` over rows i-1..i+2 and columns j-1..j+2.
     * An off-diagonal edge (a, b) conflicts with the diagonal edge (p, p)
-      iff p is within 1 of a or of b, so a run covers position p iff it
-      has an edge on row or column p-1..p+1.  :meth:`cover` is the closed
-      form of the positions a run of any length covers (bit p for position
-      p), and ``covers[k]`` is run k's.
+      iff p is within 1 of a or of b, so the runs covering position p are
+      those not :meth:`apart` from rows and columns p-1..p+1.
     """
 
     def __init__(self, m: int):
-        self.full = ((1 << m) - 1) << 1
         self.runs = [(i, j) for i in range(1, m) for j in range(1, m) if i != j]
         self.all = (1 << len(self.runs)) - 1
         self.on_row = on_row = [0] * (m + 2)
@@ -296,7 +295,6 @@ class _RunTable:
                 on_row[i + t] |= 1 << k
                 on_col[j + t] |= 1 << k
         self.rows = [self.apart(range(i - 1, i + 3), range(j - 1, j + 3)) for i, j in self.runs]
-        self.covers = [self.cover(i, j, 2) for i, j in self.runs]
 
     def apart(self, rows, cols) -> int:
         """Mask of the candidate runs with no edge on ``rows`` or ``cols``."""
@@ -307,12 +305,6 @@ class _RunTable:
             near |= self.on_col[c]
         return self.all & ~near
 
-    def cover(self, i: int, j: int, ell: int) -> int:
-        """The positions 1..m covered by the ell parallel edges
-        (i + t, j + t): i-1..i+ell and j-1..j+ell."""
-        span = (1 << ell + 2) - 1
-        return (span << i - 1 | span << j - 1) & self.full
-
 
 class _CoverFields:
     """``m`` masks of ``ne`` bits each packed into one int.
@@ -322,9 +314,11 @@ class _CoverFields:
     is non-zero, so one AND, ADD and popcount count the fields that lie
     inside an edge mask, over all fields at once.  The gap search packs
     one field per diagonal position p = 1..m (field p - 1), the mask of the
-    matching edges that conflict with the diagonal edge (p, p); the
-    checklist packs one field per optimum edge, its blocker mask over the
-    matching edges.
+    matching edges that conflict with the diagonal edge (p, p), built by
+    :meth:`spread`; the guard bit of position p has bit length
+    ``width * p``, and ``guards ^ (covers + low) & guards`` holds those of
+    the positions no edge covers.  The checklist packs one field per optimum
+    edge, its blocker mask over the matching edges.
     """
 
     __slots__ = ("m", "ne", "width", "ones", "low", "guards")
@@ -337,15 +331,15 @@ class _CoverFields:
         self.low = ((1 << ne) - 1) * self.ones
         self.guards = (1 << ne) * self.ones
 
-    def spread(self, covers) -> int:
-        """The packed covers of edges numbered from 0, given the diagonal
-        positions each edge covers (bit p for position p); shift it left by
+    def spread(self, edges) -> int:
+        """The packed covers of ``edges``, numbered from 0: edge t = (a, b)
+        sets bit t in the fields of positions a-1..a+1 and b-1..b+1 that
+        lie in 1..m, the diagonal edges it conflicts with.  Shift it left by
         the index of the first edge to place them among the others."""
-        packed = 0
-        for t, cover in enumerate(covers):
-            for p in _positions(cover):
-                packed |= 1 << self.width * (p - 1) + t
-        return packed
+        w, ones = self.width, self.ones
+        tri = 1 | 1 << w | 1 << 2 * w
+        return sum(((tri << w * a | tri << w * b) >> 2 * w & ones) << t
+                   for t, (a, b) in enumerate(edges))
 
     def masks(self, covers: int) -> list[int]:
         edges = (1 << self.ne) - 1
@@ -503,30 +497,29 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
     lex-earlier alternatives.  A node's candidates are ``covering[p] &
     allowed & ~excluded``, taken lowest bit first.  Each node also carries
     the chosen pairs as a run mask and the per-position covers of the
-    anchors' and the chosen pairs' edges, packed by :class:`_CoverFields`:
-    a child adds its pair's precomputed spread, shifted to the pair's edge
-    indices (each pair's spread is shifted once per edge count, not once
-    per child).
+    anchors' and the chosen pairs' edges, packed by :class:`_CoverFields`,
+    whose guard bits give the positions left uncovered: a child adds its
+    pair's precomputed spread, shifted to the pair's edge indices (each
+    pair's spread is shifted once per edge count, not once per child).
 
     Rooms stay even, so a node with a room of 2 has only complete leaves
-    as children, and any other node has none.  The former hands all its
-    candidates, in bit order, to one leaf routine instead of recursing.
-    The routine counts them as nodes in one step, or, when the budget runs
-    out among them, visits the nodes before that one and raises there, so
-    SearchBudgetError fires at the same node as in a search that counts
-    node by node.  Only the leaves that cover every position the parent
-    left uncovered (the AND of ``covering[p]`` over those positions) go to
-    :func:`_first_passing`, which tries the last leaf's failing X on each
-    before any full scan; once X holds the batch's two edge indices and
-    fails a leaf, it fails the rest of the batch, which it skips.  They
-    still count as verdicts.  A leaf that passes builds its matching, the
-    anchors plus the chosen pairs' edges, and runs the checklist, which
-    must agree.  When the anchors fill the target the root itself is the
-    one leaf, of an empty run (a run of no edges at index
-    ``len(table.runs)``), and goes through the same routine.
+    as children, and any other node but a root of room 0 has none.  The
+    former hands all its candidates, in bit order, to one leaf routine
+    instead of recursing.  The routine counts them as nodes in one step,
+    or, when the budget runs out among them, visits the nodes before that
+    one and raises there, so SearchBudgetError fires at the same node as in
+    a search that counts node by node.  Only the leaves that cover every
+    position the parent left uncovered (the AND of ``covering[p]`` over
+    those positions) go to :func:`_first_passing`, which tries the last
+    leaf's failing X on each before any full scan; once X holds the batch's
+    two edge indices and fails a leaf, it fails the rest of the batch,
+    which it skips.  They still count as verdicts.  A leaf that passes
+    builds its matching, the anchors plus the chosen pairs' edges, and runs
+    the checklist, which must agree.  When the anchors fill the target the
+    root is the one leaf: if they cover every position it counts one
+    verdict and gets the full cap scan of :func:`_diag_caps_hold`.
     """
     m = spec.m
-    optimum = Matching(Edge(i, i) for i in range(1, m + 1))
     target = spec.matching_size
     if stats is not None:
         stats.update(nodes=0, verdicts=0)
@@ -544,15 +537,15 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
         return None
 
     table = _RunTable(m)
-    full_mask, run_covers, rows = table.full, table.covers, table.rows
+    rows = table.rows
     fields = _CoverFields(m, target)
-    covering = [0] + [table.all & ~table.apart(range(p - 1, p + 2), range(p - 1, p + 2))
-                      for p in range(1, m + 1)]
-    # the spread at index len(table.runs) is the empty run's: the root's
-    # only leaf when the anchors fill the target
-    empty = len(table.runs)
-    spreads = [fields.spread((table.cover(i, j, 1), table.cover(i + 1, j + 1, 1)))
-               for i, j in table.runs] + [0]
+    width, low, guards = fields.width, fields.low, fields.guards
+    # covering[0] is the pool when every position is covered: every pair
+    covering = [table.all] + [table.all & ~table.apart(range(p - 1, p + 2), range(p - 1, p + 2))
+                              for p in range(1, m + 1)]
+    # guard[p]: the guard bit of position p's field, of bit length width * p
+    guard = [0] + [1 << width * p - 1 for p in range(1, m + 1)]
+    spreads = [fields.spread(((i, j), (i + 1, j + 1))) for i, j in table.runs]
     # shifted[count]: every pair's spread shifted to follow count edges,
     # built when a node at that count first needs it
     shifted: list[list[int] | None] = [None] * target
@@ -594,67 +587,67 @@ def search_gap_instance(spec: GapSearchSpec, stats: dict | None = None) -> GapIn
 
     def certified(chosen: int) -> GapInstance:
         edges = list(spec.anchors)
-        for k in _positions(chosen & table.all):
+        for k in _positions(chosen):
             i, j = table.runs[k]
             edges += (Edge(i, j), Edge(i + 1, j + 1))
         matching = Matching(edges)
+        optimum = Matching(Edge(i, i) for i in range(1, m + 1))
         graph = DuoGraph(m, list(optimum.edges) + edges)
         report = swap_resistance_checklist(graph, matching, optimum, caps)
         if not report.passed:
             raise InvariantError("fast cap test disagrees with the checklist")
         return GapInstance(graph, matching, optimum, report)
 
-    def rec(chosen: int, count: int, cover: int, covers: int,
-            allowed: int, excluded: int) -> GapInstance | None:
-        nonlocal nodes
+    def rec(chosen: int, count: int, covers: int, allowed: int,
+            excluded: int) -> GapInstance | None:
+        nonlocal nodes, verdicts
         nodes += 1
         if nodes > max_nodes:
             raise SearchBudgetError(f"gap search exceeded {max_nodes} nodes")
-        uncovered = full_mask & ~cover
+        # the guard bits of the positions no edge covers yet
+        uncovered = guards ^ (covers + low) & guards
         room = target - count
         # a pair covers at most 8 positions, 4 per edge
         if uncovered.bit_count() > 4 * room:
             return None
-        pool = covering[(uncovered & -uncovered).bit_length() - 1] if uncovered else table.all
-        cands = pool & allowed & ~excluded
+        if not room:
+            verdicts += 1
+            return certified(chosen) if _diag_caps_hold(covers, fields, caps) is None else None
+        # the lowest uncovered position, or 0 when every one is covered:
+        # then 0 ^ -1 = -1 has bit length 1, below width
+        cands = covering[(uncovered ^ uncovered - 1).bit_length() // width] & allowed & ~excluded
         shift = shifted[count]
         if shift is None:
             shift = shifted[count] = [spread << count for spread in spreads]
         if room == 2:
             fill = cands
             while uncovered:
-                low = uncovered & -uncovered
-                fill &= covering[low.bit_length() - 1]
-                uncovered ^= low
+                p = uncovered.bit_length() // width
+                fill &= covering[p]
+                uncovered ^= guard[p]
             return leaves(chosen, covers, shift, cands, fill)
         rest = cands
         while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
+            bit = rest & -rest
+            k = bit.bit_length() - 1
             found = rec(
-                chosen | low,
+                chosen | bit,
                 count + 2,
-                cover | run_covers[k],
                 covers | shift[k],
                 allowed & rows[k],
-                excluded | cands & (low - 1),
+                excluded | cands & (bit - 1),
             )
             if found is not None:
                 return found
-            rest ^= low
+            rest ^= bit
         return None
 
-    # the anchors' hits are on these rows and columns, and they cover the
-    # positions among either
+    # the anchors' hits are on these rows and columns
     near_rows = {a.i + d for a in spec.anchors for d in (-1, 0, 1)}
     near_cols = {a.j + d for a in spec.anchors for d in (-1, 0, 1)}
-    cover = sum(1 << p for p in near_rows | near_cols) & full_mask
-    covers = fields.spread(table.cover(a.i, a.j, 1) for a in spec.anchors)
     try:
-        if seed_count == target:
-            return leaves(0, covers, spreads, 1 << empty,
-                          0 if full_mask & ~cover else 1 << empty)
-        return rec(0, seed_count, cover, covers, table.apart(near_rows, near_cols), 0)
+        return rec(0, seed_count, fields.spread(spec.anchors),
+                   table.apart(near_rows, near_cols), 0)
     finally:
         # rec's closure holds rec: clearing it frees the search's tables on
         # return rather than at the next full garbage collection

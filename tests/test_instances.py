@@ -408,8 +408,8 @@ def test_checklist_budget_counts_unions():
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_run_table_rows_match_runs_compatible(m):
-    """Rows, anchor masks, coverage, run covers and spreads read off the
-    run table agree with the run helpers as first written, with pairs and
+    """Rows, anchor masks, coverage and the packed covers of runs and
+    anchors agree with the run helpers as first written, with pairs and
     anchors on the first and last rows and columns."""
     table = instances._RunTable(m)
     assert table.runs == sorted((i, j) for i in range(1, m + 1) for j in range(1, m + 1)
@@ -420,14 +420,19 @@ def test_run_table_rows_match_runs_compatible(m):
         assert 1 in {i for i, _ in table.runs} & {j for _, j in table.runs}
         assert m in {i + 1 for i, _ in table.runs} & {j + 1 for _, j in table.runs}
     runs = [ref._Run(i, j, 2, m) for i, j in table.runs]
-    fields = instances._CoverFields(m, 2)
+    fields = instances._CoverFields(m, 3)
+
+    def covered(spread):
+        # the positions whose field holds some edge bit
+        return sum(1 << p for p, mask in enumerate(fields.masks(spread), 1) if mask)
+
     for k, r in enumerate(runs):
         expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
         assert table.rows[k] == expected
-        assert table.covers[k] == r.cover_mask
         spread = sum(1 << fields.width * (p - 1) + t for t, e in enumerate(r.edges)
                      for p in {e.i - 1, e.i, e.i + 1, e.j - 1, e.j, e.j + 1} if 1 <= p <= m)
-        assert fields.spread(table.cover(e.i, e.j, 1) for e in r.edges) == spread
+        assert fields.spread(r.edges) == spread
+        assert covered(fields.spread(r.edges)) == r.cover_mask
     # covering[p]: the runs with an edge on row or column p-1..p+1
     for p in range(1, m + 1):
         near = range(p - 1, p + 2)
@@ -447,25 +452,27 @@ def test_run_table_rows_match_runs_compatible(m):
                 cols = {e.j + d for e in r.edges for d in (-1, 0, 1)}
                 expected = sum(1 << x for x, s in enumerate(runs) if ref._runs_compatible(r, s))
                 assert table.apart(rows, cols) == expected
-                assert table.cover(a, b, ell) == r.cover_mask
-                assert sum(1 << p for p in rows | cols) & table.full == r.cover_mask
+                assert covered(fields.spread(r.edges)) == r.cover_mask
                 if last is not None:
                     assert table.apart(rows | last[0], cols | last[1]) == expected & last[2]
                 last = rows, cols, expected
 
 
 def test_edge_cover_is_the_diagonal_edges_it_conflicts_with():
-    """The closed-form cover of an off-diagonal edge (a, b) is the set of
-    positions p whose diagonal edge (p, p) conflicts with it, as
-    :func:`compatible` says, for every m up to 12."""
+    """The closed-form packed cover of an off-diagonal edge (a, b) sets
+    its bit in the fields of the positions p whose diagonal edge (p, p)
+    conflicts with it, as :func:`compatible` says, for every m up to 12,
+    rows and columns 1 and m included.  Placed at an edge index t > 0 by
+    the final shift, the same edge sets bit t of the same fields."""
     for m in range(2, 13):
-        table = instances._RunTable(m)
+        fields = instances._CoverFields(m, 3)
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 if a != b:
-                    expected = sum(1 << p for p in range(1, m + 1)
-                                   if not compatible(Edge(a, b), Edge(p, p)))
-                    assert table.cover(a, b, 1) == expected
+                    conflicts = [not compatible(Edge(a, b), Edge(p, p)) for p in range(1, m + 1)]
+                    assert fields.masks(fields.spread([(a, b)])) == [int(c) for c in conflicts]
+                    # the same edge at indices 0, 1 and 2 sets all three bits
+                    assert fields.masks(fields.spread([(a, b)] * 3)) == [7 * c for c in conflicts]
 
 
 @pytest.mark.parametrize("anchors", [((0, 3), (1, 4)), ((2, 18), (3, 19)), ((4, 4), (5, 5))])
@@ -663,6 +670,9 @@ def assert_search_matches_reference(spec):
         assert outcomes[0][0] == (budget < nodes)
 
 
+#: the 12 edges of fixtures/graph_gap_26.matching
+GRAPH_GAP_26 = tuple(parse_matching_edges((FIXTURES_DIR / "graph_gap_26.matching").read_text()))
+
 GAP_CASES = [
     GapSearchSpec(m=7, matching_size=2, anchors=(), caps=(1,)),
     GapSearchSpec(m=10, matching_size=4, anchors=(), caps=(1, 2)),
@@ -680,6 +690,11 @@ GAP_CASES = [
     # certify's second search: a room of 7, which the reference exhausts in
     # 54,746 nodes
     GapSearchSpec(m=20, matching_size=9, anchors=(Edge(2, 8), Edge(3, 9))),
+    # anchors that fill the target, so the root is the only leaf: the
+    # graph_gap_26 matching is certified at node 1 after one verdict, and
+    # fails tighter caps there
+    GapSearchSpec(m=26, matching_size=12, anchors=GRAPH_GAP_26),
+    GapSearchSpec(m=26, matching_size=12, anchors=GRAPH_GAP_26, caps=(1, 1)),
 ]
 
 
