@@ -25,6 +25,10 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 * ``solve --rho 1`` run 100 times through ``cli.main``, standard output
   captured, on the balanced pair (500, 50), seed 2017: one op of the
   perfbench ``solve-large`` workload, from file to printed partition;
+* ``tokens`` run 200 times through ``cli.main``, standard output captured,
+  on the dense alphabet-4 balanced pair n=20, seed 7: its rho-1, reduce-off
+  matching against its exact witness, the shape of a perfbench ``certify``
+  op, from three files to the printed JSON report;
 * ``bench --rho 1 --with-exact --csv`` run 50 times on one dense n=24
   alphabet-4 pair, rewriting the same CSV file each time;
 * the exhaustive gap searches with anchors (2, 8) and (3, 9) at m=18
@@ -224,6 +228,32 @@ def rows(work: str):
     size = next(int(ln.split()[1]) for ln in text.splitlines() if ln.startswith("preserved "))
     yield {"name": "solve --rho 1 balanced(500,50) x100", "s": t,
            "E": len(graph_of(pair).edges), "M": size}
+
+    pair = balanced_pair(20, 4, 7)
+    g = graph_of(pair)
+    matching = localsearch.local_search(g, localsearch.SolverConfig(rho=1, use_reduce=False))[0]
+    optimum = exact_max_matching(g).witness
+    paths = [os.path.join(work, name) for name in ("dense_n20.duo", "dense_n20.matching",
+                                                    "dense_n20.optimum")]
+    for path, text in zip(paths, (" ".join(pair[0]) + "\n" + " ".join(pair[1]) + "\n",
+                                  fileio.format_matching(matching),
+                                  fileio.format_matching(optimum))):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def tokens_command(start):
+        out = io.StringIO()
+        start()
+        with contextlib.redirect_stdout(out):
+            for _ in range(200):
+                if cli.main(["tokens", *paths]) != cli.EXIT_OK:
+                    raise RuntimeError("tokens failed")
+        return out.getvalue()
+
+    t, text = timed(tokens_command)
+    report = json.JSONDecoder().raw_decode(text)[0]  # the first of 200 equal reports
+    yield {"name": "tokens command dense(20,4) x200", "s": t, "E": len(g.edges),
+           "M": report["matching_size"], "M*": report["optimum_size"]}
 
     pair = balanced_pair(24, 4, 2017)
     path = os.path.join(work, "balanced_n24.duo")

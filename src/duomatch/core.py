@@ -417,12 +417,13 @@ def _mask(g: DuoGraph, matching: Matching) -> int:
 
 
 def _matching_on(g: DuoGraph, edges) -> Matching | None:
-    """The matching of ``edges`` built on ``g`` by :meth:`Matching._of_mask`,
-    so later steps read its mask back; None when an edge is not in ``g`` or
-    two edges conflict."""
+    """The matching of ``edges``, :class:`Edge` objects or ``(i, j)``
+    tuples, built on ``g`` by :meth:`Matching._of_mask`, so later steps read
+    its mask back; None when an edge is not in ``g`` or two edges conflict.
+    An edge hashes and compares as its tuple, so either finds its bit."""
     pos = g.index.pos
     try:
-        return Matching._of_mask(g, sum(1 << k for k in {pos[Edge(*e)] for e in edges}))
+        return Matching._of_mask(g, sum(1 << k for k in {pos[e] for e in edges}))
     except (KeyError, IncompatibleEdgesError):
         return None
 

@@ -7,7 +7,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duomatch import analysis, cli
@@ -418,6 +418,39 @@ def test_tokens_optimum_edge_without_a_receiver(capsys, tmp_path, demo_file):
     assert run(capsys, "tokens", demo_file, str(matching), str(opt)) == (
         EXIT_CHECK_FAILED, "",
         '{"error": "optimum edge 5 5 conflicts with no matching edge"}\n')
+
+
+# ---------------------------------------------------------------- JSON writer
+
+json_str_st = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\b\f\n\r\t", "é ☃ \u2028", "𝄞 \U0001f600", ""])
+json_values_st = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.integers(-(10 ** 80), 10 ** 80)
+    | json_str_st,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_str_st, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values_st)
+@example([])
+@example({})
+@example([[], {}, [[]]])
+@example({"": {"": []}})
+def test_json_text_is_indented_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": [0.0]}, {"a": {None: 1}},
+                                 [{True: 1}]],
+                         ids=["float", "tuple", "int-key", "nested-float", "none-key",
+                              "bool-key"])
+def test_json_text_rejects_what_json_would_convert(obj):
+    """json.dumps writes these, turning a tuple into a list and a key into a
+    string; the writer raises instead of quietly choosing."""
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
 
 
 # ---------------------------------------------------------------- gen

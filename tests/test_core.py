@@ -426,10 +426,18 @@ def test_matching_of_mask_agrees_with_constructor(gm):
 
 def test_is_compatible_matching_checks_membership(demo_graph):
     """``_matching_on`` builds a matching only when every edge is in the
-    graph and no two conflict."""
-    assert _matching_on(demo_graph, edges(DEMO_OPT)) is not None
+    graph and no two conflict; plain ``(i, j)`` tuples build the same
+    matching as their edges, out of the graph's own Edge objects."""
+    built = _matching_on(demo_graph, edges(DEMO_OPT))
+    assert built is not None
     assert _matching_on(demo_graph, [Edge(4, 4)]) is None
     assert _matching_on(demo_graph, [Edge(2, 1), Edge(6, 1)]) is None
+    from_tuples = _matching_on(demo_graph, list(reversed(DEMO_OPT)))
+    assert from_tuples == built and from_tuples._mask == built._mask
+    assert from_tuples.edges == tuple(edges(DEMO_OPT))
+    assert all(type(e) is Edge for e in from_tuples.edges)
+    assert _matching_on(demo_graph, [(4, 4)]) is None
+    assert _matching_on(demo_graph, [(2, 1), (6, 1)]) is None
 
 
 def _position_map(edge_set) -> dict[int, int] | None:

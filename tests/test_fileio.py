@@ -13,6 +13,7 @@ from duomatch.fileio import (
     format_graph,
     format_instance,
     format_matching,
+    load_matching_edges,
     load_problem,
     parse_graph,
     parse_matching_edges,
@@ -137,6 +138,46 @@ def test_load_problem_picks_the_format_by_extension(tmp_path):
         g, inst = load_problem(str(tmp_path / name))
         assert inst == parse_instance("a b a\nb a a\n")
         assert g.edges == DuoGraph.from_strings(inst).edges
+
+
+TEXT_FILES = {
+    "pair.duo": ["# a pair", "a b ä c", "", "  b ä c a  "],
+    "graph.mcbm": ["3", "1 2", "# edge 2", "2 3"],
+    "edges.matching": ["2 1", "", "3 2 ", "# done"],
+}
+
+
+def _load(path: str):
+    """What the loader of ``path``'s kind returns, as comparable values."""
+    if path.endswith(".matching"):
+        return load_matching_edges(path)
+    g, inst = load_problem(path)
+    return g.m, g.edges, inst
+
+
+@pytest.mark.parametrize("ends", [("\r\n",), ("\r",), ("\r\n", "\r", "\n", "\r", "\r\n")],
+                         ids=["crlf", "cr", "mixed"])
+@pytest.mark.parametrize("name", sorted(TEXT_FILES))
+def test_files_load_the_same_with_any_line_end(tmp_path, name, ends):
+    """A file whose lines end in CRLF, lone CR or a mix of ends, written as
+    bytes, loads as the same file with ``\\n`` ends does."""
+    lines = TEXT_FILES[name]
+    plain, other = tmp_path / "plain", tmp_path / "other"
+    plain.mkdir()
+    other.mkdir()
+    (plain / name).write_bytes("".join(ln + "\n" for ln in lines).encode("utf-8"))
+    (other / name).write_bytes(
+        "".join(ln + ends[k % len(ends)] for k, ln in enumerate(lines)).encode("utf-8"))
+    assert _load(str(other / name)) == _load(str(plain / name))
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FILES))
+def test_undecodable_file_raises_parse_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"3\r\n1 2\r\n2 \xff3\r\n")
+    with pytest.raises(ParseError) as exc:
+        _load(str(path))
+    assert f"{path} is not UTF-8 text" in str(exc.value)
 
 
 # ---------------------------------------------------------------- writing
