@@ -386,13 +386,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give one --label per --src, and at most two of each")
     times: list[dict[str, list[float]]] = [{} for _ in srcs]
     fields: list[dict[str, dict]] = [{} for _ in srcs]
-    env = dict(os.environ, DUO_THREADS="1")
     for repeat in range(REPEATS):
         order = range(len(srcs)) if repeat % 2 == 0 else reversed(range(len(srcs)))
         for at in order:
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--child", "--src", srcs[at]],
-                env=env, stdout=subprocess.PIPE, text=True, check=True)
+                stdout=subprocess.PIPE, text=True, check=True)
             for line in done.stdout.splitlines():
                 row = json.loads(line)
                 times[at].setdefault(row["name"], []).append(row.pop("s"))

@@ -196,7 +196,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="corpus seed")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    os.environ["DUO_THREADS"] = "1"
     total = hashlib.sha256()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:

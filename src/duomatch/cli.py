@@ -245,9 +245,10 @@ def cmd_gen(args) -> int:
 
 
 def _parse_rhos(text: str) -> list[int]:
-    """The widths ``--rho`` names; ParseError naming the first width in
-    order outside 1..MAX_RHO.  A range is checked before it is listed, so
-    the check stops within MAX_RHO + 1 widths however wide the range."""
+    """The widths ``--rho`` names, each once in ascending order; ParseError
+    naming the first width in order outside 1..MAX_RHO.  A range is checked
+    before it is listed, so the check stops within MAX_RHO + 1 widths
+    however wide the range."""
     lo, dots, hi = text.partition("..")
     try:
         rhos = range(int(lo), int(hi) + 1) if dots else [int(p) for p in text.split(",")]
@@ -258,21 +259,21 @@ def _parse_rhos(text: str) -> list[int]:
     for rho in rhos:
         if not 1 <= rho <= localsearch.MAX_RHO:
             raise ParseError(f"rho {rho} out of range")
-    return list(rhos)
+    return sorted(set(rhos))
 
 
 #: The columns of the bench CSV, the order of every row ``_bench_task`` lists.
 BENCH_FIELDS = ("id", "n", "k", "E", "rho", "ls", "exact", "ratio", "iters", "ms")
 
 
-def _bench_task(task: tuple[str, tuple[int, ...], bool, int | None]) -> list[list]:
+def _bench_task(path: str, rhos: list[int], with_exact: bool,
+                budget: int | None) -> list[list]:
     """The bench rows of one input file, one per width in ``rhos``, each
     listing its values in the order of BENCH_FIELDS.  With ``with_exact``
     the exact value is found once, after every width has run, seeded with
     the largest local-search matching; when ``budget`` nodes do not settle
     it, ``exact`` reads ``>=`` the best value found and ``ratio`` stays
     empty."""
-    path, rhos, with_exact, budget = task
     g, inst = fileio.load_problem(path)
     runs = []
     for rho in rhos:
@@ -305,9 +306,8 @@ def _bench_inputs(paths: list[str]) -> list[str]:
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
-            for name in sorted(os.listdir(p)):
-                if name.endswith((".duo", ".mcbm")):
-                    files.append(os.path.join(p, name))
+            files += [os.path.join(p, name) for name in sorted(os.listdir(p))
+                      if fileio.is_input_file(name)]
         else:
             files.append(p)
     return files
@@ -323,27 +323,8 @@ def cmd_bench(args) -> int:
             raise ParseError("--exact-budget needs --with-exact")
         if args.exact_budget < 0:
             raise ParseError(f"--exact-budget must be >= 0, got {args.exact_budget}")
-    cpus = os.cpu_count() or 1
-    threads = os.environ.get("DUO_THREADS", str(cpus))
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ParseError(f"DUO_THREADS must be a positive integer, got {threads!r}")
-    if args.with_exact:
-        # one task per file, so the exact search runs once for all widths
-        tasks = [(path, tuple(rhos), True, args.exact_budget) for path in files]
-    else:
-        tasks = [(path, (rho,), False, None) for path in files for rho in rhos]
-    # the pool forks all its workers at once, so never ask for more than
-    # there are tasks or cores
-    workers = min(workers, len(tasks), cpus)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for batch in pool.map(_bench_task, tasks) for row in batch]
-    else:
-        rows = [row for t in tasks for row in _bench_task(t)]
+    rows = [row for path in files
+            for row in _bench_task(path, rhos, args.with_exact, args.exact_budget)]
     rows.sort(key=lambda r: (r[0], r[4]))  # by id, then rho
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -354,15 +335,6 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(out.getvalue())
     return EXIT_OK
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """The process pool of ``bench``, imported on first use: multiprocessing
-    adds about 2 MB to every process that loads it, and only a parallel
-    ``bench`` needs it."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(max_workers=max_workers)
 
 
 def _add_common_solver_args(p: argparse.ArgumentParser) -> None:

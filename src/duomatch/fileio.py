@@ -112,12 +112,24 @@ def write_text(path: str, text: str) -> None:
             fh.truncate()
 
 
+def _suffix(path: str) -> str:
+    """The suffix of ``path`` in lower case, by which the input kinds are
+    told apart: ``.mcbm`` is a graph, ``.duo`` a string pair."""
+    return os.path.splitext(path)[1].lower()
+
+
+def is_input_file(path: str) -> bool:
+    """Whether ``path`` names an input kind, ``.duo`` or ``.mcbm`` in any
+    case: the files ``bench`` takes from a directory."""
+    return _suffix(path) in (".duo", ".mcbm")
+
+
 def load_problem(path: str) -> tuple[DuoGraph, StringInstance | None]:
     """Load either input kind, returning the graph plus the string pair when
     one exists: a ``.mcbm`` path (in any case) is a graph, any other a
     ``.duo`` pair."""
     text = _read(path)
-    if os.path.splitext(path)[1].lower() == ".mcbm":
+    if _suffix(path) == ".mcbm":
         return parse_graph(text), None
     inst = parse_instance(text)
     return DuoGraph.from_strings(inst), inst

@@ -185,8 +185,7 @@ def test_exact_large_identity(capsys, identity_2000):
     assert lines[1:] == [f"{i} {i}" for i in range(1, 2000)]
 
 
-def test_bench_large_identity(capsys, tmp_path, identity_2000, monkeypatch):
-    monkeypatch.setenv("DUO_THREADS", "1")
+def test_bench_large_identity(capsys, tmp_path, identity_2000):
     csv_path = tmp_path / "out.csv"
     t0 = time.perf_counter()
     code, _, _ = run(capsys, "bench", identity_2000, "--rho", "1", "--with-exact",
@@ -501,8 +500,7 @@ def strip_ms(text):
     return [row[:-1] for row in rows]
 
 
-def test_bench_csv(capsys, tmp_path, demo_file, monkeypatch):
-    monkeypatch.setenv("DUO_THREADS", "1")
+def test_bench_csv(capsys, tmp_path, demo_file):
     csv_path = tmp_path / "out.csv"
     code, out, _ = run(
         capsys, "bench", demo_file, "--rho", "1..2", "--with-exact",
@@ -516,10 +514,9 @@ def test_bench_csv(capsys, tmp_path, demo_file, monkeypatch):
     ]
 
 
-def test_bench_with_exact_on_an_edgeless_graph(capsys, tmp_path, monkeypatch):
+def test_bench_with_exact_on_an_edgeless_graph(capsys, tmp_path):
     """With no edges the optimum is 0, and the ratio, which
     ``ratio_report`` would reject, reads 1/1."""
-    monkeypatch.setenv("DUO_THREADS", "1")
     empty = tmp_path / "empty.mcbm"
     empty.write_text("3\n")
     code, out, _ = run(capsys, "bench", str(empty), "--rho", "1", "--with-exact")
@@ -527,68 +524,36 @@ def test_bench_with_exact_on_an_edgeless_graph(capsys, tmp_path, monkeypatch):
     assert strip_ms(out)[1:] == [["empty", "3", "", "0", "1", "0", "0", "1/1", "1"]]
 
 
-def test_bench_parallel_matches_serial(capsys, tmp_path, monkeypatch):
-    out_dir = tmp_path / "batch"
-    run(capsys, "gen", "--n", "10", "--k", "2", "--alphabet", "5",
-        "--seed", "0", "--count", "3", "--out", str(out_dir))
-    results = {}
-    for workers in ("1", "3"):
-        monkeypatch.setenv("DUO_THREADS", workers)
-        code, out, _ = run(capsys, "bench", str(out_dir), "--rho", "5", "--with-exact")
-        assert code == EXIT_OK
-        results[workers] = strip_ms(out)
-    assert results["1"] == results["3"]
-    assert len(results["1"]) == 4
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count asked
-    for and runs the tasks in this process."""
-
-    asked: list[int] = []
-
-    def __init__(self, max_workers):
-        RecordingPool.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("threads, cpus, expected", [
-    ("500", 64, [4]),   # capped by the 2 files x 2 widths
-    ("500", 3, [3]),    # capped by the cores
-    ("2", 64, [2]),
-    ("1", 64, []),      # serial, no pool
-])
-def test_bench_bounds_worker_count(capsys, tmp_path, demo_file, monkeypatch,
-                                   threads, cpus, expected):
-    other = tmp_path / "other.duo"
-    other.write_text(DEMO_TEXT + "\n")
-    monkeypatch.setattr(RecordingPool, "asked", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("DUO_THREADS", threads)
-    code, out, _ = run(capsys, "bench", demo_file, str(other), "--rho", "1,2")
+def test_bench_takes_input_suffixes_in_any_case_from_a_directory(capsys, tmp_path):
+    """A directory scan takes ``.duo`` and ``.mcbm`` files in any case, as
+    the loader does, and gives the rows that naming the files gives."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "A.MCBM").write_text("3\n1 2\n2 3\n")
+    (batch / "b.DUO").write_text(DEMO_TEXT + "\n")
+    (batch / "notes.txt").write_text("not an input\n")
+    code, out, _ = run(capsys, "bench", str(batch), "--rho", "1", "--with-exact")
     assert code == EXIT_OK
-    assert RecordingPool.asked == expected
-    assert len(strip_ms(out)) == 5
+    rows = strip_ms(out)
+    assert rows[1:] == [
+        ["A", "3", "", "2", "1", "2", "2", "1/1", "1"],
+        ["b", "7", "2", "5", "1", "3", "3", "1/1", "2"],
+    ]
+    named = run(capsys, "bench", str(batch / "A.MCBM"), str(batch / "b.DUO"),
+                "--rho", "1", "--with-exact")
+    assert strip_ms(named[1]) == rows
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "two", "1.5", ""])
-def test_bench_rejects_bad_thread_count(capsys, demo_file, monkeypatch, threads):
-    monkeypatch.setattr(RecordingPool, "asked", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("DUO_THREADS", threads)
-    code, out, err = run(capsys, "bench", demo_file)
-    assert code == EXIT_USAGE and out == ""
-    assert "DUO_THREADS" in err
-    assert RecordingPool.asked == []
+@pytest.mark.parametrize("widths, expected", [
+    ("1,1", [1]),
+    ("3,1,3,1", [1, 3]),
+])
+def test_bench_runs_each_width_once(capsys, demo_file, widths, expected):
+    """A width named twice runs once, and the widths run in ascending order."""
+    assert cli._parse_rhos(widths) == expected
+    code, out, _ = run(capsys, "bench", demo_file, "--rho", widths, "--with-exact")
+    assert code == EXIT_OK
+    assert [int(row[4]) for row in strip_ms(out)[1:]] == expected
 
 
 def test_bench_rejects_bad_rho(capsys, demo_file):
@@ -604,18 +569,14 @@ def test_bench_no_inputs(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv, threads, message", [
-    (["bench", "{empty}"], None, "error: no input instances found"),
-    (["bench", "{demo}", "--rho", "9"], None, "error: rho 9 out of range"),
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "{empty}"], "error: no input instances found"),
+    (["bench", "{demo}", "--rho", "9"], "error: rho 9 out of range"),
     # a range is checked before it is listed: this one has 10^19 widths
-    (["bench", "{demo}", "--rho", "1..10000000000000000000"], None, "error: rho 6 out of range"),
-    (["bench", "{demo}"], "two", "error: DUO_THREADS must be a positive integer, got 'two'"),
-], ids=["no-inputs", "rho", "huge-rho-range", "threads"])
-def test_bench_usage_errors_carry_prefix(capsys, tmp_path, demo_file, monkeypatch,
-                                         argv, threads, message):
+    (["bench", "{demo}", "--rho", "1..10000000000000000000"], "error: rho 6 out of range"),
+], ids=["no-inputs", "rho", "huge-rho-range"])
+def test_bench_usage_errors_carry_prefix(capsys, tmp_path, demo_file, argv, message):
     (tmp_path / "empty").mkdir()
-    if threads is not None:
-        monkeypatch.setenv("DUO_THREADS", threads)
     argv = [a.format(demo=demo_file, empty=tmp_path / "empty") for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
@@ -630,10 +591,9 @@ def test_bench_exact_budget_usage_errors(capsys, demo_file, flags, message):
     assert run(capsys, "bench", demo_file, *flags) == (EXIT_USAGE, "", message + "\n")
 
 
-def test_bench_exact_budget_exhausted_rows(capsys, demo_file, monkeypatch):
+def test_bench_exact_budget_exhausted_rows(capsys, demo_file):
     """A budget of 0 stops the exact search at its root: each row reads
     ``>=`` the local search's value and leaves the ratio empty."""
-    monkeypatch.setenv("DUO_THREADS", "1")
     code, out, _ = run(capsys, "bench", demo_file, "--rho", "1..2", "--with-exact",
                        "--exact-budget", "0")
     assert code == EXIT_OK
@@ -654,7 +614,6 @@ def test_bench_runs_the_exact_search_once_per_input(capsys, tmp_path, monkeypatc
     out_dir = tmp_path / "batch"
     run(capsys, "gen", "--n", "12", "--k", "3", "--alphabet", "4",
         "--seed", "0", "--count", "3", "--out", str(out_dir))
-    monkeypatch.setenv("DUO_THREADS", "1")
     seeds = []
     value_search = cli.exact_max_value
 
@@ -670,8 +629,7 @@ def test_bench_runs_the_exact_search_once_per_input(capsys, tmp_path, monkeypatc
     assert seeds == [max(int(r[5]) for r in rows[i:i + 5]) for i in range(0, 15, 5)]
 
 
-def test_bench_csv_overwrites_a_longer_file(capsys, tmp_path, demo_file, monkeypatch):
-    monkeypatch.setenv("DUO_THREADS", "1")
+def test_bench_csv_overwrites_a_longer_file(capsys, tmp_path, demo_file):
     csv_path = tmp_path / "out.csv"
     csv_path.write_text("stale\n" * 1000)
     code, _, _ = run(capsys, "bench", demo_file, "--with-exact", "--csv", str(csv_path))
@@ -788,19 +746,21 @@ def test_bad_flags_and_bytes_are_usage_errors(capsys, tmp_path, demo_file, argv,
     (MemoryError, EXIT_BUDGET, "out of memory"),
     (KeyboardInterrupt, 130, "interrupted"),
 ])
-def test_memory_error_and_interrupt_exit_codes(capsys, demo_file, monkeypatch,
+def test_memory_error_and_interrupt_exit_codes(capsys, tmp_path, demo_file, monkeypatch,
                                                raised, code, message):
     def failing(g, config):
         raise raised()
 
     monkeypatch.setattr(cli.localsearch, "local_search", failing)
     assert run(capsys, "solve", demo_file) == (code, "", f"error: {message}\n")
+    other = tmp_path / "other.duo"
+    other.write_text(DEMO_TEXT + "\n")
+    assert run(capsys, "bench", demo_file, str(other)) == (code, "", f"error: {message}\n")
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, demo_file, monkeypatch):
     # an exact value below the search's is a defect, which ratio_report
     # rejects with ValueError; it must not read as bad input
-    monkeypatch.setenv("DUO_THREADS", "1")
     monkeypatch.setattr(cli, "exact_max_value", lambda g, incumbent, budget: (1, 0))
     with pytest.raises(ValueError, match="ls <= opt"):
         main(["bench", demo_file, "--rho", "1", "--with-exact"])

@@ -13,6 +13,7 @@ from duomatch.fileio import (
     format_graph,
     format_instance,
     format_matching,
+    is_input_file,
     load_matching_edges,
     load_problem,
     parse_graph,
@@ -128,16 +129,18 @@ def test_malformed_examples(parse, text):
 
 def test_load_problem_picks_the_format_by_extension(tmp_path):
     """A ``.mcbm`` path, in any case, is a graph; any other path is a
-    ``.duo`` pair."""
+    ``.duo`` pair.  Only the two suffixes, in any case, name input files."""
     for name in ("lower.mcbm", "upper.MCBM"):
         (tmp_path / name).write_text("3\n1 2\n2 3\n")
         g, inst = load_problem(str(tmp_path / name))
         assert inst is None and (g.m, g.edges) == (3, (Edge(1, 2), Edge(2, 3)))
-    for name in ("pair.duo", "pair.txt", "pair"):
+        assert is_input_file(name)
+    for name in ("pair.duo", "upper.DUO", "pair.txt", "pair"):
         (tmp_path / name).write_text("a b a\nb a a\n")
         g, inst = load_problem(str(tmp_path / name))
         assert inst == parse_instance("a b a\nb a a\n")
         assert g.edges == DuoGraph.from_strings(inst).edges
+        assert is_input_file(name) == name.lower().endswith(".duo")
 
 
 TEXT_FILES = {
