@@ -9,6 +9,9 @@ and, for the exact solver, the branch-and-bound nodes.  Rows:
 
 * ``from_strings`` and ``local_search`` at rho 1 on balanced pairs
   (700, 70), (2000, 100) and (4000, 60), seed 2017;
+* ``index``, the conflict index (``DuoGraph.index``) of a graph just
+  built by ``from_strings``, untimed, on the balanced pair (4000, 60),
+  seed 2017, and the dense alphabet-4 balanced pair n=200, seed 7;
 * ``local_search`` at rho 5 on the balanced pairs (300, 10) and
   (1000, 30), seed 2017, so that the width-5 core enumeration is timed at
   |E| 958 and 1106;
@@ -144,6 +147,16 @@ def rows(work: str):
 
         t, g = timed(build)
         yield {"name": f"from_strings balanced({n},{alphabet})", "s": t, "E": len(g.edges)}
+
+    for label, pair in (("balanced(4000,60)", balanced_pair(4000, 60, 2017)),
+                        ("dense(200,4) seed 7", balanced_pair(200, 4, 7))):
+        def index(start, pair=pair):
+            g = graph_of(pair)
+            start()
+            return g, g.index
+
+        t, (g, _) = timed(index)
+        yield {"name": f"index {label}", "s": t, "E": len(g.edges)}
 
     for n, alphabet, rho in ((700, 70, 1), (2000, 100, 1), (4000, 60, 1), (300, 10, 5),
                              (1000, 30, 5)):

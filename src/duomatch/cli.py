@@ -5,6 +5,13 @@ success, 1 when a requested check fails, 2 on usage or parse errors, 3 when
 a search budget or memory runs out, 130 on interrupt.  All output is
 deterministic for fixed inputs and flags, bar bench's wall-clock ms.
 
+:func:`main` parses a command line in one argparse pass: a first argument
+that names a command goes to that command's parser alone.  Any other first
+argument (an unknown name or a flag), an empty command line, and arguments
+the command's parser does not recognise go to the full parser, whose
+subcommands are the same parser objects, so help, usage errors and their
+exit codes read the same either way.
+
 The indented JSON of ``verify``, ``tokens`` and the ``gen`` manifest is
 written by one writer, :func:`_json_text`, which gives the text of
 ``json.dumps(obj, indent=2)`` with strings escaped in C.
@@ -27,7 +34,9 @@ from .core import (
     DuoError,
     ParseError,
     _conflicting_pairs,
+    _mask,
     _matching_on,
+    _union,
 )
 from .exact import BudgetExceededError, exact_max_matching, exact_max_value
 
@@ -96,7 +105,7 @@ def cmd_solve(args) -> int:
     matching, trace = localsearch.local_search(g, config)
     if args.trace:
         fileio.write_text(args.trace, trace.to_json_lines())
-    lines = [f"{e}\n" for e in matching]
+    lines = ["%d %d\n" % e for e in matching]  # str(e) with its newline, in C
     lines.append(f"preserved {len(matching)}\n")
     if inst is not None:
         # A's symbols with one separator per duo: a space inside a block,
@@ -172,6 +181,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _tokens_failed(error: str) -> int:
+    """Exit 1 with ``error`` as one JSON line on stderr and no report."""
+    print(json.dumps({"error": error}), file=sys.stderr)
+    return EXIT_CHECK_FAILED
+
+
 def cmd_tokens(args) -> int:
     g, _ = fileio.load_problem(args.input)
     m_edges = fileio.load_matching_edges(args.matching)
@@ -180,16 +195,18 @@ def cmd_tokens(args) -> int:
     matching, optimum = _matching_on(g, m_edges), _matching_on(g, opt_edges)
     for name, built in (("matching", matching), ("optimum", optimum)):
         if built is None:
-            print(
-                json.dumps({"error": f"{name} is not a compatible matching of the graph"}),
-                file=sys.stderr,
-            )
-            return EXIT_CHECK_FAILED
+            return _tokens_failed(f"{name} is not a compatible matching of the graph")
     try:
         report = analysis.token_report(g, matching, optimum)
     except localsearch.NotMaximalError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _tokens_failed(str(exc))
+    # the analysis assumes M maximal; an optimum edge without a receiver is
+    # named above, any other edge that extends M here, the lowest first
+    m_mask = _mask(g, matching)
+    free = ((1 << len(g.edges)) - 1) & ~(m_mask | _union(g.index.conf, m_mask))
+    if free:
+        return _tokens_failed(
+            f"edge {g.edges[(free & -free).bit_length() - 1]} extends the matching")
     profile = analysis.token_profile(report)
     checks = {}
     for fn in (
@@ -348,10 +365,15 @@ def _add_common_solver_args(p: argparse.ArgumentParser) -> None:
                    help="randomize the greedy extension order")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on first use and then reused: it
     costs more than a small ``solve``, and parsing does not change it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and its subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="duomatch",
         description="Heuristic and exact solvers for duo-preservation string mapping",
@@ -406,12 +428,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv`` from the parser of the command it names
+    first, or from the full parser, which calls that same parser, when argv
+    names no command first or leaves arguments unrecognised; so help, usage
+    errors and exit codes are the full parser's."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -125,7 +125,9 @@ class StringInstance:
             )
         if len(self.a) < 2:
             raise EmptyInstanceError("need at least two symbols per string")
-        if Counter(self.a) != Counter(self.b):
+        # dict equality runs in C, Counter's own loops in Python; with
+        # positive counts the two agree
+        if not dict.__eq__(Counter(self.a), Counter(self.b)):
             raise NotPermutationError("B is not a rearrangement of A")
 
     @property
@@ -169,6 +171,8 @@ class ConflictIndex(NamedTuple):
     Bit k of a mask stands for ``edges[k]``.  ``conf[k]`` has bit l set iff
     edges k and l conflict (never bit k itself); ``par[k]`` has the bits of
     the parallel neighbours (i-1, j-1) and (i+1, j+1) present in the tuple.
+    Both are read off the row masks of A-positions i-1..i+1 and the column
+    masks of B-positions j-1..j+1 of edge k = (i, j).
     """
 
     pos: dict[Edge, int]
@@ -178,13 +182,19 @@ class ConflictIndex(NamedTuple):
 
 def _index(edges: tuple[Edge, ...]) -> ConflictIndex:
     """The :class:`ConflictIndex` of ``edges``, sorted and duplicate-free
-    with any integer positions: by :func:`compatible`, which reads only
-    offsets, the edges conflicting with (i, j) are those on A-positions
-    i-1..i+1 or B-positions j-1..j+1, less (i, j) and its two parallel
-    neighbours.  So each conflict mask is the union of rows i-1..i+1 OR
-    the union of columns j-1..j+1, each union built once per distinct
-    position, less the edge and its parallel neighbours, which are found
-    by looking up (i-1, j-1) and (i+1, j+1) in ``pos``."""
+    with any integer positions.
+
+    By :func:`compatible`, which reads only offsets, the edges conflicting
+    with (i, j) are those on A-positions i-1..i+1 or B-positions j-1..j+1,
+    less (i, j) and its two parallel neighbours.  So each edge reads six
+    masks: the rows ``up``, ``on_i[i]``, ``down`` of A-positions i-1, i,
+    i+1 and the columns ``left``, ``on_j[j]``, ``right`` of B-positions
+    j-1, j, j+1.  Row i-1 and column j-1 share one position, the edge
+    (i-1, j-1), so ``up & left`` is that parallel neighbour's bit, or 0
+    when it is not an edge; ``down & right`` is (i+1, j+1) likewise.  The
+    conflict mask is the OR of the six masks, the three rows ORed once per
+    A-position, less the edge and ``par``.  Both lie inside the OR, so one
+    XOR takes them out, without the negative int an AND NOT builds."""
     pos = {e: k for k, e in enumerate(edges)}
     on_i: dict[int, int] = {}
     on_j: dict[int, int] = {}
@@ -192,21 +202,18 @@ def _index(edges: tuple[Edge, ...]) -> ConflictIndex:
         bit = 1 << k
         on_i[i] = on_i.get(i, 0) | bit
         on_j[j] = on_j.get(j, 0) | bit
-    near_i = {i: on_i.get(i - 1, 0) | row | on_i.get(i + 1, 0) for i, row in on_i.items()}
-    near_j = {j: on_j.get(j - 1, 0) | col | on_j.get(j + 1, 0) for j, col in on_j.items()}
-    get = pos.get
+    row, col = on_i.get, on_j.get
     par = []
     conf = []
+    last = None
     for (i, j), k in pos.items():
-        p = 0
-        f = get((i - 1, j - 1))
-        if f is not None:
-            p = 1 << f
-        f = get((i + 1, j + 1))
-        if f is not None:
-            p |= 1 << f
+        if i != last:  # a row's edges come one after another, in lex order
+            last, up, down = i, row(i - 1, 0), row(i + 1, 0)
+            rows = up | on_i[i] | down
+        left, right = col(j - 1, 0), col(j + 1, 0)
+        p = up & left | down & right
         par.append(p)
-        conf.append((near_i[i] | near_j[j]) & ~(1 << k | p))
+        conf.append((rows | left | on_j[j] | right) ^ (p | 1 << k))
     return ConflictIndex(pos, tuple(conf), tuple(par))
 
 

@@ -357,6 +357,26 @@ def test_tokens_on_gap_fixture(capsys, tmp_path):
     assert all(report["checks"].values())
 
 
+@pytest.mark.parametrize("stem, source, dropped", [
+    ("string_gap", "string_gap.duo", "3 8"),
+    ("graph_gap_26", "graph_gap_26.mcbm", "5 12"),
+])
+def test_tokens_rejects_a_matching_that_is_not_maximal(capsys, tmp_path, stem, source, dropped):
+    """A fixture's matching less one edge still gives every optimum edge a
+    receiver, so only the maximality check sees the edge that extends it."""
+    source = str(FIXTURES_DIR / source)
+    lines = (FIXTURES_DIR / f"{stem}.matching").read_text().splitlines()
+    matching, opt = tmp_path / "m.txt", tmp_path / "opt.txt"
+    matching.write_text("".join(ln + "\n" for ln in lines if ln != dropped))
+    code, out, _ = run(capsys, "exact", source)
+    assert code == EXIT_OK
+    opt.write_text("".join(ln + "\n" for ln in out.splitlines()[1:]))
+    assert run(capsys, "tokens", source, str(matching), str(opt)) == (
+        EXIT_CHECK_FAILED, "", f'{{"error": "edge {dropped} extends the matching"}}\n')
+    assert run(capsys, "tokens", source, str(FIXTURES_DIR / f"{stem}.matching"),
+               str(opt))[0] == EXIT_OK
+
+
 def test_tokens_builds_one_report(capsys, monkeypatch, tmp_path):
     calls = []
     real = analysis.token_report
@@ -779,6 +799,49 @@ def test_parser_reused_across_calls(capsys, demo_file, stall_file):
     assert again == first
     assert first[0][0] == first[1][0] == EXIT_OK
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["sol", "in.duo"],
+    ["-h"],
+    ["solve", "-h"],
+    ["solve"],
+    ["--rho", "1", "solve", "in.duo"],
+    ["solve", "in.duo", "--bogus"],
+    ["solve", "in.duo", "extra.duo"],
+    ["solve", "in.duo", "--rho"],
+    ["solve", "in.duo", "--rho", "x"],
+    ["solve", "in.duo", "--", "--rho"],
+    ["bench", "in.duo", "--wit"],
+    ["solve", "in.duo", "--rho", "1", "--seed", "3", "--scan-order", "reverse-lex"],
+    ["exact", "in.duo", "--budget", "5"],
+    ["verify", "in.duo", "m.txt", "--local-opt", "--rho=2"],
+    ["tokens", "in.duo", "m.txt", "opt.txt"],
+    ["gen", "--n", "10", "--k", "2", "--alphabet", "3", "--out", "out"],
+    ["bench", "in.duo", "more", "--rho", "1..3", "--with-exact", "--csv", "o.csv"],
+])
+def test_dispatch_matches_the_full_parser(capsys, argv):
+    """``main`` parses with the command's own parser when it can; the full
+    parser is the oracle for its exit code, help and usage text, and for
+    the parsed flags of a valid command line (the full parser alone also
+    records the command's name)."""
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    expected = outcome(cli.build_parser().parse_args)
+    if isinstance(expected[0], int):
+        assert outcome(main) == expected
+    else:
+        parsed, out, err = outcome(cli._parse)
+        assert (out, err) == expected[1:] == ("", "")
+        assert vars(parsed) == {k: v for k, v in vars(expected[0]).items() if k != "command"}
 
 
 def test_token_conservation_failure_exits_1(capsys, tmp_path, demo_file, monkeypatch):
